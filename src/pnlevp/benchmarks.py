@@ -7,6 +7,7 @@ analytic or Newton oracles, and qualitative spectral features such as
 eigenvalue coalescence or the spectral-abscissa minimizer).
 """
 
+import io
 import os
 import time
 from dataclasses import dataclass, field
@@ -139,22 +140,29 @@ def sweep(problem, model, p_values):
     return {"p": p_values, "eigenvalues": eigenvalues, "max_residuals": max_res}
 
 
-def write_sweep(sweep_data, path):
-    """Whitespace-delimited sweep table with a header comment line."""
+def sweep_table(sweep_data):
+    """Whitespace-delimited sweep table with a header comment line: p, the
+    real and imaginary part of each eigenvalue, the max residual."""
     p = sweep_data["p"]
     lam = sweep_data["eigenvalues"]
-    res = sweep_data["max_residuals"]
-    m = lam.shape[1]
     cols = [p.real]
     header = ["p"]
-    for j in range(m):
+    for j in range(lam.shape[1]):
         cols.extend([lam[:, j].real, lam[:, j].imag])
         header.extend([f"Re(lam{j + 1})", f"Im(lam{j + 1})"])
-    cols.append(res)
+    cols.append(sweep_data["max_residuals"])
     header.append("max_residual")
-    table = np.column_stack(cols)
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(cols), fmt="%.17g",
+               header=" ".join(header))
+    return buf.getvalue()
+
+
+def write_sweep(sweep_data, path):
+    """Write sweep_table(sweep_data) to path (atomic replace)."""
     tmp = f"{path}.tmp"
-    np.savetxt(tmp, table, fmt="%.17g", header=" ".join(header))
+    with open(tmp, "w") as f:
+        f.write(sweep_table(sweep_data))
     os.replace(tmp, path)
 
 

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,20 +33,18 @@ EXIT_NUMERICAL = 3
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the package's errors subclass ValueError, so they go first
     try:
         return args.func(args)
-    except (RankConsistencyError, UnsupportedProblemError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (RealizationError, SingularMatrixError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (RankConsistencyError, UnsupportedProblemError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _build_parser():
@@ -141,17 +138,6 @@ def _parse_range(text):
     return lo, hi
 
 
-def _worker_count():
-    raw = os.environ.get("PNLEVP_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"PNLEVP_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ValueError("PNLEVP_THREADS must be >= 0")
-    return cap if cap > 0 else (os.cpu_count() or 1)
-
-
 def cmd_offline(args):
     problem = get_problem(args.problem)
     domain = _parse_domain(args.disk, args.ellipse)
@@ -212,47 +198,22 @@ def cmd_sweep(args):
     lo, hi = _parse_range(args.p)
     if args.n_test < 1:
         raise ValueError("--n-test must be positive")
-    p_values = np.linspace(lo, hi, args.n_test)
     problem = _problem_if_available(model)
-    m = model.m
-    rows_lam = np.full((args.n_test, m), np.nan + 0j, dtype=complex)
-    rows_res = np.full(args.n_test, np.nan)
-
-    def run_one(k):
-        sol = online(model, p_values[k])
-        lam = sol.eigenvalues[:m]
-        rows_lam[k, : len(lam)] = lam
-        if problem is not None and len(sol.eigenvalues):
-            rows_res[k] = max(residuals(problem, sol))
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        list(pool.map(run_one, range(args.n_test)))
-    sweep_data = {"p": p_values.astype(complex), "eigenvalues": rows_lam,
-                  "max_residuals": rows_res}
+    data = bench_mod.sweep(problem, model, np.linspace(lo, hi, args.n_test))
     if args.json:
         doc = {
-            "p": list(p_values),
-            "eigenvalues": [[[z.real, z.imag] for z in row] for row in rows_lam],
+            "p": list(data["p"].real),
+            "eigenvalues": [[[z.real, z.imag] for z in row]
+                            for row in data["eigenvalues"]],
         }
         if problem is not None:
-            doc["max_residuals"] = list(rows_res)
+            doc["max_residuals"] = list(data["max_residuals"])
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.out is not None:
-        bench_mod.write_sweep(sweep_data, args.out)
+        bench_mod.write_sweep(data, args.out)
         print(f"sweep written to {args.out}", file=sys.stderr)
     else:
-        import io
-        buf = io.StringIO()
-        header = ["p"]
-        cols = [p_values]
-        for j in range(m):
-            cols.extend([rows_lam[:, j].real, rows_lam[:, j].imag])
-            header.extend([f"Re(lam{j + 1})", f"Im(lam{j + 1})"])
-        cols.append(rows_res)
-        header.append("max_residual")
-        np.savetxt(buf, np.column_stack(cols), fmt="%.17g",
-                   header=" ".join(header))
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(bench_mod.sweep_table(data))
     return EXIT_OK
 
 

@@ -23,6 +23,9 @@ class Disk:
     radius: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.center) and np.isfinite(self.radius)):
+            raise ValueError(f"disk center {self.center} and radius "
+                             f"{self.radius} must be finite")
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
 
@@ -47,6 +50,11 @@ class Ellipse:
     semi_imag: float
 
     def __post_init__(self):
+        if not all(np.isfinite(x) for x in
+                   (self.center, self.semi_real, self.semi_imag)):
+            raise ValueError(f"ellipse center {self.center} and semi-axes "
+                             f"{self.semi_real}, {self.semi_imag} must be "
+                             "finite")
         if self.semi_real <= 0 or self.semi_imag <= 0:
             raise ValueError("ellipse semi-axes must be positive")
 

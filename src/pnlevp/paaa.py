@@ -365,6 +365,59 @@ def eval_model(model, z, p):
     return np.sum(W * values) / den
 
 
+@dataclass(frozen=True)
+class CollapsedLifts:
+    """Lifts F_k evaluated at their own fixed point z_k, as p-only
+    barycentric tensors: F_k(z_k, p) = sum_j cp_j N_kj / sum_j cp_j d_kj
+    with cp_j = 1/(p - pi_j)."""
+
+    p_nodes: np.ndarray  # (mp,)
+    numer: np.ndarray    # (r, mp, n)
+    denom: np.ndarray    # (r, mp)
+
+
+def collapse_lifts(lifts, points):
+    """Sum out the z-nodes of lifts[k] at points[k], once for all p.
+
+    The lifts share nodes and coefficients, as lift_vector makes them.  A
+    point on a z-node line (within 1e-14 of a node) takes that node's
+    single-term row, the interpolation limit that eval_model applies there.
+    """
+    first = lifts[0]
+    Cz = np.zeros((len(lifts), len(first.z_nodes)), dtype=complex)
+    for k, z in enumerate(points):
+        iz = _match_node(z, first.z_nodes)
+        if iz is None:
+            Cz[k] = 1.0 / (z - first.z_nodes)
+        else:
+            Cz[k, iz] = 1.0
+    values = np.stack([lift.node_values for lift in lifts])  # (r, mz, mp, n)
+    return CollapsedLifts(
+        p_nodes=first.p_nodes,
+        numer=np.einsum("ki,ij,kijn->kjn", Cz, first.coeffs, values),
+        denom=Cz @ first.coeffs,
+    )
+
+
+def eval_collapsed(collapsed, p):
+    """Values (r, n) of all collapsed lifts at parameter p; a p on a node
+    takes that node's column."""
+    jp = _match_node(p, collapsed.p_nodes)
+    if jp is None:
+        cp = 1.0 / (p - collapsed.p_nodes)
+        num = np.einsum("kjn,j->kn", collapsed.numer, cp)
+        den = np.einsum("kj,j->k", collapsed.denom, cp)
+    else:
+        num = collapsed.numer[:, jp]
+        den = collapsed.denom[:, jp]
+    if np.min(np.abs(den)) < _DENOM_FLOOR:
+        raise EvaluationError(
+            f"barycentric denominator underflow at p={p}; the evaluation "
+            "point hits a spurious pole"
+        )
+    return num / den[:, None]
+
+
 def _quotient(weights, values, vec):
     den = np.sum(weights)
     if abs(den) < _DENOM_FLOOR:

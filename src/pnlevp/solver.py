@@ -10,10 +10,12 @@ random combinations of the left and right samples, so that they fit the
 lifts, not only the scalar.  The lifts are the vector-valued surrogates
 L_k, R_k, one per probing direction, that carry the samples at the nodes.
 
-The online phase evaluates L_i(theta_i, p), R_j(sigma_j, p) for any complex
-parameter p, assembles the tangential data, and delegates to the Loewner
-realization.  Its cost is independent of the quadrature size and of the
-problem dimension except for assembling the eigenvector matrices.
+The online phase needs each lift only at its own fixed point, L_i at
+theta_i and R_j at sigma_j.  The z-sums of those evaluations are collapsed
+once, when a model is built or loaded, into p-only barycentric tensors, so
+an answer at any complex parameter p costs two contractions over the
+p-nodes, the Loewner assembly and a sketched rank truncation: O(r^2 m +
+r m_p n), independent of the quadrature size.
 """
 
 import json
@@ -28,10 +30,11 @@ import scipy.linalg
 from .contour import (Disk, Ellipse, ProbedSampleSet, SamplingConfig,
                       build_trapezoid_rule, probe_samples)
 from .errors import EvaluationError, ModelFormatError
-from .loewner import TangentialData, filter_in_domain, realize
+from .loewner import TangentialData, eigenvalue_order, filter_in_domain, realize
 from .paaa import (BarycentricModel2D, VectorBarycentricModel,
-                   consistency_rank_check, eval_model, lift_vector,
-                   node_indices, paaa_fit, refit_coefficients)
+                   collapse_lifts, consistency_rank_check, eval_collapsed,
+                   lift_vector, node_indices, paaa_fit, refit_coefficients)
+from .paaa import eval_model  # noqa: F401  (callers look it up here)
 
 FORMAT_VERSION = 1
 
@@ -54,6 +57,15 @@ class OfflineModel:
     left_models: tuple   # r vector models for l_k^T H
     right_models: tuple  # r vector models for H r_k
     metadata: dict = field(default_factory=dict)
+    # the lifts at their own points theta_k / sigma_k, derived, not stored
+    left_collapsed: object = field(init=False, repr=False, compare=False)
+    right_collapsed: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "left_collapsed", collapse_lifts(
+            self.left_models, self.config.left_points))
+        object.__setattr__(self, "right_collapsed", collapse_lifts(
+            self.right_models, self.config.right_points))
 
 
 @dataclass(frozen=True)
@@ -148,19 +160,17 @@ def _lift_sketches(samples):
 def online(model, p_hat, rank_tol=None):
     """Extract eigenvalues and eigenvectors at an arbitrary parameter."""
     p_hat = complex(p_hat)
+    if not np.isfinite(p_hat):
+        raise ValueError(f"parameter p = {p_hat} is not finite")
     if rank_tol is None:
         rank_tol = model.metadata.get("rank_tol", 1e-10)
     _warn_if_extrapolating(model, p_hat)
     config = model.config
-    theta, sigma = config.left_points, config.right_points
-    b = np.array([eval_model(model.left_models[i], theta[i], p_hat)
-                  for i in range(config.r)])
-    c = np.array([eval_model(model.right_models[j], sigma[j], p_hat)
-                  for j in range(config.r)])
     data = TangentialData(
-        theta=theta, sigma=sigma,
+        theta=config.left_points, sigma=config.right_points,
         left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-        left_vals=b, right_vals=c,
+        left_vals=eval_collapsed(model.left_collapsed, p_hat),
+        right_vals=eval_collapsed(model.right_collapsed, p_hat),
     )
     realization = realize(data, rank_tol, order=model.m)
     flags = filter_in_domain(realization, model.domain)
@@ -232,8 +242,7 @@ def scalar_probe_eigenvalues(model, p_hat):
         res = (C @ gamma) / (C ** 2 @ beta)
     negligible = np.abs(res) <= _RESIDUE_TOL * np.max(np.abs(scalar.node_values))
     vals = vals[~negligible]
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    return vals[eigenvalue_order(vals)]
 
 
 def _warn_if_extrapolating(model, p_hat):

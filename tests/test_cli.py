@@ -68,6 +68,27 @@ class TestOffline:
         )
         assert proc.returncode == 2
 
+    def test_eigenvalue_on_quadrature_node_exits_3(self, tmp_path):
+        # at p = 0.75 the eigenvalue 0.5 sits on the node z = 0.5 of the
+        # 8-node rule on |z| = 0.5
+        proc = run_cli(
+            "offline", "--problem", "linear-demo", "--disk", "0,0,0.5",
+            "--p", "0.75:1.0", "--q", "4", "--r", "4", "--N", "8",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert proc.returncode == 3
+        assert "singular" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_finite_radius_exits_2(self, tmp_path):
+        proc = run_cli(
+            "offline", "--problem", "delay", "--disk", "0,0,nan",
+            "--p", "30:35", "--q", "4", "--r", "4", "--N", "16",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+
     def test_identical_config_and_seed_byte_identical_models(self, tmp_path):
         args = ("offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
                 "--p", "0.75:1.25", "--q", "8", "--r", "6", "--N", "128",
@@ -105,6 +126,19 @@ class TestOnline:
         proc = run_cli("online", "--model", str(tmp_path / "absent.json"),
                        "--p", "30")
         assert proc.returncode == 1
+
+    def test_malformed_model_exits_1(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format_version": 1, "m": 2}))
+        proc = run_cli("online", "--model", str(path), "--p", "1")
+        assert proc.returncode == 1
+        assert "malformed model file" in proc.stderr
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_parameter_exits_2(self, delay_model, p):
+        proc = run_cli("online", "--model", str(delay_model), "--p", p)
+        assert proc.returncode == 2
+        assert "is not finite" in proc.stderr
 
 
 class TestSweep:

@@ -71,6 +71,24 @@ class TestDomains:
         with pytest.raises(ValueError):
             Ellipse(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_disk_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Disk(0.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            Disk(complex(bad, 0.0), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Disk(complex(0.0, bad), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ellipse_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Ellipse(complex(bad, 0.0), 1.0, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            Ellipse(0.0, bad, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            Ellipse(0.0, 1.0, bad)
+
     def test_scale_domain(self):
         d = scale_domain(Disk(1.0j, 0.075), 4.0 / 3.0)
         assert abs(d.radius - 0.1) <= 1e-15

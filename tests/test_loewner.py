@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pnlevp.contour import Disk
-from pnlevp.loewner import (TangentialData, build_loewner, filter_in_domain,
-                            numerical_rank, realize)
+from pnlevp.loewner import (TangentialData, build_loewner, eigenvalue_order,
+                            filter_in_domain, numerical_rank, realize)
 from pnlevp.problems import SyntheticRationalProblem
 
 
@@ -233,6 +233,61 @@ class TestRealize:
         out = realize(noisy, rank_tol=1e-12, order=1)
         assert out.rank == 1
         assert abs(out.eigenvalues[0] - 0.1) <= 1e-4
+
+    def test_sketched_truncation_matches_exact(self):
+        # r = 14 > order + 8, so the order-3 call works on a sketch of width
+        # 11; exact data of a 3-pole problem lose nothing to it
+        domain = Disk(0.0, 1.0)
+        prob = SyntheticRationalProblem.inside_domain(domain, 3, (0.0, 1.0),
+                                                      seed=13)
+        p, r = 0.6, 14
+        rng = np.random.default_rng(113)
+        theta = 1.5 * np.exp(2j * np.pi * np.arange(r) / (2 * r))
+        sigma = 1.5 * np.exp(2j * np.pi * (np.arange(r) + 0.5) / (2 * r))
+        ld = _random_dirs(rng, r, prob.dim)
+        rd = _random_dirs(rng, r, prob.dim)
+        b = np.array([prob.exact_H(t, p).T @ l for t, l in zip(theta, ld)])
+        c = np.array([prob.exact_H(s, p) @ v for s, v in zip(sigma, rd)])
+        data = TangentialData(theta=theta, sigma=sigma, left_dirs=ld,
+                              right_dirs=rd, left_vals=b, right_vals=c)
+        sketched = realize(data, order=3)
+        exact = realize(data)
+        assert sketched.rank == exact.rank == 3
+        assert [len(s) for s in sketched.singular_values] == [11, 11]
+        assert [len(s) for s in exact.singular_values] == [r, r]
+        truth = np.sort_complex(prob.eigenvalues_at(p))
+        np.testing.assert_allclose(np.sort_complex(sketched.eigenvalues),
+                                   truth, atol=1e-9)
+        np.testing.assert_allclose(sketched.eigenvalues, exact.eigenvalues,
+                                   atol=1e-12)
+        again = realize(data, order=3)
+        np.testing.assert_array_equal(again.eigenvalues, sketched.eigenvalues)
+        np.testing.assert_array_equal(again.V, sketched.V)
+        np.testing.assert_array_equal(again.W, sketched.W)
+
+
+class TestEigenvalueOrder:
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_conjugate_pair_one_ulp_apart(self, direction):
+        # whichever member of the pair rounds to the larger real part, the
+        # one with negative imaginary part comes first
+        x = -2.2180397288321116
+        values = np.array([complex(np.nextafter(x, direction), 6.25),
+                           complex(x, -6.25)])
+        for pair in (values, values[::-1]):
+            ordered = pair[eigenvalue_order(pair)]
+            assert ordered[0].imag == -6.25
+            assert ordered[1].imag == 6.25
+
+    def test_distinct_real_parts_ascend(self):
+        values = np.array([3.0 - 1j, -1.0 + 2j, 1.0 + 0j, -1.0 - 2j])
+        ordered = values[eigenvalue_order(values)]
+        np.testing.assert_array_equal(
+            ordered, [-1.0 - 2j, -1.0 + 2j, 1.0 + 0j, 3.0 - 1j])
+
+    def test_empty_and_single(self):
+        assert eigenvalue_order(np.array([], dtype=complex)).size == 0
+        assert eigenvalue_order(np.array([1.0 + 1j])).tolist() == [0]
 
 
 class TestFilterInDomain:

@@ -8,11 +8,13 @@ import pytest
 
 from pnlevp.contour import Disk, default_sampling
 from pnlevp.errors import EvaluationError, ModelFormatError
-from pnlevp.paaa import eval_model, paaa_fit
+from pnlevp.paaa import (BarycentricModel2D, eval_collapsed, eval_model,
+                         lift_vector, paaa_fit)
 from pnlevp.problems import (LinearDemoProblem, PNlevpProblem,
                              SyntheticRationalProblem, get_problem)
-from pnlevp.solver import (EigenSolution, load_model, offline, online,
-                           residuals, save_model, scalar_probe_eigenvalues)
+from pnlevp.solver import (EigenSolution, OfflineModel, load_model, offline,
+                           online, residuals, save_model,
+                           scalar_probe_eigenvalues)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,20 @@ def linear1():
     config = default_sampling(domain, 20, 40, (0.75, 1.25), seed=0,
                               dim=problem.dim)
     model = offline(problem, domain, config, 512)
+    return problem, model
+
+
+@pytest.fixture(scope="module")
+def delay():
+    """Offline model of the pinned delay set-up (4 theta and 1 sigma lie on
+    z-node lines)."""
+    problem = get_problem("delay")
+    domain = Disk(0.0, 0.075)
+    config = default_sampling(domain, 20, 40, (30.0, 35.0), seed=0,
+                              dim=problem.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = offline(problem, domain, config, 128, fit_opts={"tol": 1e-11})
     return problem, model
 
 
@@ -122,7 +138,58 @@ class TestOffline:
         assert worst <= 10 * model.metadata["max_fit_error"]
 
 
+class TestCollapsedLifts:
+    @pytest.mark.parametrize("name", ["delay", "linear1"])
+    def test_matches_eval_model(self, name, request):
+        _, model = request.getfixturevalue(name)
+        config = model.config
+        scalar = model.scalar_model
+        rng = np.random.default_rng(5)
+        lo, hi = config.parameter_points.real[[0, -1]]
+        p_values = list(rng.uniform(lo, hi, 5)) + [scalar.p_nodes[0],
+                                                   scalar.p_nodes[-1]]
+        on_line = 0
+        for lifts, points, collapsed in (
+                (model.left_models, config.left_points, model.left_collapsed),
+                (model.right_models, config.right_points,
+                 model.right_collapsed)):
+            on_line += sum(np.min(np.abs(z - scalar.z_nodes)) <= 1e-14
+                           for z in points)
+            for p_hat in p_values:
+                got = eval_collapsed(collapsed, complex(p_hat))
+                for k, lift in enumerate(lifts):
+                    want = eval_model(lift, points[k], complex(p_hat))
+                    assert (np.linalg.norm(got[k] - want)
+                            <= 1e-13 * np.linalg.norm(want))
+        if name == "delay":
+            assert on_line == 5
+
+    def test_vanishing_denominator_raises(self):
+        # one z-node and two p-nodes with equal coefficients: at p = 0.5 the
+        # two p-terms cancel exactly in every denominator
+        domain = Disk(0.0, 1.0)
+        config = default_sampling(domain, 1, 2, (0.0, 1.0), seed=0, dim=1)
+        coeffs = np.ones((1, 2), dtype=complex) / np.sqrt(2.0)
+        scalar = BarycentricModel2D(
+            z_nodes=np.array([0.0j]), p_nodes=np.array([0.0j, 1.0 + 0j]),
+            coeffs=coeffs, node_values=np.ones((1, 2), dtype=complex))
+        lift = lift_vector(scalar, np.ones((1, 2, 1), dtype=complex))
+        model = OfflineModel(domain=domain, config=config, m=1,
+                             scalar_model=scalar, left_models=(lift,),
+                             right_models=(lift,))
+        with pytest.raises(EvaluationError):
+            eval_model(lift, config.left_points[0], 0.5)
+        with pytest.raises(EvaluationError, match="denominator underflow"):
+            online(model, 0.5)
+
+
 class TestOnline:
+    @pytest.mark.parametrize("p_hat", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_non_finite_parameter_rejected(self, linear1, p_hat):
+        _, model = linear1
+        with pytest.raises(ValueError, match=r"parameter p = .* is not finite"):
+            online(model, p_hat)
+
     def test_linear_demo_eigenvalues(self, linear1):
         problem, model = linear1
         sol = online(model, 0.75)
@@ -338,6 +405,19 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_loaded_model_answers_bit_identical(self, delay, tmp_path):
+        _, model = delay
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        p_values = list(np.linspace(30.0, 35.0, 8)) + [
+            model.scalar_model.p_nodes[1], 32.1 + 0.05j]
+        for p_hat in p_values:
+            a, b = online(model, p_hat), online(loaded, p_hat)
+            np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+            np.testing.assert_array_equal(a.V, b.V)
+            np.testing.assert_array_equal(a.W, b.W)
 
     def test_load_then_online_bit_exact(self, linear1, tmp_path):
         _, model = linear1
