@@ -16,7 +16,7 @@ import numpy as np
 
 from .contour import Disk, Ellipse, default_sampling
 from .problems import get_problem
-from .solver import offline, online, residuals
+from .solver import offline, online, residuals, write_atomic
 
 _DEFAULT_SEED = 0
 
@@ -160,10 +160,7 @@ def sweep_table(sweep_data):
 
 def write_sweep(sweep_data, path):
     """Write sweep_table(sweep_data) to path (atomic replace)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write(sweep_table(sweep_data))
-    os.replace(tmp, path)
+    write_atomic(path, sweep_table(sweep_data))
 
 
 def run_benchmark(name, out_dir=None):

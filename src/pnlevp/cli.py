@@ -10,7 +10,6 @@ stream.  Exit codes: 0 ok, 1 I/O, 2 usage or assumption violation,
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -22,7 +21,8 @@ from .errors import (EvaluationError, ModelFormatError, RankConsistencyError,
                      RealizationError, SingularMatrixError,
                      UnsupportedProblemError)
 from .problems import get_problem
-from .solver import load_model, offline, online, residuals, save_model
+from .solver import (load_model, offline, online, residuals, save_model,
+                     write_atomic)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -256,10 +256,7 @@ def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        tmp = f"{out_path}.tmp"
-        with open(tmp, "w") as f:
-            f.write(text)
-        os.replace(tmp, out_path)
+        write_atomic(out_path, text)
         print(f"output written to {out_path}", file=sys.stderr)
 
 

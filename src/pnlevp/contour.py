@@ -5,10 +5,13 @@ part H of T^{-1} at points outside the closed domain:
 
     H(s) ~= sum_t w_t / (s - z_t) * T(z_t)^{-1},
 
-so samples of H come from linear solves against T at the boundary nodes.
+so samples of H come from N dense n-by-n inverses of T per parameter, one
+batched inverse over the boundary nodes (the block-resolvent sum of Beyn's
+contour method, Beyn, LAA 2012).  Tangential samples l^T H and H r are
+contractions of H with the probing directions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,9 +189,7 @@ def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
     boundary = sampling_domain if sampling_domain is not None else scale_domain(domain, inflation)
     t = 2 * np.pi * np.arange(2 * r) / (2 * r)
     s = boundary.gamma(t)
-    for si in s:
-        if domain.contains(si) or domain.boundary_distance(si) <= 1e-10:
-            raise ValueError(f"sample point {si} is not strictly outside the domain")
+    _check_outside(domain, s)
     p0, p1 = p_range
     p = np.linspace(complex(p0), complex(p1), q)
     rng = np.random.default_rng(seed)
@@ -203,66 +204,89 @@ def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
     )
 
 
+def _check_outside(domain, points):
+    """Raise ValueError for the first point that is not strictly outside the
+    closed domain (inside, or within 1e-10 of its boundary)."""
+    for si in points:
+        if domain.contains(si) or domain.boundary_distance(si) <= 1e-10:
+            raise ValueError(f"sample point {si} is not strictly outside the domain")
+
+
+def left_samples(dirs, H):
+    """Rows l_k^T H for every direction k: (r,) + H.shape[:-1]."""
+    return np.tensordot(dirs, H, axes=(1, H.ndim - 2))
+
+
+def right_samples(dirs, H):
+    """Columns H r_k for every direction k: (r,) + H.shape[:-1]."""
+    return np.tensordot(dirs, H, axes=(1, H.ndim - 1))
+
+
 @dataclass(frozen=True)
 class ProbedSampleSet:
-    """Tangential samples of H over directions x sample points x parameters.
+    """Samples H[i, j] = H(s_i, p_j) of the pole part, (2r, q, n, n).
 
+    The tangential samples are derived on request, not stored:
     left[k, i, j]  = l_k^T H(s_i, p_j)   (an n-vector),
     right[k, i, j] = H(s_i, p_j) r_k     (an n-vector).
     """
 
-    left: np.ndarray   # (r, 2r, q, n)
-    right: np.ndarray  # (r, 2r, q, n)
+    H: np.ndarray  # (2r, q, n, n)
     config: SamplingConfig
-    provenance: dict = field(default_factory=dict)
+
+    @property
+    def left(self):
+        """(r, 2r, q, n), computed afresh on every access."""
+        return left_samples(self.config.left_dirs, self.H)
+
+    @property
+    def right(self):
+        """(r, 2r, q, n), computed afresh on every access."""
+        return right_samples(self.config.right_dirs, self.H)
 
 
 def probe_samples(problem, rule, config, domain=None):
-    """Approximate the tangential samples of H by boundary quadrature.
+    """Approximate H at every sample point and parameter by boundary
+    quadrature.
 
-    For each quadrature node and parameter this performs one left and one
-    right multi-RHS solve (2Nq solves with r right-hand sides each) and
-    accumulates w_t/(s_i - z_t) contributions in ascending node order.
+    For each parameter, T is evaluated at all N nodes as one stack
+    (problem.eval_nodes) and inverted with one batched dense inverse; H at
+    the 2r sample points is the weighted sum of those inverses.  Raises
+    SingularMatrixError naming the first node where T is singular.
     """
     s = config.sample_points
-    p = config.parameter_points
     n = problem.dim
-    r, q, N = config.r, config.q, len(rule)
     if domain is not None:
-        for si in s:
-            if domain.contains(si) or domain.boundary_distance(si) <= 1e-10:
-                raise ValueError(
-                    f"sample point {si} is not strictly outside the domain"
-                )
+        _check_outside(domain, s)
     C = rule.weights[None, :] / (s[:, None] - rule.nodes[None, :])  # (2r, N)
-    Ldirs = np.ascontiguousarray(config.left_dirs.T)   # (n, r)
-    Rdirs = np.ascontiguousarray(config.right_dirs.T)  # (n, r)
-    left = np.empty((r, 2 * r, q, n), dtype=complex)
-    right = np.empty((r, 2 * r, q, n), dtype=complex)
-    for j in range(q):
-        QL = np.empty((N, n, r), dtype=complex)
-        QR = np.empty((N, n, r), dtype=complex)
-        for t in range(N):
-            zt = rule.nodes[t]
-            try:
-                QR[t] = problem.solve_right(zt, p[j], Rdirs)
-                QL[t] = problem.solve_left(zt, p[j], Ldirs)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"T is singular at quadrature node z={zt}, p={p[j]}; "
-                    f"an eigenvalue may lie on the contour -- change the node "
-                    f"count N or the contour"
-                ) from exc
-        # sum over t in ascending order: (2r, N) @ (N, n*r) -> (2r, n, r)
-        accL = np.tensordot(C, QL, axes=(1, 0))
-        accR = np.tensordot(C, QR, axes=(1, 0))
-        left[:, :, j, :] = np.moveaxis(accL, (0, 1, 2), (1, 2, 0))
-        right[:, :, j, :] = np.moveaxis(accR, (0, 1, 2), (1, 2, 0))
-    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+    H = np.empty((len(s), config.q, n, n), dtype=complex)
+    for j, pj in enumerate(config.parameter_points):
+        Tinv = _invert_nodes(problem, rule.nodes, pj)
+        H[:, j] = (C @ Tinv.reshape(len(rule), n * n)).reshape(-1, n, n)
+    if not np.all(np.isfinite(H)):
         raise ValueError("probed samples contain non-finite entries")
-    return ProbedSampleSet(
-        left=left,
-        right=right,
-        config=config,
-        provenance={"N": N, "domain": domain, "seed": config.seed},
-    )
+    return ProbedSampleSet(H=H, config=config)
+
+
+def _invert_nodes(problem, nodes, p):
+    """T(z_t, p)^{-1} for all nodes z_t, (N, n, n)."""
+    T = problem.eval_nodes(nodes, p)
+    try:
+        Tinv = np.linalg.inv(T)
+    except np.linalg.LinAlgError:
+        # the batched inverse does not say which matrix failed: invert node
+        # by node up to the first failure and leave the rest non-finite
+        Tinv = np.full(T.shape, np.nan, dtype=complex)
+        for t, Tt in enumerate(T):
+            try:
+                Tinv[t] = np.linalg.inv(Tt)
+            except np.linalg.LinAlgError:
+                break
+    bad = ~np.all(np.isfinite(Tinv), axis=(1, 2))
+    if np.any(bad):
+        zt = nodes[np.argmax(bad)]
+        raise SingularMatrixError(
+            f"T is singular at quadrature node z={zt}, p={p}; an eigenvalue "
+            f"may lie on the contour -- change the node count N or the contour"
+        )
+    return Tinv

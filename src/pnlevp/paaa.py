@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, RankConsistencyError
-from .loewner import numerical_rank
+from .loewner import TangentialData, build_loewner, numerical_rank
 
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
@@ -61,16 +61,18 @@ def consistency_rank_check(samples, config, rank_tol=1e-10):
     The rank equals the eigenvalue count m inside the domain; the parametric
     decomposition requires it to be the same for every sampled parameter.
     """
-    theta = config.left_points
-    sigma = config.right_points
-    ti, si = config.left_indices, config.right_indices
-    r = config.r
-    D = theta[:, None] - sigma[None, :]
+    # rows l_k^T H(theta_k, p_j) and H(sigma_k, p_j) r_k, (r, q, n) each
+    b = np.einsum("ka,kjab->kjb", config.left_dirs,
+                  samples.H[config.left_indices])
+    c = np.einsum("kjab,kb->kja", samples.H[config.right_indices],
+                  config.right_dirs)
     ranks = []
     for j in range(config.q):
-        b = samples.left[np.arange(r), ti, j]    # (r, n) rows l_i^T H(theta_i, p_j)
-        c = samples.right[np.arange(r), si, j]   # (r, n) rows H(sigma_j', p_j) r_j'
-        L = (b @ config.right_dirs.T - config.left_dirs @ c.T) / D
+        L, _ = build_loewner(TangentialData(
+            theta=config.left_points, sigma=config.right_points,
+            left_dirs=config.left_dirs, right_dirs=config.right_dirs,
+            left_vals=b[:, j], right_vals=c[:, j],
+        ))
         ranks.append(numerical_rank(L, rank_tol))
     if len(set(ranks)) != 1:
         raise RankConsistencyError(

@@ -1,8 +1,10 @@
 """Parametric nonlinear eigenvalue problems T(z, p) and benchmark instances.
 
-A problem exposes ``eval(z, p)`` returning an n-by-n complex matrix, plus
-left/right linear solves against T(z, p).  The benchmark problems also carry
-independent eigenvalue oracles used for validation.
+A problem exposes ``eval(z, p)`` returning an n-by-n complex matrix,
+``eval_nodes(z, p)`` returning the stack of T at many points (the contour
+probe inverts that stack), plus left/right linear solves against T(z, p).
+The benchmark problems also carry independent eigenvalue oracles used for
+validation.
 """
 
 import numpy as np
@@ -15,8 +17,9 @@ _CUT_TOL = 1e-14
 class PNlevpProblem:
     """Base class: a matrix-valued function T(z, p) with linear solves.
 
-    Subclasses set ``dim`` and implement ``eval``.  Solves default to dense
-    LU with partial pivoting of the evaluated matrix; problems are immutable
+    Subclasses set ``dim`` and implement ``eval``; they may override
+    ``eval_nodes`` with a vectorized assembly.  Solves default to dense LU
+    with partial pivoting of the evaluated matrix; problems are immutable
     after construction, so eval/solve are safe to call concurrently.
     """
 
@@ -25,6 +28,10 @@ class PNlevpProblem:
 
     def eval(self, z, p):
         raise NotImplementedError
+
+    def eval_nodes(self, z, p):
+        """T(z_t, p) for every point z_t of the 1-D array z, (len(z), n, n)."""
+        return np.array([self.eval(zt, p) for zt in z], dtype=complex)
 
     def solve_right(self, z, p, B):
         """Solve T(z, p) X = B."""
@@ -137,19 +144,24 @@ class DampedStringProblem(PNlevpProblem):
         return self.branch_sign * 1j * np.sqrt(-z) * np.sqrt(z + 2 * p)
 
     def _check_cut(self, z, p):
-        z = complex(z)
-        if abs(z.imag) > _CUT_TOL:
-            return
+        """Raise BranchCutError for the first point of z on the cut."""
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
         x = z.real
-        if x >= -_CUT_TOL or x <= -2 * np.real(p) + _CUT_TOL:
+        on_cut = (np.abs(z.imag) <= _CUT_TOL) & (
+            (x >= -_CUT_TOL) | (x <= -2 * np.real(p) + _CUT_TOL))
+        if np.any(on_cut):
             raise BranchCutError(
-                f"z={z} lies on the branch cut of the damped string problem "
-                f"(real axis outside ({-2 * np.real(p)}, 0))"
+                f"z={z[np.argmax(on_cut)]} lies on the branch cut of the damped "
+                f"string problem (real axis outside ({-2 * np.real(p)}, 0))"
             )
 
     def eval(self, z, p):
         self._check_cut(z, p)
         return self._build(complex(z), p)
+
+    def eval_nodes(self, z, p):
+        self._check_cut(z, p)
+        return self._build(z, p)
 
     def _build(self, z, p):
         """Assemble T for scalar or array z; no branch-cut check."""

@@ -1,9 +1,10 @@
 """Offline/online solver for parametric nonlinear eigenvalue problems.
 
-The offline phase probes tangential samples of the pole part H by contour
-quadrature, fixes the eigenvalue count m by the Loewner rank consistency
-check, and fits one set of bivariate barycentric nodes and coefficients
-that every surrogate shares.  The nodes are picked greedily on the scalar
+The offline phase samples the pole part H itself by contour quadrature, N
+dense n-by-n inverses of T per parameter, fixes the eigenvalue count m by
+the Loewner rank consistency check on the tangential rows of H, and fits
+one set of bivariate barycentric nodes and coefficients that every
+surrogate shares.  The nodes are picked greedily on the scalar
 l^T H(s, p) r (with l, r the means of the probing directions); the
 coefficients are then re-solved against a stack of that scalar and a few
 random combinations of the left and right samples, so that they fit the
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .contour import (Disk, Ellipse, ProbedSampleSet, SamplingConfig,
-                      build_trapezoid_rule, probe_samples)
+from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
+                      left_samples, probe_samples, right_samples)
 from .errors import EvaluationError, ModelFormatError
 from .loewner import TangentialData, eigenvalue_order, filter_in_domain, realize
 from .paaa import (BarycentricModel2D, VectorBarycentricModel,
@@ -95,8 +96,8 @@ def offline(problem, domain, config, N, fit_opts=None):
     m = consistency_rank_check(samples, config, rank_tol)
 
     # scalar data l^T H(s_i, p_j) r with l, r the direction means
-    r_mean = config.right_dirs.mean(axis=0)
-    D = samples.left.mean(axis=0) @ r_mean  # (2r, q)
+    D = (config.left_dirs.mean(axis=0) @ samples.H
+         @ config.right_dirs.mean(axis=0))  # (2r, q)
     if max_z_nodes is None:
         # the pole part is rational of degree exactly m in z, so m+1 nodes
         # suffice; extra z-nodes fit quadrature noise with spurious poles
@@ -118,13 +119,14 @@ def offline(problem, domain, config, N, fit_opts=None):
         )
     zi = node_indices(scalar_model.z_nodes, config.sample_points)
     pj = node_indices(scalar_model.p_nodes, config.parameter_points)
+    H_nodes = samples.H[np.ix_(zi, pj)]  # (mz, mp, n, n)
     left_models = tuple(
-        lift_vector(scalar_model, samples.left[k][np.ix_(zi, pj)])
-        for k in range(config.r)
+        lift_vector(scalar_model, v)
+        for v in left_samples(config.left_dirs, H_nodes)
     )
     right_models = tuple(
-        lift_vector(scalar_model, samples.right[k][np.ix_(zi, pj)])
-        for k in range(config.r)
+        lift_vector(scalar_model, v)
+        for v in right_samples(config.right_dirs, H_nodes)
     )
     metadata = {
         "problem_name": getattr(problem, "name", "custom"),
@@ -146,15 +148,20 @@ def _lift_sketches(samples):
     """Grid values (2r, q, 2 * _LIFT_SKETCHES) of random combinations of the
     left samples and of the right samples, each over all directions and
     vector components.  The weights come from a child stream of config.seed,
-    independent of the stream that drew the probing directions."""
+    independent of the stream that drew the probing directions.
+
+    A combination sum_k g_k^T (l_k^T H) of left rows is H contracted with
+    the n-by-n matrix sum_k l_k g_k^T; of right columns, with
+    sum_k g_k r_k^T."""
+    config = samples.config
     rng = np.random.default_rng(
-        np.random.SeedSequence(samples.config.seed).spawn(1)[0])
-    out = []
-    for side in (samples.left, samples.right):
-        shape = (_LIFT_SKETCHES, side.shape[0], side.shape[3])
-        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out.append(np.tensordot(side, g, axes=([0, 3], [1, 2])))
-    return np.concatenate(out, axis=2)
+        np.random.SeedSequence(config.seed).spawn(1)[0])
+    shape = (_LIFT_SKETCHES,) + config.left_dirs.shape
+    g_left, g_right = (rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape) for _ in range(2))
+    M = np.concatenate([np.einsum("ka,skb->sab", config.left_dirs, g_left),
+                        np.einsum("ska,kb->sab", g_right, config.right_dirs)])
+    return np.tensordot(samples.H, M, axes=([2, 3], [1, 2]))
 
 
 def online(model, p_hat, rank_tol=None):
@@ -296,12 +303,28 @@ def save_model(model, path):
                          for rm in model.right_models],
         "metadata": model.metadata,
     }
+    write_atomic(path, json.dumps(doc))
+
+
+def write_atomic(path, text):
+    """Write text to path through a fresh temporary file in the same
+    directory, then replace path with it.
+
+    Raises OSError, before writing anything, when path exists and is not a
+    regular file (a directory, a FIFO, a device such as /dev/null).  The
+    file gets the permissions that open() would give it under the umask.
+    """
     path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"refusing to replace {path!r}: not a regular file")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(doc, f)
+            f.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes it 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

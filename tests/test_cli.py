@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -12,13 +13,8 @@ CLI = [sys.executable, "-c",
        "import sys; from pnlevp.cli import main; sys.exit(main())"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env,
-    )
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -150,14 +146,14 @@ class TestSweep:
         data = np.loadtxt(out, ndmin=2)
         assert data.shape == (1, 1 + 2 * 4 + 1)
 
-    def test_byte_identical_across_thread_counts(self, delay_model, tmp_path):
+    def test_repeated_sweeps_write_identical_bytes(self, delay_model,
+                                                   tmp_path):
         outs = []
-        for name, threads in (("a.dat", "1"), ("b.dat", "4"), ("c.dat", "0")):
+        for name in ("a.dat", "b.dat", "c.dat"):
             out = tmp_path / name
             proc = run_cli(
                 "sweep", "--model", str(delay_model), "--p", "30:35",
                 "--n-test", "20", "--out", str(out),
-                env_extra={"PNLEVP_THREADS": threads},
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
@@ -188,3 +184,33 @@ class TestBench:
         proc = run_cli("bench")
         assert proc.returncode == 0
         assert "delay" in proc.stderr
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", [
+        ("online", "--p", "31"),
+        ("online", "--p", "31", "--json"),
+        ("sweep", "--p", "30:35", "--n-test", "2"),
+        ("sweep", "--p", "30:35", "--n-test", "2", "--json"),
+    ])
+    def test_fifo_out_refused(self, delay_model, tmp_path, command):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        proc = run_cli(command[0], "--model", str(delay_model),
+                       *command[1:], "--out", str(fifo))
+        assert proc.returncode == 1
+        assert "not a regular file" in proc.stderr
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    def test_neighbouring_tmp_file_kept(self, delay_model, tmp_path):
+        out = tmp_path / "sweep.dat"
+        mine = tmp_path / "sweep.dat.tmp"
+        mine.write_text("not the program's\n")
+        proc = run_cli("sweep", "--model", str(delay_model), "--p", "30:35",
+                       "--n-test", "2", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert mine.read_text() == "not the program's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sweep.dat", "sweep.dat.tmp"]
+        assert np.loadtxt(out, ndmin=2).shape == (2, 1 + 2 * 4 + 1)

@@ -159,6 +159,11 @@ class TestProbeSamples:
         rvec = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         config = _probe_config(domain, s_points, ell, rvec, [p])
         samples = probe_samples(prob, rule, config, domain)
+        assert samples.H.shape == (4, 1, 3, 3)
+        for i in range(4):
+            np.testing.assert_allclose(
+                samples.H[i, 0], _linear_demo_pole_part(s_points[i], p),
+                atol=1e-8)
         for k in range(2):
             for i in range(4):
                 H = _linear_demo_pole_part(s_points[i], p)
@@ -225,8 +230,25 @@ class TestProbeSamples:
         prob = ScalarShift(1.0)  # eigenvalue on the contour
         rule = build_trapezoid_rule(domain, 8)
         config = _probe_config(domain, [2.0, 3.0], [[1.0]], [[1.0]], [0.0])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError,
+                           match=r"quadrature node z=\(1\+0j\)"):
             probe_samples(prob, rule, config, domain)
+
+    def test_non_finite_inverse_names_first_bad_node(self):
+        class NanAtNode(PNlevpProblem):
+            dim = 2
+
+            def eval(self, z, p):
+                if abs(z - 1j) < 1e-12 or abs(z + 1) < 1e-12:
+                    return np.full((2, 2), np.nan, dtype=complex)
+                return np.eye(2, dtype=complex)
+
+        domain = Disk(0.0, 1.0)
+        rule = build_trapezoid_rule(domain, 8)  # node 2 is 1j, node 4 is -1
+        config = _probe_config(domain, [2.0, 3.0], np.eye(2)[:1],
+                               np.eye(2)[:1], [0.5])
+        with pytest.raises(SingularMatrixError, match=r"node z=\(.*1j\)"):
+            probe_samples(NanAtNode(), rule, config, domain)
 
 
 class TestDefaultSampling:

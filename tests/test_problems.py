@@ -135,6 +135,27 @@ class TestDampedString:
         with pytest.raises(BranchCutError):
             prob.eval(-7.0, 3.0)
 
+    def test_eval_nodes_matches_stacked_eval(self):
+        from pnlevp.contour import build_trapezoid_rule
+
+        prob = DampedStringProblem()
+        nodes = build_trapezoid_rule(Ellipse(-3.0, 2.5, 10.0), 1000).nodes
+        for p in (3.0, 3.5, 4.0):
+            batch = prob.eval_nodes(nodes, p)
+            stacked = np.array([prob.eval(z, p) for z in nodes])
+            assert batch.shape == (1000, 4, 4)
+            # the vectorized complex products round differently from the
+            # scalar ones, so the match is to rounding, not bit for bit
+            assert (np.linalg.norm(batch - stacked)
+                    <= 1e-15 * np.linalg.norm(stacked))
+
+    def test_eval_nodes_rejects_cut_in_batch(self):
+        prob = DampedStringProblem()
+        z = np.array([-1.0 + 0.5j, -2.0 - 1.0j, 1.0, -7.0])
+        with pytest.raises(BranchCutError, match=r"z=\(1\+0j\)"):
+            prob.eval_nodes(z, 3.0)
+        prob.eval_nodes(z[:2], 3.0)
+
     def test_eigenvalues_branch_sign_independent(self):
         domain = Ellipse(-3.0, 2.5, 10.0)
         plus = DampedStringProblem(branch_sign=1)
@@ -208,6 +229,15 @@ class TestInterface:
         X = prob.solve_left(z, p, L)
         T = prob.eval(z, p)
         assert np.linalg.norm(T.T @ X - L) <= 1e-10 * np.linalg.norm(L)
+
+    def test_eval_nodes_default_stacks_eval(self):
+        z = np.array([0.3 + 0.1j, -0.2j, 1.5, 0.7 - 0.4j])
+        for prob in (LinearDemoProblem(), DelayProblem(),
+                     SyntheticRationalProblem([(0.1, 0.2)], dim=4, seed=9)):
+            batch = prob.eval_nodes(z, 0.4)
+            assert batch.dtype == complex
+            np.testing.assert_array_equal(
+                batch, np.array([prob.eval(zt, 0.4) for zt in z]))
 
     def test_eval_deterministic(self):
         for prob in (LinearDemoProblem(), DelayProblem(),

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pnlevp.contour import Disk, default_sampling
+from pnlevp.contour import Disk, ProbedSampleSet, default_sampling
 from pnlevp.errors import EvaluationError, ModelFormatError
 from pnlevp.paaa import (BarycentricModel2D, eval_collapsed, eval_model,
                          lift_vector, paaa_fit)
@@ -109,6 +109,27 @@ class TestOffline:
                     np.testing.assert_allclose(
                         got, samples.left[k, i, j], atol=tol * scale)
 
+
+    def test_offline_works_from_H_alone(self, delay, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("offline used a directional sample path")
+
+        monkeypatch.setattr(PNlevpProblem, "solve_left", refuse)
+        monkeypatch.setattr(PNlevpProblem, "solve_right", refuse)
+        # nor does it form the (r, 2r, q, n) tangential tensors
+        monkeypatch.setattr(ProbedSampleSet, "left", property(refuse))
+        monkeypatch.setattr(ProbedSampleSet, "right", property(refuse))
+        problem = get_problem("delay")
+        domain = Disk(0.0, 0.075)
+        config = default_sampling(domain, 20, 40, (30.0, 35.0), seed=0,
+                                  dim=problem.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            model = offline(problem, domain, config, 128,
+                            fit_opts={"tol": 1e-11})
+        assert model.m == 4
+        np.testing.assert_array_equal(model.scalar_model.coeffs,
+                                      delay[1].scalar_model.coeffs)
 
     def test_fit_error_describes_lifts(self):
         # the reported fit error is measured on the stored coefficients, so
