@@ -15,15 +15,21 @@ the stack.  Vector-valued lifts share the nodes and coefficients of their
 parent and carry vector node data.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EvaluationError, RankConsistencyError
-from .loewner import TangentialData, build_loewner, numerical_rank
+from .loewner import (_SKETCH_SEED, TangentialData, _dominant_left,
+                      build_loewner, numerical_rank)
 
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
+# initial sketch width of the rank check; doubled while the count fills it
+_RANK_SKETCH = 16
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -60,20 +66,25 @@ def consistency_rank_check(samples, config, rank_tol=1e-10):
 
     The rank equals the eigenvalue count m inside the domain; the parametric
     decomposition requires it to be the same for every sampled parameter.
+    Each rank counts the singular values above rank_tol times the largest,
+    as numerical_rank does, but from a Gaussian sketch of the leading ones
+    (see _sketched_rank): the sketch is certified by Weyl's bound to give
+    the full-SVD count, and the full SVD runs only where it is not.  One
+    DEBUG record on the "pnlevp.paaa" logger holds the ranks, the smallest
+    certified lower bound on sigma_m / sigma_{m+1} and the fallback count.
     """
-    # rows l_k^T H(theta_k, p_j) and H(sigma_k, p_j) r_k, (r, q, n) each
-    b = np.einsum("ka,kjab->kjb", config.left_dirs,
-                  samples.H[config.left_indices])
-    c = np.einsum("kjab,kb->kja", samples.H[config.right_indices],
-                  config.right_dirs)
-    ranks = []
-    for j in range(config.q):
-        L, _ = build_loewner(TangentialData(
-            theta=config.left_points, sigma=config.right_points,
-            left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-            left_vals=b[:, j], right_vals=c[:, j],
-        ))
-        ranks.append(numerical_rank(L, rank_tol))
+    ranks, gaps = [], []
+    for L in _parameter_loewner(samples, config):
+        rank, gap = _sketched_rank(L, rank_tol)
+        ranks.append(rank)
+        gaps.append(gap)
+    certified = [g for g in gaps if g is not None]
+    _log.debug(
+        "rank check: ranks %s, min certified sigma_m/sigma_m+1 %s, "
+        "full-SVD fallbacks %d of %d", ranks,
+        f"{min(certified):.3e}" if certified else "n/a",
+        len(gaps) - len(certified), len(gaps),
+    )
     if len(set(ranks)) != 1:
         raise RankConsistencyError(
             "eigenvalue count inside the domain varies across parameter "
@@ -81,6 +92,55 @@ def consistency_rank_check(samples, config, rank_tol=1e-10):
             ranks=ranks,
         )
     return ranks[0]
+
+
+def _parameter_loewner(samples, config):
+    """The Loewner matrix L of each parameter sample p_j, in order."""
+    # rows l_k^T H(theta_k, p_j) and H(sigma_k, p_j) r_k, (r, q, n) each
+    b = np.einsum("ka,kjab->kjb", config.left_dirs,
+                  samples.H[config.left_indices])
+    c = np.einsum("kjab,kb->kja", samples.H[config.right_indices],
+                  config.right_dirs)
+    for j in range(config.q):
+        L, _ = build_loewner(TangentialData(
+            theta=config.left_points, sigma=config.right_points,
+            left_dirs=config.left_dirs, right_dirs=config.right_dirs,
+            left_vals=b[:, j], right_vals=c[:, j],
+        ))
+        yield L
+
+
+def _sketched_rank(L, rank_tol):
+    """numerical_rank(L, rank_tol) from a sketch of the leading singular
+    values, and a certified lower bound on sigma_m / sigma_{m+1} (inf when
+    m = 0, None when the full SVD decides).
+
+    X spans a Gaussian sketch of width k of L's range, s the singular values
+    of X^H L, and e = ||L - X X^H L||_F (plus a rounding allowance) bounds
+    the rest.  By Weyl's inequality each sigma_i of L lies in [s_i, s_i + e]
+    for i < k, and below e beyond the sketch; so the threshold rank_tol *
+    sigma_0 lies in [rank_tol s_0, rank_tol (s_0 + e)].  The count is
+    certified when every s_i clears that interval by e (above its top, or
+    below its bottom) and e lies below its bottom.  A count that fills the
+    sketch doubles k; an uncertified count, or a sketch as wide as L, falls
+    back to the full SVD.
+    """
+    rng = np.random.default_rng(_SKETCH_SEED)
+    k = _RANK_SKETCH
+    while k < min(L.shape):
+        X, s = _dominant_left(L, k, rng)
+        e = (np.linalg.norm(L - X @ (X.conj().T @ L))
+             + k * np.finfo(float).eps * np.linalg.norm(L))
+        lo, hi = rank_tol * s[0], rank_tol * (s[0] + e)
+        above = s > hi
+        m = int(np.count_nonzero(above))
+        if m == k:
+            k *= 2
+            continue
+        if np.all(above | (s + e <= lo)) and e <= lo:
+            return m, (s[m - 1] / (s[m] + e) if m else np.inf)
+        break
+    return numerical_rank(L, rank_tol), None
 
 
 def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
@@ -228,7 +288,11 @@ def _solve_coefficients(D, s, p, zi, pj):
     whole grid.
 
     D is one grid function (ns, np) or a stack of them (ns, np, k); a stack
-    contributes the rows of each of its functions.
+    contributes the rows of each of its functions.  The coefficients are the
+    last right singular vector of the stacked row matrix M.  A tall M is
+    first reduced to its square triangular factor R (M = QR), whose right
+    singular vectors are those of M, so no factor of M's height is formed;
+    a wide M takes the full SVD, whose last row of Vh spans a null vector.
     """
     ia = np.setdiff1d(np.arange(len(s)), zi)
     jb = np.setdiff1d(np.arange(len(p)), pj)
@@ -236,44 +300,53 @@ def _solve_coefficients(D, s, p, zi, pj):
     if len(ia) == 0 or len(jb) == 0:
         alpha = np.ones((nz, npj), dtype=complex)
         return alpha / np.linalg.norm(alpha)
-    stack = D[:, :, None] if D.ndim == 2 else D
-    M = np.vstack([_residual_rows(stack[:, :, f], s, p, zi, pj, ia, jb)
-                   for f in range(stack.shape[2])])
+    M = _residual_rows(D[:, :, None] if D.ndim == 2 else D,
+                       s, p, zi, pj, ia, jb)
+    if M.shape[0] > M.shape[1]:
+        M = np.linalg.qr(M, mode="r")
     # full SVD only when the null space is not covered by the reduced factors
     _, _, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     alpha = Vh[-1].conj().reshape(nz, npj)
     return alpha / np.linalg.norm(alpha)
 
 
-def _residual_rows(D, s, p, zi, pj, ia, jb):
-    """Linearized-residual rows of one grid function D.
+def _residual_rows(G, s, p, zi, pj, ia, jb):
+    """Linearized-residual rows of the grid functions G[:, :, f], stacked
+    function by function into one preallocated matrix.
 
-    Rows come in three groups: grid points off both node axes (the standard
-    2-D Loewner least-squares rows), and grid points on a single node line,
-    where the barycentric limit collapses one coordinate and the linearized
-    residual involves only that node's coefficient row/column.  Node pairs
-    are interpolated exactly and contribute no rows.
+    Each function contributes three groups of rows: grid points off both
+    node axes (the standard 2-D Loewner least-squares rows), and grid
+    points on a single node line, where the barycentric limit collapses one
+    coordinate and the linearized residual involves only that node's
+    coefficient row/column.  Node pairs are interpolated exactly and
+    contribute no rows.
     """
-    Dn = D[np.ix_(zi, pj)]
-    nz, npj = len(zi), len(pj)
+    nz, npj, na, nb = len(zi), len(pj), len(ia), len(jb)
     Cz = 1.0 / (s[ia][:, None] - s[zi][None, :])   # (na, nz)
     Cp = 1.0 / (p[jb][:, None] - p[pj][None, :])   # (nb, np)
-    R = D[np.ix_(ia, jb)][:, :, None, None] - Dn[None, None, :, :]
-    M = R * Cz[:, None, :, None] * Cp[None, :, None, :]
-    rows = [M.reshape(len(ia) * len(jb), nz * npj)]
-    for k in range(nz):
-        # points (xi_k, p_b): 1-D barycentric in p over coefficient row k
-        Rrow = D[zi[k], jb][:, None] - Dn[k][None, :]
-        block = np.zeros((len(jb), nz * npj), dtype=complex)
-        block[:, k * npj:(k + 1) * npj] = Rrow * Cp
-        rows.append(block)
-    for k in range(npj):
-        # points (s_a, pi_k): 1-D barycentric in z over coefficient column k
-        Rcol = D[ia, pj[k]][:, None] - Dn[:, k][None, :]
-        block = np.zeros((len(ia), nz * npj), dtype=complex)
-        block[:, k::npj] = Rcol * Cz
-        rows.append(block)
-    return np.vstack(rows)
+    per_function = na * nb + nz * nb + npj * na
+    M = np.zeros((G.shape[2] * per_function, nz * npj), dtype=complex)
+    for f in range(G.shape[2]):
+        D = G[:, :, f]
+        Dn = D[np.ix_(zi, pj)]
+        top = f * per_function
+        block = M[top:top + na * nb].reshape(na, nb, nz, npj)
+        np.subtract(D[np.ix_(ia, jb)][:, :, None, None], Dn[None, None],
+                    out=block)
+        block *= Cz[:, None, :, None]
+        block *= Cp[None, :, None, :]
+        top += na * nb
+        for k in range(nz):
+            # points (xi_k, p_b): 1-D barycentric in p over coefficient row k
+            M[top:top + nb, k * npj:(k + 1) * npj] = \
+                (D[zi[k], jb][:, None] - Dn[k][None, :]) * Cp
+            top += nb
+        for k in range(npj):
+            # points (s_a, pi_k): 1-D barycentric in z over coefficient column k
+            M[top:top + na, k::npj] = \
+                (D[ia, pj[k]][:, None] - Dn[:, k][None, :]) * Cz
+            top += na
+    return M
 
 
 def _eval_grid(model, s, p, zi, pj):

@@ -21,7 +21,7 @@ r m_p n), independent of the quadrature size.
 
 import json
 import os
-import tempfile
+import secrets
 import warnings
 from dataclasses import dataclass, field
 
@@ -312,19 +312,19 @@ def write_atomic(path, text):
 
     Raises OSError, before writing anything, when path exists and is not a
     regular file (a directory, a FIFO, a device such as /dev/null).  The
-    file gets the permissions that open() would give it under the umask.
+    temporary file is created with mode 0o666, so the kernel applies the
+    umask, and the file gets the permissions that open() would give it.
     """
     path = os.fspath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"refusing to replace {path!r}: not a regular file")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # a fresh random name; O_EXCL refuses to open a file that exists
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes it 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

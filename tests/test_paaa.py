@@ -1,38 +1,75 @@
 """Tests for bivariate barycentric fitting and the rank consistency check."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from pnlevp import paaa
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
     probe_samples
 from pnlevp.errors import RankConsistencyError
+from pnlevp.loewner import numerical_rank
 from pnlevp.paaa import (consistency_rank_check, eval_model, lift_vector,
-                         paaa_fit, refit_coefficients)
+                         node_indices, paaa_fit, refit_coefficients)
 from pnlevp.problems import (LinearDemoProblem, SyntheticRationalProblem,
                              get_problem)
+from pnlevp.solver import _lift_sketches
 
 
 def _grid_eval(model, s, p):
     return np.array([[eval_model(model, z, w) for w in p] for z in s])
 
 
+def _probed(problem, domain, r, q, p_range, N):
+    config = default_sampling(domain, r, q, p_range, seed=0, dim=problem.dim)
+    rule = build_trapezoid_rule(domain, N)
+    return config, probe_samples(problem, rule, config, domain)
+
+
+@pytest.fixture(scope="module")
+def linear1_probed():
+    return _probed(LinearDemoProblem(), Disk(0.0, 0.6), 20, 40, (0.75, 1.25),
+                   512)
+
+
+@pytest.fixture(scope="module")
+def delay_probed():
+    return _probed(get_problem("delay"), Disk(0.0, 0.075), 20, 40,
+                   (30.0, 35.0), 128)
+
+
+@pytest.fixture
+def full_svd_calls(monkeypatch):
+    """Calls of numerical_rank made by the rank check (its fallback)."""
+    calls = []
+
+    def counted(M, rank_tol=1e-10):
+        calls.append(M.shape)
+        return numerical_rank(M, rank_tol)
+
+    monkeypatch.setattr(paaa, "numerical_rank", counted)
+    return calls
+
+
+def _planted(singular_values, seed=0):
+    """Square matrix with the given singular values and random unitary
+    singular vectors."""
+    rng = np.random.default_rng(seed)
+    n = len(singular_values)
+    U, V = (np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    return (U * singular_values) @ V.conj().T
+
+
 class TestConsistencyRankCheck:
-    def test_linear_demo_m2(self):
-        problem = LinearDemoProblem()
-        domain = Disk(0.0, 0.6)
-        config = default_sampling(domain, 20, 40, (0.75, 1.25), seed=0,
-                                  dim=problem.dim)
-        rule = build_trapezoid_rule(domain, 512)
-        samples = probe_samples(problem, rule, config, domain)
+    def test_linear_demo_m2(self, linear1_probed):
+        config, samples = linear1_probed
         assert consistency_rank_check(samples, config) == 2
 
-    def test_delay_m4(self):
-        problem = get_problem("delay")
-        domain = Disk(0.0, 0.075)
-        config = default_sampling(domain, 20, 40, (30.0, 35.0), seed=0,
-                                  dim=problem.dim)
-        rule = build_trapezoid_rule(domain, 128)
-        samples = probe_samples(problem, rule, config, domain)
+    def test_delay_m4(self, delay_probed):
+        config, samples = delay_probed
         assert consistency_rank_check(samples, config) == 4
 
     def test_crossing_pole_raises(self):
@@ -47,6 +84,67 @@ class TestConsistencyRankCheck:
         with pytest.raises(RankConsistencyError) as info:
             consistency_rank_check(samples, config)
         assert info.value.ranks == [2, 1]
+
+    def test_debug_record(self, linear1_probed, caplog):
+        config, samples = linear1_probed
+        with caplog.at_level(logging.DEBUG, logger="pnlevp.paaa"):
+            assert consistency_rank_check(samples, config) == 2
+        records = [r for r in caplog.records if r.name == "pnlevp.paaa"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert f"ranks {[2] * config.q}" in message
+        assert f"full-SVD fallbacks 0 of {config.q}" in message
+
+
+class TestSketchedRank:
+    @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
+    def test_probed_loewner_matrices(self, probed, request, full_svd_calls):
+        config, samples = request.getfixturevalue(probed)
+        for L in paaa._parameter_loewner(samples, config):
+            rank, gap = paaa._sketched_rank(L, 1e-10)
+            assert rank == numerical_rank(L, 1e-10)
+            s = np.linalg.svd(L, compute_uv=False)
+            assert 1.0 < gap <= s[rank - 1] / s[rank]
+        assert full_svd_calls == []
+
+    @pytest.mark.parametrize("singular_values, rank", [
+        # clean gap
+        (np.r_[np.logspace(0, -3, 5), np.zeros(55)], 5),
+        # a singular value 1% above, then 1% below the threshold 1e-10
+        (np.r_[np.logspace(0, -3, 5), 1.01e-10, np.zeros(54)], 6),
+        (np.r_[np.logspace(0, -3, 5), 0.99e-10, np.zeros(54)], 5),
+        # rank above the initial sketch width
+        (np.r_[np.logspace(0, -4, 24), np.zeros(36)], 24),
+        # the zero matrix
+        (np.zeros(60), 0),
+    ])
+    def test_planted_spectra(self, singular_values, rank, full_svd_calls,
+                             monkeypatch):
+        widths = []
+        sketch = paaa._dominant_left
+
+        def recorded(A, k, rng):
+            widths.append(k)
+            return sketch(A, k, rng)
+
+        monkeypatch.setattr(paaa, "_dominant_left", recorded)
+        L = _planted(singular_values)
+        assert numerical_rank(L, 1e-10) == rank
+        assert paaa._sketched_rank(L, 1e-10)[0] == rank
+        assert full_svd_calls == []
+        assert widths[-1] > rank
+
+    def test_slow_tail_falls_back(self, full_svd_calls):
+        # the tail lies below the threshold, but beyond any sketch its
+        # energy exceeds it, so the sketch cannot certify the count
+        L = _planted(np.r_[1.0, 0.1, 0.1, 0.1, 5e-11 * 0.99 ** np.arange(56)])
+        assert paaa._sketched_rank(L, 1e-10) == (4, None)
+        assert full_svd_calls == [L.shape]
+
+    def test_sketch_as_wide_as_matrix_falls_back(self, full_svd_calls):
+        L = _planted(np.logspace(0, -5, 20))
+        assert paaa._sketched_rank(L, 1e-10) == (20, None)
+        assert full_svd_calls == [L.shape]
 
 
 class TestPaaaFit:
@@ -261,6 +359,47 @@ class TestRefitCoefficients:
             refit_coefficients(model, f0, s, p)
         with pytest.raises(ValueError):
             refit_coefficients(model, f0[:-1, :, None], s, p)
+
+
+class TestSolveCoefficients:
+    def test_qr_first_matches_full_svd_on_delay_refit_stack(self,
+                                                             delay_probed):
+        config, samples = delay_probed
+        s, p = config.sample_points, config.parameter_points
+        D = (config.left_dirs.mean(axis=0) @ samples.H
+             @ config.right_dirs.mean(axis=0))
+        greedy = paaa_fit(D, s, p, tol=1e-11, max_z_nodes=5, min_z_nodes=5)
+        G = np.concatenate([D[:, :, None], _lift_sketches(samples)], axis=2)
+        G = G / np.max(np.abs(G), axis=(0, 1))
+        zi = node_indices(greedy.z_nodes, s)
+        pj = node_indices(greedy.p_nodes, p)
+        alpha = paaa._solve_coefficients(G, s, p, zi, pj)
+
+        ia = np.setdiff1d(np.arange(len(s)), zi)
+        jb = np.setdiff1d(np.arange(len(p)), pj)
+        M = paaa._residual_rows(G, s, p, zi, pj, ia, jb)
+        # the stack's rows are those of its functions, one after the other
+        np.testing.assert_array_equal(M, np.vstack([
+            paaa._residual_rows(G[:, :, f:f + 1], s, p, zi, pj, ia, jb)
+            for f in range(G.shape[2])]))
+        assert M.shape[0] > M.shape[1]
+        v = np.linalg.svd(M, full_matrices=False)[2][-1].conj()
+        v = v.reshape(alpha.shape) / np.linalg.norm(v)
+        phase = np.vdot(v, alpha)
+        phase /= abs(phase)
+        assert np.max(np.abs(alpha - phase * v)) <= 1e-12
+
+    def test_wide_rows_give_unit_null_vector(self):
+        rng = np.random.default_rng(5)
+        s = np.arange(4.0)
+        p = 10.0 + np.arange(4.0)
+        D = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        zi, pj = [0, 1, 2], [0, 1, 2]
+        M = paaa._residual_rows(D[:, :, None], s, p, zi, pj, [3], [3])
+        assert M.shape == (7, 9)
+        alpha = paaa._solve_coefficients(D, s, p, zi, pj)
+        assert abs(np.linalg.norm(alpha) - 1.0) <= 1e-14
+        assert np.linalg.norm(M @ alpha.ravel()) <= 1e-12 * np.linalg.norm(M)
 
 
 class TestEvalModel:

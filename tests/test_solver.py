@@ -1,11 +1,17 @@
 """Tests for the offline/online solver, residuals, scalar probe, and
 model persistence."""
 
+import json
+import os
+import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import pnlevp
 from pnlevp.contour import Disk, ProbedSampleSet, default_sampling
 from pnlevp.errors import EvaluationError, ModelFormatError
 from pnlevp.paaa import (BarycentricModel2D, eval_collapsed, eval_model,
@@ -14,7 +20,7 @@ from pnlevp.problems import (LinearDemoProblem, PNlevpProblem,
                              SyntheticRationalProblem, get_problem)
 from pnlevp.solver import (EigenSolution, OfflineModel, load_model, offline,
                            online, residuals, save_model,
-                           scalar_probe_eigenvalues)
+                           scalar_probe_eigenvalues, write_atomic)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +163,39 @@ class TestOffline:
             worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
         assert model.metadata["max_fit_error"] == model.scalar_model.max_error
         assert worst <= 10 * model.metadata["max_fit_error"]
+
+    def test_single_blas_thread_builds_same_model(self, delay):
+        # the pinned delay model built in a child process on one BLAS thread
+        _, model = delay
+        script = (
+            "import json, warnings\n"
+            "from pnlevp.benchmarks import BENCHMARKS, build_offline\n"
+            "from pnlevp.solver import online\n"
+            "warnings.simplefilter('ignore')\n"
+            "_, model = build_offline(BENCHMARKS['delay'])\n"
+            "lam = online(model, 32.5).eigenvalues\n"
+            "print(json.dumps({'m': model.m,\n"
+            "    'degrees': [model.metadata['z_degree'],\n"
+            "                model.metadata['p_degree']],\n"
+            "    'converged': model.metadata['converged'],\n"
+            "    'eigenvalues': [lam.real.tolist(), lam.imag.tolist()]}))\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(pnlevp.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        assert child["m"] == model.m
+        assert child["degrees"] == [model.metadata["z_degree"],
+                                    model.metadata["p_degree"]]
+        assert child["converged"] == model.metadata["converged"]
+        re, im = child["eigenvalues"]
+        np.testing.assert_allclose(np.array(re) + 1j * np.array(im),
+                                   online(model, 32.5).eigenvalues,
+                                   rtol=0, atol=1e-10)
 
 
 class TestCollapsedLifts:
@@ -416,8 +455,6 @@ class TestPersistence:
             load_model(path)
 
     def test_version_mismatch_rejected(self, linear1, tmp_path):
-        import json
-
         _, model = linear1
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -439,6 +476,23 @@ class TestPersistence:
             np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
             np.testing.assert_array_equal(a.V, b.V)
             np.testing.assert_array_equal(a.W, b.W)
+
+    def test_write_atomic_leaves_umask_alone(self, tmp_path, monkeypatch):
+        # the umask is process-wide; reading it by setting it would give
+        # files made meanwhile by other threads mode 0o666
+        umask = os.umask(0o022)
+        os.umask(umask)
+
+        def refused(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refused)
+        path = tmp_path / "out.txt"
+        write_atomic(path, "first")
+        write_atomic(path, "second")
+        assert path.read_text() == "second"
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_load_then_online_bit_exact(self, linear1, tmp_path):
         _, model = linear1
