@@ -17,7 +17,8 @@ p_range = (0.75, 1.25)
 
 # Offline phase: probe the resolvent on the boundary of an inflated copy of
 # the domain (radius 0.8) at 40 parameter values, then fit one bivariate
-# rational surrogate that is lifted into 2r vector-valued interpolants.
+# rational surrogate whose weights, with the exact tangential samples at its
+# p-nodes, give the 2r vectors that online reads.
 config = default_sampling(domain, r=20, q=40, p_range=p_range, seed=0,
                           dim=problem.dim)
 model = offline(problem, domain, config, N=512)

@@ -212,16 +212,6 @@ def _check_outside(domain, points):
             raise ValueError(f"sample point {si} is not strictly outside the domain")
 
 
-def left_samples(dirs, H):
-    """Rows l_k^T H for every direction k: (r,) + H.shape[:-1]."""
-    return np.tensordot(dirs, H, axes=(1, H.ndim - 2))
-
-
-def right_samples(dirs, H):
-    """Columns H r_k for every direction k: (r,) + H.shape[:-1]."""
-    return np.tensordot(dirs, H, axes=(1, H.ndim - 1))
-
-
 @dataclass(frozen=True)
 class ProbedSampleSet:
     """Samples H[i, j] = H(s_i, p_j) of the pole part, (2r, q, n, n).
@@ -237,12 +227,12 @@ class ProbedSampleSet:
     @property
     def left(self):
         """(r, 2r, q, n), computed afresh on every access."""
-        return left_samples(self.config.left_dirs, self.H)
+        return np.tensordot(self.config.left_dirs, self.H, axes=(1, 2))
 
     @property
     def right(self):
         """(r, 2r, q, n), computed afresh on every access."""
-        return right_samples(self.config.right_dirs, self.H)
+        return np.tensordot(self.config.right_dirs, self.H, axes=(1, 3))
 
 
 def probe_samples(problem, rule, config, domain=None):

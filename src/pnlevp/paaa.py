@@ -11,8 +11,8 @@ a_ij minimize the linearized residual over the remaining grid in a least-
 squares sense.  Once the nodes are fixed, refit_coefficients re-solves the
 coefficients against a stack of grid functions sharing those nodes (the
 set-valued AAA idea), so one set of coefficients serves every function in
-the stack.  Vector-valued lifts share the nodes and coefficients of their
-parent and carry vector node data.
+the stack.  collapse_lifts turns those coefficients and the exact samples
+at the p-nodes into the p-only barycentric forms that online evaluates.
 """
 
 import logging
@@ -94,13 +94,17 @@ def consistency_rank_check(samples, config, rank_tol=1e-10):
     return ranks[0]
 
 
+def tangential_samples(config, H):
+    """Rows l_k^T H(theta_k, p) and columns H(sigma_k, p) r_k, (r, q', n)
+    each, of pole-part samples H (2r, q', n, n) at any q' parameters."""
+    b = np.einsum("ka,kjab->kjb", config.left_dirs, H[config.left_indices])
+    c = np.einsum("kjab,kb->kja", H[config.right_indices], config.right_dirs)
+    return b, c
+
+
 def _parameter_loewner(samples, config):
     """The Loewner matrix L of each parameter sample p_j, in order."""
-    # rows l_k^T H(theta_k, p_j) and H(sigma_k, p_j) r_k, (r, q, n) each
-    b = np.einsum("ka,kjab->kjb", config.left_dirs,
-                  samples.H[config.left_indices])
-    c = np.einsum("kjab,kb->kja", samples.H[config.right_indices],
-                  config.right_dirs)
+    b, c = tangential_samples(config, samples.H)
     for j in range(config.q):
         L, _ = build_loewner(TangentialData(
             theta=config.left_points, sigma=config.right_points,
@@ -442,36 +446,39 @@ def eval_model(model, z, p):
 
 @dataclass(frozen=True)
 class CollapsedLifts:
-    """Lifts F_k evaluated at their own fixed point z_k, as p-only
-    barycentric tensors: F_k(z_k, p) = sum_j cp_j N_kj / sum_j cp_j d_kj
-    with cp_j = 1/(p - pi_j)."""
+    """Tangential data of one side as p-only barycentric tensors:
+    F_k(p) = sum_j cp_j N_kj / sum_j cp_j d_kj, cp_j = 1/(p - pi_j), with
+    d_kj = sum_i a_ij/(z_k - xi_i) the fitted weights summed out at the
+    direction's own sample point z_k and N_kj = d_kj v_kj, v_kj the exact
+    sample at the p-node pi_j, so that F_k(pi_j) = v_kj."""
 
     p_nodes: np.ndarray  # (mp,)
     numer: np.ndarray    # (r, mp, n)
     denom: np.ndarray    # (r, mp)
 
 
-def collapse_lifts(lifts, points):
-    """Sum out the z-nodes of lifts[k] at points[k], once for all p.
+def collapse_lifts(scalar, points, vals):
+    """Sum out the z-nodes of `scalar` at points[k], once for all p, and
+    attach the samples vals[k, j] (r, mp, n) at the p-nodes.
 
-    The lifts share nodes and coefficients, as lift_vector makes them.  A
-    point on a z-node line (within 1e-14 of a node) takes that node's
-    single-term row, the interpolation limit that eval_model applies there.
+    A point on a z-node line (within 1e-14 of a node) takes that node's
+    single-term coefficient row, the interpolation limit that eval_model
+    applies there.
     """
-    first = lifts[0]
-    Cz = np.zeros((len(lifts), len(first.z_nodes)), dtype=complex)
+    vals = np.asarray(vals, dtype=complex)
+    if vals.ndim != 3 or vals.shape[:2] != (len(points), len(scalar.p_nodes)):
+        raise ValueError(f"vals must have shape ({len(points)}, "
+                         f"{len(scalar.p_nodes)}, n), got {vals.shape}")
+    Cz = np.zeros((len(points), len(scalar.z_nodes)), dtype=complex)
     for k, z in enumerate(points):
-        iz = _match_node(z, first.z_nodes)
+        iz = _match_node(z, scalar.z_nodes)
         if iz is None:
-            Cz[k] = 1.0 / (z - first.z_nodes)
+            Cz[k] = 1.0 / (z - scalar.z_nodes)
         else:
             Cz[k, iz] = 1.0
-    values = np.stack([lift.node_values for lift in lifts])  # (r, mz, mp, n)
-    return CollapsedLifts(
-        p_nodes=first.p_nodes,
-        numer=np.einsum("ki,ij,kijn->kjn", Cz, first.coeffs, values),
-        denom=Cz @ first.coeffs,
-    )
+    denom = Cz @ scalar.coeffs
+    return CollapsedLifts(p_nodes=scalar.p_nodes,
+                          numer=denom[:, :, None] * vals, denom=denom)
 
 
 def eval_collapsed(collapsed, p):

@@ -8,15 +8,16 @@ surrogate shares.  The nodes are picked greedily on the scalar
 l^T H(s, p) r (with l, r the means of the probing directions); the
 coefficients are then re-solved against a stack of that scalar and a few
 random combinations of the left and right samples, so that they fit the
-lifts, not only the scalar.  The lifts are the vector-valued surrogates
-L_k, R_k, one per probing direction, that carry the samples at the nodes.
+tangential data b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k
+too.  The model stores b_k and c_k at the p-nodes exactly, as read from the
+probed H: theta_k, sigma_k and the p-nodes are all sample points.
 
-The online phase needs each lift only at its own fixed point, L_i at
-theta_i and R_j at sigma_j.  The z-sums of those evaluations are collapsed
-once, when a model is built or loaded, into p-only barycentric tensors, so
-an answer at any complex parameter p costs two contractions over the
-p-nodes, the Loewner assembly and a sketched rank truncation: O(r^2 m +
-r m_p n), independent of the quadrature size.
+Online needs b_k and c_k only at these fixed theta_k and sigma_k.  The
+fitted weights are summed out there once, when a model is built or loaded,
+into p-only barycentric tensors that interpolate the stored samples, so an
+answer at any complex parameter p costs two contractions over the p-nodes,
+the Loewner assembly and a sketched rank truncation: O(r^2 m + r m_p n),
+independent of the quadrature size.
 """
 
 import json
@@ -29,15 +30,16 @@ import numpy as np
 import scipy.linalg
 
 from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
-                      left_samples, probe_samples, right_samples)
+                      probe_samples)
 from .errors import EvaluationError, ModelFormatError
 from .loewner import TangentialData, eigenvalue_order, filter_in_domain, realize
-from .paaa import (BarycentricModel2D, VectorBarycentricModel,
-                   collapse_lifts, consistency_rank_check, eval_collapsed,
-                   lift_vector, node_indices, paaa_fit, refit_coefficients)
-from .paaa import eval_model  # noqa: F401  (callers look it up here)
+from .paaa import (BarycentricModel2D, collapse_lifts, consistency_rank_check,
+                   eval_collapsed, node_indices, paaa_fit, refit_coefficients,
+                   tangential_samples)
+# pnlbench/spans.py wraps these two under these names
+from .paaa import eval_model, lift_vector  # noqa: F401
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # random combinations of the left (and as many of the right) samples that
 # join the scalar in the coefficient refit
@@ -55,18 +57,18 @@ class OfflineModel:
     config: SamplingConfig
     m: int
     scalar_model: BarycentricModel2D
-    left_models: tuple   # r vector models for l_k^T H
-    right_models: tuple  # r vector models for H r_k
+    left_vals: np.ndarray   # (r, mp, n): l_k^T H(theta_k, pi_j)
+    right_vals: np.ndarray  # (r, mp, n): H(sigma_k, pi_j) r_k
     metadata: dict = field(default_factory=dict)
-    # the lifts at their own points theta_k / sigma_k, derived, not stored
+    # p-only forms at the points theta_k / sigma_k, derived, not stored
     left_collapsed: object = field(init=False, repr=False, compare=False)
     right_collapsed: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "left_collapsed", collapse_lifts(
-            self.left_models, self.config.left_points))
+            self.scalar_model, self.config.left_points, self.left_vals))
         object.__setattr__(self, "right_collapsed", collapse_lifts(
-            self.right_models, self.config.right_points))
+            self.scalar_model, self.config.right_points, self.right_vals))
 
 
 @dataclass(frozen=True)
@@ -117,17 +119,8 @@ def offline(problem, domain, config, N, fit_opts=None):
             f"{tol:g} (max grid error {scalar_model.max_error:.2e})",
             stacklevel=2,
         )
-    zi = node_indices(scalar_model.z_nodes, config.sample_points)
+    b, c = tangential_samples(config, samples.H)  # (r, q, n) each
     pj = node_indices(scalar_model.p_nodes, config.parameter_points)
-    H_nodes = samples.H[np.ix_(zi, pj)]  # (mz, mp, n, n)
-    left_models = tuple(
-        lift_vector(scalar_model, v)
-        for v in left_samples(config.left_dirs, H_nodes)
-    )
-    right_models = tuple(
-        lift_vector(scalar_model, v)
-        for v in right_samples(config.right_dirs, H_nodes)
-    )
     metadata = {
         "problem_name": getattr(problem, "name", "custom"),
         "N": N,
@@ -138,10 +131,26 @@ def offline(problem, domain, config, N, fit_opts=None):
         "converged": scalar_model.converged,
         "max_fit_error": scalar_model.max_error,
     }
-    return OfflineModel(
+    model = OfflineModel(
         domain=domain, config=config, m=m, scalar_model=scalar_model,
-        left_models=left_models, right_models=right_models, metadata=metadata,
+        left_vals=b[:, pj], right_vals=c[:, pj], metadata=metadata,
     )
+    metadata["tangential_error"] = _tangential_error(model, b, c)
+    return model
+
+
+def _tangential_error(model, b, c):
+    """Max over directions k and parameter samples p_j, both sides, of
+    ||F_k(p_j) - b_k(p_j)|| / ||b_k(p_j)||, where F_k is what online reads
+    (eval_collapsed) and b, c are the (r, q, n) tangential samples."""
+    worst = 0.0
+    for j, p in enumerate(model.config.parameter_points):
+        for collapsed, want in ((model.left_collapsed, b[:, j]),
+                                (model.right_collapsed, c[:, j])):
+            err = (np.linalg.norm(eval_collapsed(collapsed, p) - want, axis=1)
+                   / np.linalg.norm(want, axis=1))
+            worst = max(worst, float(np.max(err)))
+    return worst
 
 
 def _lift_sketches(samples):
@@ -297,10 +306,8 @@ def save_model(model, path):
             "max_error": model.scalar_model.max_error,
             "error_history": list(model.scalar_model.error_history),
         },
-        "left_models": [{"node_vectors": _c2l(lm.node_values)}
-                        for lm in model.left_models],
-        "right_models": [{"node_vectors": _c2l(rm.node_values)}
-                         for rm in model.right_models],
+        "left_vals": _c2l(model.left_vals),
+        "right_vals": _c2l(model.right_vals),
         "metadata": model.metadata,
     }
     write_atomic(path, json.dumps(doc))
@@ -342,9 +349,10 @@ def load_model(path):
     try:
         version = doc["format_version"]
         if version != FORMAT_VERSION:
+            # version 1 stored lifts, not the exact samples at the p-nodes
             raise ModelFormatError(
-                f"unsupported model format version {version!r}"
-            )
+                f"unsupported model format version {version!r}; rebuild "
+                f"the model with this offline (format {FORMAT_VERSION})")
         domain = _domain_from_doc(doc["domain"])
         sampling = doc["sampling"]
         config = SamplingConfig(
@@ -364,18 +372,11 @@ def load_model(path):
             max_error=fit.get("max_error", 0.0),
             error_history=tuple(fit.get("error_history", ())),
         )
-        left_models = tuple(
-            lift_vector(scalar_model, _l2c(entry["node_vectors"]))
-            for entry in doc["left_models"]
-        )
-        right_models = tuple(
-            lift_vector(scalar_model, _l2c(entry["node_vectors"]))
-            for entry in doc["right_models"]
-        )
         return OfflineModel(
             domain=domain, config=config, m=doc["m"],
             scalar_model=scalar_model,
-            left_models=left_models, right_models=right_models,
+            left_vals=_l2c(doc["left_vals"]),
+            right_vals=_l2c(doc["right_vals"]),
             metadata=doc["metadata"],
         )
     except (KeyError, TypeError, IndexError) as exc:

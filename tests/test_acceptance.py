@@ -5,11 +5,13 @@ the measured quantity (visible with pytest -s or on failure).
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pnlevp.benchmarks import run_benchmark
+from pnlevp.benchmarks import (build_offline, get_benchmark, run_benchmark,
+                               sweep)
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
     probe_samples
 from pnlevp.loewner import TangentialData, build_loewner, realize
@@ -107,6 +109,19 @@ def test_delay_extrapolation_p50():
 
 def test_damped_string1_max_residual():
     _check(_bench("damped-string-1"), "max residual")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_damped_string1_max_residual_under_probing_seed(seed):
+    # the same gate as the pinned run, with other probing directions and
+    # refit sketches; the margin is printed, not hidden
+    bench = replace(get_benchmark("damped-string-1"), seed=seed)
+    problem, model = build_offline(bench)
+    p_test = np.linspace(*bench.p_range, bench.n_test)
+    res = np.nanmax(sweep(problem, model, p_test)["max_residuals"])
+    _criterion(f"damped-string-1, probing seed {seed}: max residual over "
+               "200 test parameters <= 3e-10", res <= 3e-10,
+               f"max residual {res:.3e}, margin {3e-10 / res:.1f}x")
 
 
 def test_damped_string1_coalescence_location():
@@ -243,10 +258,8 @@ def test_property_round_trip_bit_exact(small_model):
                            model.scalar_model.coeffs)
         and np.array_equal(loaded.scalar_model.z_nodes,
                            model.scalar_model.z_nodes)
-        and all(np.array_equal(a.node_values, b.node_values)
-                for a, b in zip(loaded.left_models, model.left_models))
-        and all(np.array_equal(a.node_values, b.node_values)
-                for a, b in zip(loaded.right_models, model.right_models))
+        and np.array_equal(loaded.left_vals, model.left_vals)
+        and np.array_equal(loaded.right_vals, model.right_vals)
         and loaded.m == model.m
     )
     _criterion("property: offline model round-trips bit-exactly",

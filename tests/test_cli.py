@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+from pnlevp.solver import FORMAT_VERSION
+
 CLI = [sys.executable, "-c",
        "import sys; from pnlevp.cli import main; sys.exit(main())"]
 
@@ -125,10 +127,21 @@ class TestOnline:
 
     def test_malformed_model_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 1, "m": 2}))
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION,
+                                    "m": 2}))
         proc = run_cli("online", "--model", str(path), "--p", "1")
         assert proc.returncode == 1
         assert "malformed model file" in proc.stderr
+
+    def test_version_1_model_exits_1(self, delay_model, tmp_path):
+        # a version-1 file holds lifts, not the exact samples at the p-nodes
+        doc = json.loads(delay_model.read_text())
+        doc["format_version"] = 1
+        path = tmp_path / "v1.model"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("online", "--model", str(path), "--p", "32")
+        assert proc.returncode == 1
+        assert "unsupported model format version 1" in proc.stderr
 
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_non_finite_parameter_exits_2(self, delay_model, p):
