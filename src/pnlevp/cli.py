@@ -159,7 +159,8 @@ def cmd_offline(args):
     print(f"m = {model.m}", file=sys.stderr)
     print(f"fit degrees: {meta['z_degree']} in z, {meta['p_degree']} in p",
           file=sys.stderr)
-    print(f"max fit error = {meta['max_fit_error']:.3e} "
+    print(f"max fit error = {meta['max_fit_error']:.3e}", file=sys.stderr)
+    print(f"tangential error = {meta['tangential_error']:.3e} "
           f"(converged: {meta['converged']})", file=sys.stderr)
     print(f"wall time = {elapsed:.2f} s", file=sys.stderr)
     print(f"model written to {args.out}", file=sys.stderr)

@@ -1,22 +1,27 @@
 """Bivariate barycentric rational fitting of probed resolvent samples.
 
-The scalar surrogate has the form
+The surrogate has the form
 
     f(z, p) = sum_ij a_ij D(xi_i, pi_j) / ((z - xi_i)(p - pi_j))
             / sum_ij a_ij / ((z - xi_i)(p - pi_j)),
 
-which interpolates the data at every node pair (xi_i, pi_j).  Nodes are
-picked greedily at the worst-error grid point; the unit-norm coefficients
-a_ij minimize the linearized residual over the remaining grid in a least-
-squares sense.  Once the nodes are fixed, refit_coefficients re-solves the
-coefficients against a stack of grid functions sharing those nodes (the
-set-valued AAA idea), so one set of coefficients serves every function in
-the stack.  collapse_lifts turns those coefficients and the exact samples
-at the p-nodes into the p-only barycentric forms that online evaluates.
+which interpolates the data at every node pair (xi_i, pi_j).  The node
+values D(xi_i, pi_j) are scalars or, with a trailing axis, vectors; one
+model class and one evaluator serve both.  Every sum runs over the Cauchy
+matrices 1/(z - xi_i) and 1/(p - pi_j) of _cauchy, in which a point within
+1e-14 of a node takes that node's indicator row: the sums keep only that
+node's terms, the 1-D barycentric limit on its line, and a node pair gives
+its node value.  Nodes are picked greedily at the worst-error grid point;
+the unit-norm coefficients a_ij minimize the linearized residual over the
+grid in a least-squares sense.  Once the nodes are fixed,
+refit_coefficients re-solves the coefficients against a stack of grid
+functions sharing those nodes (the set-valued AAA idea), so one set of
+coefficients serves every function in the stack.  collapse_lifts turns
+those coefficients and the exact samples at the p-nodes into the p-only
+barycentric forms that online evaluates.
 """
-
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,28 +39,15 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BarycentricModel2D:
-    """Scalar bivariate barycentric rational interpolant."""
+    """Bivariate barycentric rational interpolant, scalar- or vector-valued."""
 
     z_nodes: np.ndarray     # (mz,)
     p_nodes: np.ndarray     # (mp,)
     coeffs: np.ndarray      # (mz, mp), unit Frobenius norm
-    node_values: np.ndarray  # (mz, mp)
+    node_values: np.ndarray  # (mz, mp) or (mz, mp, n)
     converged: bool = True
     max_error: float = 0.0
     error_history: tuple = field(default=())
-
-    def __call__(self, z, p):
-        return eval_model(self, z, p)
-
-
-@dataclass(frozen=True)
-class VectorBarycentricModel:
-    """Vector-valued lift sharing nodes and coefficients with its parent."""
-
-    z_nodes: np.ndarray
-    p_nodes: np.ndarray
-    coeffs: np.ndarray
-    node_values: np.ndarray  # (mz, mp, n)
 
     def __call__(self, z, p):
         return eval_model(self, z, p)
@@ -193,24 +185,18 @@ def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
             z_nodes=s[zi], p_nodes=p[pj], coeffs=alpha,
             node_values=D[np.ix_(zi, pj)],
         )
-        E = np.abs(_eval_grid(model, s, p, zi, pj) - D) / scale
+        E = np.abs(_eval_grid(model, s, p)[0] - D) / scale
         err = float(np.max(E))
         history.append(err)
         if best is None or err < best[0]:
             best = (err, model)
         if err <= tol and len(zi) >= min_z_nodes:
-            return BarycentricModel2D(
-                z_nodes=model.z_nodes, p_nodes=model.p_nodes,
-                coeffs=model.coeffs, node_values=model.node_values,
-                converged=True, max_error=err, error_history=tuple(history),
-            )
+            return replace(model, converged=True, max_error=err,
+                           error_history=tuple(history))
         if err <= tol:
             # tolerance met early: keep adding z-nodes until the pole-count
             # constraint (min_z_nodes) is satisfied
-            Ez = E.copy()
-            Ez[zi, :] = -1.0
-            i_star = int(np.unravel_index(np.argmax(Ez), Ez.shape)[0])
-            zi.append(i_star)
+            zi.append(_worst_off(E, zi, 0))
             continue
         i_star, j_star = np.unravel_index(np.argmax(E), E.shape)
         added = False
@@ -225,22 +211,23 @@ def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
             # already nodes, or an axis is at budget); fall back to the worst
             # error restricted to coordinates that can still be added
             if len(zi) < max_z_nodes:
-                Ez = E.copy()
-                Ez[zi, :] = -1.0
-                zi.append(int(np.unravel_index(np.argmax(Ez), Ez.shape)[0]))
+                zi.append(_worst_off(E, zi, 0))
                 added = True
             if len(pj) < max_p_nodes:
-                Ep = E.copy()
-                Ep[:, pj] = -1.0
-                pj.append(int(np.unravel_index(np.argmax(Ep), Ep.shape)[1]))
+                pj.append(_worst_off(E, pj, 1))
                 added = True
         if not added:
             err, model = best
-            return BarycentricModel2D(
-                z_nodes=model.z_nodes, p_nodes=model.p_nodes,
-                coeffs=model.coeffs, node_values=model.node_values,
-                converged=False, max_error=err, error_history=tuple(history),
-            )
+            return replace(model, converged=False, max_error=err,
+                           error_history=tuple(history))
+
+
+def _worst_off(E, taken, axis):
+    """Index along `axis` (0 for z, 1 for p) of the worst error in the grid
+    E outside the rows or columns already taken as nodes."""
+    E = E.copy()
+    np.moveaxis(E, axis, 0)[taken] = -1.0
+    return int(np.unravel_index(np.argmax(E), E.shape)[axis])
 
 
 def refit_coefficients(model, grid_values, s_points, p_points, tol=1e-12):
@@ -264,27 +251,17 @@ def refit_coefficients(model, grid_values, s_points, p_points, tol=1e-12):
     scale = np.max(np.abs(G), axis=(0, 1))
     G = G / np.where(scale > 0.0, scale, 1.0)
     alpha = _solve_coefficients(G, s, p, zi, pj)
-    stacked = VectorBarycentricModel(
-        z_nodes=model.z_nodes, p_nodes=model.p_nodes, coeffs=alpha,
-        node_values=G[np.ix_(zi, pj)],
-    )
-    err = float(np.max(np.abs(_eval_grid(stacked, s, p, zi, pj) - G)))
-    return BarycentricModel2D(
-        z_nodes=model.z_nodes, p_nodes=model.p_nodes, coeffs=alpha,
-        node_values=model.node_values, converged=err <= tol, max_error=err,
-        error_history=model.error_history,
-    )
+    stacked = replace(model, coeffs=alpha, node_values=G[np.ix_(zi, pj)])
+    err = float(np.max(np.abs(_eval_grid(stacked, s, p)[0] - G)))
+    return replace(model, coeffs=alpha, converged=err <= tol, max_error=err)
 
 
 def node_indices(nodes, points):
     """Grid indices of barycentric nodes (which must be grid points)."""
-    idx = []
-    for x in nodes:
-        i = int(np.argmin(np.abs(points - x)))
-        if points[i] != x:
-            raise ValueError("barycentric node is not a grid point")
-        idx.append(i)
-    return np.array(idx, dtype=int)
+    idx = _cauchy(nodes, points)[1]
+    if np.any(idx < 0):
+        raise ValueError("barycentric node is not a grid point")
+    return idx
 
 
 def _solve_coefficients(D, s, p, zi, pj):
@@ -293,106 +270,63 @@ def _solve_coefficients(D, s, p, zi, pj):
 
     D is one grid function (ns, np) or a stack of them (ns, np, k); a stack
     contributes the rows of each of its functions.  The coefficients are the
-    last right singular vector of the stacked row matrix M.  A tall M is
-    first reduced to its square triangular factor R (M = QR), whose right
-    singular vectors are those of M, so no factor of M's height is formed;
-    a wide M takes the full SVD, whose last row of Vh spans a null vector.
+    last right singular vector of the stacked row matrix M, which has a row
+    for every grid point and so is never wide.  M is first reduced to its
+    square triangular factor R (M = QR), whose right singular vectors are
+    those of M, so no factor of M's height is formed.
     """
-    ia = np.setdiff1d(np.arange(len(s)), zi)
-    jb = np.setdiff1d(np.arange(len(p)), pj)
     nz, npj = len(zi), len(pj)
-    if len(ia) == 0 or len(jb) == 0:
+    if nz == len(s) or npj == len(p):
         alpha = np.ones((nz, npj), dtype=complex)
         return alpha / np.linalg.norm(alpha)
-    M = _residual_rows(D[:, :, None] if D.ndim == 2 else D,
-                       s, p, zi, pj, ia, jb)
-    if M.shape[0] > M.shape[1]:
-        M = np.linalg.qr(M, mode="r")
-    # full SVD only when the null space is not covered by the reduced factors
-    _, _, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    M = _residual_rows(D.reshape(D.shape[:2] + (-1,)), s, p, zi, pj)
+    _, _, Vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
     alpha = Vh[-1].conj().reshape(nz, npj)
     return alpha / np.linalg.norm(alpha)
 
 
-def _residual_rows(G, s, p, zi, pj, ia, jb):
-    """Linearized-residual rows of the grid functions G[:, :, f], stacked
-    function by function into one preallocated matrix.
+def _residual_rows(G, s, p, zi, pj):
+    """Linearized-residual rows of the grid functions G[:, :, f] at every
+    grid point, stacked function by function into one preallocated matrix.
 
-    Each function contributes three groups of rows: grid points off both
-    node axes (the standard 2-D Loewner least-squares rows), and grid
-    points on a single node line, where the barycentric limit collapses one
-    coordinate and the linearized residual involves only that node's
-    coefficient row/column.  Node pairs are interpolated exactly and
-    contribute no rows.
+    The row of point (s_a, p_b) holds (D(s_a, p_b) - D(xi_i, pi_j)) times
+    Cz[a, i] Cp[b, j] at coefficient (i, j), with the Cauchy matrices of
+    _cauchy.  On a node line it is therefore the 1-D barycentric row of
+    that node, and a node pair, which is interpolated exactly, gives a zero
+    row.
     """
-    nz, npj, na, nb = len(zi), len(pj), len(ia), len(jb)
-    Cz = 1.0 / (s[ia][:, None] - s[zi][None, :])   # (na, nz)
-    Cp = 1.0 / (p[jb][:, None] - p[pj][None, :])   # (nb, np)
-    per_function = na * nb + nz * nb + npj * na
-    M = np.zeros((G.shape[2] * per_function, nz * npj), dtype=complex)
-    for f in range(G.shape[2]):
-        D = G[:, :, f]
-        Dn = D[np.ix_(zi, pj)]
-        top = f * per_function
-        block = M[top:top + na * nb].reshape(na, nb, nz, npj)
-        np.subtract(D[np.ix_(ia, jb)][:, :, None, None], Dn[None, None],
-                    out=block)
-        block *= Cz[:, None, :, None]
-        block *= Cp[None, :, None, :]
-        top += na * nb
-        for k in range(nz):
-            # points (xi_k, p_b): 1-D barycentric in p over coefficient row k
-            M[top:top + nb, k * npj:(k + 1) * npj] = \
-                (D[zi[k], jb][:, None] - Dn[k][None, :]) * Cp
-            top += nb
-        for k in range(npj):
-            # points (s_a, pi_k): 1-D barycentric in z over coefficient column k
-            M[top:top + na, k::npj] = \
-                (D[ia, pj[k]][:, None] - Dn[:, k][None, :]) * Cz
-            top += na
+    Cz, _ = _cauchy(s, s[zi])
+    Cp, _ = _cauchy(p, p[pj])
+    ns, nq, nf = G.shape
+    M = np.empty((nf * ns * nq, len(zi) * len(pj)), dtype=complex)
+    rows = M.reshape(nf, ns, nq, len(zi), len(pj))
+    Gf = np.moveaxis(G, 2, 0)
+    np.subtract(Gf[..., None, None], Gf[:, zi][:, :, pj][:, None, None],
+                out=rows)
+    rows *= Cz[:, None, :, None]
+    rows *= Cp[None, :, None, :]
     return M
 
 
-def _eval_grid(model, s, p, zi, pj):
-    """Evaluate the model on the full (s, p) grid, applying the barycentric
-    interpolation limit on node rows/columns."""
+def _eval_grid(model, s, p):
+    """Values of the model on the grid s x p, of shape (len(s), len(p))
+    followed by any vector axis of its node values, and the barycentric
+    denominators (len(s), len(p)).
+
+    A node pair gives its node value exactly, with denominator 1.
+    """
+    Cz, iz = _cauchy(s, model.z_nodes)
+    Cp, jp = _cauchy(p, model.p_nodes)
     values = model.node_values
-    vec = values.ndim == 3
+    V = values.reshape(values.shape[:2] + (-1,))
+    num = Cp @ np.tensordot(Cz, model.coeffs[:, :, None] * V, axes=1)
+    den = Cz @ model.coeffs @ Cp.T
+    a, b = np.flatnonzero(iz >= 0), np.flatnonzero(jp >= 0)
+    num[np.ix_(a, b)] = V[np.ix_(iz[a], jp[b])]
+    den[np.ix_(a, b)] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        Cz = 1.0 / (s[:, None] - model.z_nodes[None, :])   # (ns, nz)
-        Cp = 1.0 / (p[:, None] - model.p_nodes[None, :])   # (np, mp)
-        Cz[zi, :] = 0.0
-        Cp[pj, :] = 0.0
-        den = Cz @ model.coeffs @ Cp.T
-        if vec:
-            num = np.einsum("ai,ijn,bj->abn", Cz, model.coeffs[:, :, None] * values, Cp)
-            F = num / den[:, :, None]
-        else:
-            num = Cz @ (model.coeffs * values) @ Cp.T
-            F = num / den
-        # rows where s is a z-node: 1-D barycentric in p over that node's row
-        for k, i in enumerate(zi):
-            wrow = model.coeffs[k, :]
-            if vec:
-                rnum = np.einsum("j,jn,bj->bn", wrow, values[k], Cp)
-            else:
-                rnum = Cp @ (wrow * values[k])
-            rden = Cp @ wrow
-            F[i] = (rnum.T / rden).T if vec else rnum / rden
-        # columns where p is a p-node
-        for k, j in enumerate(pj):
-            wcol = model.coeffs[:, k]
-            if vec:
-                cnum = np.einsum("i,in,ai->an", wcol, values[:, k], Cz)
-            else:
-                cnum = Cz @ (wcol * values[:, k])
-            cden = Cz @ wcol
-            F[:, j] = (cnum.T / cden).T if vec else cnum / cden
-    # node pairs: exact interpolation
-    for a, i in enumerate(zi):
-        for b, j in enumerate(pj):
-            F[i, j] = values[a, b]
-    return F
+        F = num / den[:, :, None]
+    return F.reshape(den.shape + values.shape[2:]), den
 
 
 def lift_vector(model, node_vectors):
@@ -404,7 +338,7 @@ def lift_vector(model, node_vectors):
             f"node_vectors must have shape {model.node_values.shape} + (n,), "
             f"got {node_vectors.shape}"
         )
-    return VectorBarycentricModel(
+    return BarycentricModel2D(
         z_nodes=model.z_nodes,
         p_nodes=model.p_nodes,
         coeffs=model.coeffs,
@@ -415,83 +349,53 @@ def lift_vector(model, node_vectors):
 def eval_model(model, z, p):
     """Evaluate a (scalar or vector) barycentric model at a single (z, p).
 
-    Coordinates matching a node within 1e-14 trigger the degenerate
-    interpolation limit (both sums restricted to the matching node's terms).
+    Coordinates matching a node within 1e-14 take the interpolation limit
+    of _cauchy (both sums restricted to the matching node's terms).
     """
-    values = model.node_values
-    vec = values.ndim == 3
-    iz = _match_node(z, model.z_nodes)
-    jp = _match_node(p, model.p_nodes)
-    if iz is not None and jp is not None:
-        return values[iz, jp]
-    if iz is not None:
-        w = model.coeffs[iz, :] / (p - model.p_nodes)
-        return _quotient(w, values[iz], vec)
-    if jp is not None:
-        w = model.coeffs[:, jp] / (z - model.z_nodes)
-        return _quotient(w, values[:, jp], vec)
-    cz = 1.0 / (z - model.z_nodes)
-    cp = 1.0 / (p - model.p_nodes)
-    W = model.coeffs * np.outer(cz, cp)
-    den = np.sum(W)
-    if abs(den) < _DENOM_FLOOR:
+    F, den = _eval_grid(model, z, p)
+    if abs(den[0, 0]) < _DENOM_FLOOR:
         raise EvaluationError(
             f"barycentric denominator underflow at (z={z}, p={p}); "
             "the evaluation point hits a spurious pole"
         )
-    if vec:
-        return np.tensordot(W, values, axes=([0, 1], [0, 1])) / den
-    return np.sum(W * values) / den
+    return F[0, 0]
 
 
 @dataclass(frozen=True)
 class CollapsedLifts:
-    """Tangential data of one side as p-only barycentric tensors:
+    """Tangential data as p-only barycentric tensors:
     F_k(p) = sum_j cp_j N_kj / sum_j cp_j d_kj, cp_j = 1/(p - pi_j), with
     d_kj = sum_i a_ij/(z_k - xi_i) the fitted weights summed out at the
     direction's own sample point z_k and N_kj = d_kj v_kj, v_kj the exact
     sample at the p-node pi_j, so that F_k(pi_j) = v_kj."""
 
     p_nodes: np.ndarray  # (mp,)
-    numer: np.ndarray    # (r, mp, n)
-    denom: np.ndarray    # (r, mp)
+    numer: np.ndarray    # (k, mp, n)
+    denom: np.ndarray    # (k, mp)
 
 
 def collapse_lifts(scalar, points, vals):
     """Sum out the z-nodes of `scalar` at points[k], once for all p, and
-    attach the samples vals[k, j] (r, mp, n) at the p-nodes.
+    attach the samples vals[k, j] (k, mp, n) at the p-nodes.
 
-    A point on a z-node line (within 1e-14 of a node) takes that node's
-    single-term coefficient row, the interpolation limit that eval_model
-    applies there.
+    A point on a z-node line takes that node's coefficient row (the
+    indicator row of _cauchy), the limit that eval_model applies there.
     """
     vals = np.asarray(vals, dtype=complex)
     if vals.ndim != 3 or vals.shape[:2] != (len(points), len(scalar.p_nodes)):
         raise ValueError(f"vals must have shape ({len(points)}, "
                          f"{len(scalar.p_nodes)}, n), got {vals.shape}")
-    Cz = np.zeros((len(points), len(scalar.z_nodes)), dtype=complex)
-    for k, z in enumerate(points):
-        iz = _match_node(z, scalar.z_nodes)
-        if iz is None:
-            Cz[k] = 1.0 / (z - scalar.z_nodes)
-        else:
-            Cz[k, iz] = 1.0
-    denom = Cz @ scalar.coeffs
+    denom = _cauchy(points, scalar.z_nodes)[0] @ scalar.coeffs
     return CollapsedLifts(p_nodes=scalar.p_nodes,
                           numer=denom[:, :, None] * vals, denom=denom)
 
 
 def eval_collapsed(collapsed, p):
-    """Values (r, n) of all collapsed lifts at parameter p; a p on a node
+    """Values (k, n) of all collapsed lifts at parameter p; a p on a node
     takes that node's column."""
-    jp = _match_node(p, collapsed.p_nodes)
-    if jp is None:
-        cp = 1.0 / (p - collapsed.p_nodes)
-        num = np.einsum("kjn,j->kn", collapsed.numer, cp)
-        den = np.einsum("kj,j->k", collapsed.denom, cp)
-    else:
-        num = collapsed.numer[:, jp]
-        den = collapsed.denom[:, jp]
+    cp = _cauchy(p, collapsed.p_nodes)[0][0]
+    num = np.einsum("kjn,j->kn", collapsed.numer, cp)
+    den = np.einsum("kj,j->k", collapsed.denom, cp)
     if np.min(np.abs(den)) < _DENOM_FLOOR:
         raise EvaluationError(
             f"barycentric denominator underflow at p={p}; the evaluation "
@@ -500,16 +404,20 @@ def eval_collapsed(collapsed, p):
     return num / den[:, None]
 
 
-def _quotient(weights, values, vec):
-    den = np.sum(weights)
-    if abs(den) < _DENOM_FLOOR:
-        raise EvaluationError("barycentric denominator underflow on a node line")
-    if vec:
-        return weights @ values / den
-    return np.sum(weights * values) / den
+def _cauchy(x, nodes):
+    """Cauchy matrix C[a, i] = 1/(x_a - nodes_i) of the points x (a scalar
+    or 1-D) against barycentric nodes, and at[a], the index of the node
+    within _NODE_TOL of x_a, or -1 when there is none.
 
-
-def _match_node(x, nodes):
-    d = np.abs(x - nodes)
-    i = int(np.argmin(d))
-    return i if d[i] <= _NODE_TOL else None
+    The row of a point on a node is that node's indicator row: every
+    barycentric sum then keeps only that node's terms, which is the
+    interpolation limit on the node's line.
+    """
+    d = np.reshape(np.asarray(x, dtype=complex), (-1, 1)) - nodes
+    dist = np.abs(d)
+    at = np.where(dist.min(axis=1) <= _NODE_TOL, dist.argmin(axis=1), -1)
+    on = at >= 0
+    C = np.zeros(d.shape, dtype=complex)
+    C[on, at[on]] = 1.0
+    np.divide(1.0, d, out=C, where=~on[:, None])
+    return C, at

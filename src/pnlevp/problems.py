@@ -9,6 +9,7 @@ validation.
 
 import numpy as np
 
+from .contour import Disk, Ellipse, bounding_box, scale_domain
 from .errors import BranchCutError, SingularMatrixError, UnsupportedProblemError
 
 _CUT_TOL = 1e-14
@@ -331,8 +332,6 @@ def _newton_batch(f, df, seeds, tol=1e-13, max_steps=50):
 
 def _domain_grid(domain, margin=1.0, n=60):
     """n-by-n complex grid over the bounding box of the scaled domain."""
-    from .contour import bounding_box, scale_domain
-
     lo, hi = bounding_box(scale_domain(domain, margin))
     xs = np.linspace(lo.real, hi.real, n)
     ys = np.linspace(lo.imag, hi.imag, n)
@@ -341,8 +340,6 @@ def _domain_grid(domain, margin=1.0, n=60):
 
 
 def _scaled_contains(domain, z, margin=1.0):
-    from .contour import scale_domain
-
     return scale_domain(domain, margin).contains(z)
 
 
@@ -355,8 +352,6 @@ def _random_in_unit_disk(rng):
 
 def _from_unit(domain, w):
     """Map a point of the unit disk into the domain (affine, axis-scaled)."""
-    from .contour import Disk, Ellipse
-
     if isinstance(domain, Disk):
         return domain.center + domain.radius * w
     if isinstance(domain, Ellipse):

@@ -14,10 +14,10 @@ probed H: theta_k, sigma_k and the p-nodes are all sample points.
 
 Online needs b_k and c_k only at these fixed theta_k and sigma_k.  The
 fitted weights are summed out there once, when a model is built or loaded,
-into p-only barycentric tensors that interpolate the stored samples, so an
-answer at any complex parameter p costs two contractions over the p-nodes,
-the Loewner assembly and a sketched rank truncation: O(r^2 m + r m_p n),
-independent of the quadrature size.
+into one p-only barycentric tensor over all 2r directions that interpolates
+the stored samples, so an answer at any complex parameter p costs one
+contraction over the p-nodes, the Loewner assembly and a sketched rank
+truncation: O(r^2 m + r m_p n), independent of the quadrature size.
 """
 
 import json
@@ -33,9 +33,9 @@ from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
                       probe_samples)
 from .errors import EvaluationError, ModelFormatError
 from .loewner import TangentialData, eigenvalue_order, filter_in_domain, realize
-from .paaa import (BarycentricModel2D, collapse_lifts, consistency_rank_check,
-                   eval_collapsed, node_indices, paaa_fit, refit_coefficients,
-                   tangential_samples)
+from .paaa import (BarycentricModel2D, _cauchy, collapse_lifts,
+                   consistency_rank_check, eval_collapsed, node_indices,
+                   paaa_fit, refit_coefficients, tangential_samples)
 # pnlbench/spans.py wraps these two under these names
 from .paaa import eval_model, lift_vector  # noqa: F401
 
@@ -60,15 +60,17 @@ class OfflineModel:
     left_vals: np.ndarray   # (r, mp, n): l_k^T H(theta_k, pi_j)
     right_vals: np.ndarray  # (r, mp, n): H(sigma_k, pi_j) r_k
     metadata: dict = field(default_factory=dict)
-    # p-only forms at the points theta_k / sigma_k, derived, not stored
-    left_collapsed: object = field(init=False, repr=False, compare=False)
-    right_collapsed: object = field(init=False, repr=False, compare=False)
+    # p-only form at theta_1..r, then sigma_1..r; derived, not stored
+    collapsed: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "left_collapsed", collapse_lifts(
-            self.scalar_model, self.config.left_points, self.left_vals))
-        object.__setattr__(self, "right_collapsed", collapse_lifts(
-            self.scalar_model, self.config.right_points, self.right_vals))
+        if np.shape(self.left_vals) != np.shape(self.right_vals):
+            raise ValueError("left_vals and right_vals differ in shape")
+        config = self.config
+        object.__setattr__(self, "collapsed", collapse_lifts(
+            self.scalar_model,
+            np.concatenate([config.left_points, config.right_points]),
+            np.concatenate([self.left_vals, self.right_vals])))
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,6 @@ def offline(problem, domain, config, N, fit_opts=None):
     scalar_model = refit_coefficients(
         greedy, stack, config.sample_points, config.parameter_points, tol=tol,
     )
-    if not scalar_model.converged:
-        warnings.warn(
-            "barycentric fit did not reach tolerance "
-            f"{tol:g} (max grid error {scalar_model.max_error:.2e})",
-            stacklevel=2,
-        )
     b, c = tangential_samples(config, samples.H)  # (r, q, n) each
     pj = node_indices(scalar_model.p_nodes, config.parameter_points)
     metadata = {
@@ -128,28 +124,36 @@ def offline(problem, domain, config, N, fit_opts=None):
         "fit_tol": tol,
         "z_degree": len(scalar_model.z_nodes) - 1,
         "p_degree": len(scalar_model.p_nodes) - 1,
-        "converged": scalar_model.converged,
         "max_fit_error": scalar_model.max_error,
     }
     model = OfflineModel(
         domain=domain, config=config, m=m, scalar_model=scalar_model,
         left_vals=b[:, pj], right_vals=c[:, pj], metadata=metadata,
     )
-    metadata["tangential_error"] = _tangential_error(model, b, c)
+    # converged describes what online reads, not the refit stack
+    error = _tangential_error(model, np.concatenate([b, c]))
+    metadata["tangential_error"] = error
+    metadata["converged"] = error <= tol
+    if not metadata["converged"]:
+        warnings.warn(
+            "barycentric fit did not reach tolerance "
+            f"{tol:g} (tangential error {error:.2e})",
+            stacklevel=2,
+        )
     return model
 
 
-def _tangential_error(model, b, c):
+def _tangential_error(model, want):
     """Max over directions k and parameter samples p_j, both sides, of
     ||F_k(p_j) - b_k(p_j)|| / ||b_k(p_j)||, where F_k is what online reads
-    (eval_collapsed) and b, c are the (r, q, n) tangential samples."""
+    (eval_collapsed) and want the (2r, q, n) tangential samples, left rows
+    then right columns."""
     worst = 0.0
     for j, p in enumerate(model.config.parameter_points):
-        for collapsed, want in ((model.left_collapsed, b[:, j]),
-                                (model.right_collapsed, c[:, j])):
-            err = (np.linalg.norm(eval_collapsed(collapsed, p) - want, axis=1)
-                   / np.linalg.norm(want, axis=1))
-            worst = max(worst, float(np.max(err)))
+        err = (np.linalg.norm(eval_collapsed(model.collapsed, p) - want[:, j],
+                              axis=1)
+               / np.linalg.norm(want[:, j], axis=1))
+        worst = max(worst, float(np.max(err)))
     return worst
 
 
@@ -182,11 +186,11 @@ def online(model, p_hat, rank_tol=None):
         rank_tol = model.metadata.get("rank_tol", 1e-10)
     _warn_if_extrapolating(model, p_hat)
     config = model.config
+    vals = eval_collapsed(model.collapsed, p_hat)
     data = TangentialData(
         theta=config.left_points, sigma=config.right_points,
         left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-        left_vals=eval_collapsed(model.left_collapsed, p_hat),
-        right_vals=eval_collapsed(model.right_collapsed, p_hat),
+        left_vals=vals[:config.r], right_vals=vals[config.r:],
     )
     realization = realize(data, rank_tol, order=model.m)
     flags = filter_in_domain(realization, model.domain)
@@ -230,16 +234,9 @@ def scalar_probe_eigenvalues(model, p_hat):
     Eigenvalue multiplicity is not visible along this path.
     """
     scalar = model.scalar_model if isinstance(model, OfflineModel) else model
-    p_hat = complex(p_hat)
-    d = np.abs(p_hat - scalar.p_nodes)
-    j = int(np.argmin(d))
-    if d[j] <= 1e-14:
-        beta = scalar.coeffs[:, j].copy()
-        gamma = beta * scalar.node_values[:, j]
-    else:
-        cp = 1.0 / (p_hat - scalar.p_nodes)
-        beta = scalar.coeffs @ cp
-        gamma = (scalar.coeffs * scalar.node_values) @ cp
+    cp = _cauchy(complex(p_hat), scalar.p_nodes)[0][0]
+    beta = scalar.coeffs @ cp
+    gamma = (scalar.coeffs * scalar.node_values) @ cp
     if np.max(np.abs(beta)) == 0.0:
         raise EvaluationError("all effective barycentric weights vanish")
     k = len(scalar.z_nodes)

@@ -375,12 +375,10 @@ class TestSolveCoefficients:
         pj = node_indices(greedy.p_nodes, p)
         alpha = paaa._solve_coefficients(G, s, p, zi, pj)
 
-        ia = np.setdiff1d(np.arange(len(s)), zi)
-        jb = np.setdiff1d(np.arange(len(p)), pj)
-        M = paaa._residual_rows(G, s, p, zi, pj, ia, jb)
+        M = paaa._residual_rows(G, s, p, zi, pj)
         # the stack's rows are those of its functions, one after the other
         np.testing.assert_array_equal(M, np.vstack([
-            paaa._residual_rows(G[:, :, f:f + 1], s, p, zi, pj, ia, jb)
+            paaa._residual_rows(G[:, :, f:f + 1], s, p, zi, pj)
             for f in range(G.shape[2])]))
         assert M.shape[0] > M.shape[1]
         v = np.linalg.svd(M, full_matrices=False)[2][-1].conj()
@@ -390,13 +388,16 @@ class TestSolveCoefficients:
         assert np.max(np.abs(alpha - phase * v)) <= 1e-12
 
     def test_wide_rows_give_unit_null_vector(self):
+        # 9 coefficients against 16 grid points, 9 of them node pairs whose
+        # rows are zero: the 7 others leave a null space
         rng = np.random.default_rng(5)
         s = np.arange(4.0)
         p = 10.0 + np.arange(4.0)
         D = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         zi, pj = [0, 1, 2], [0, 1, 2]
-        M = paaa._residual_rows(D[:, :, None], s, p, zi, pj, [3], [3])
-        assert M.shape == (7, 9)
+        M = paaa._residual_rows(D[:, :, None], s, p, zi, pj)
+        assert M.shape == (16, 9)
+        assert np.count_nonzero(np.any(M != 0, axis=1)) == 7
         alpha = paaa._solve_coefficients(D, s, p, zi, pj)
         assert abs(np.linalg.norm(alpha) - 1.0) <= 1e-14
         assert np.linalg.norm(M @ alpha.ravel()) <= 1e-12 * np.linalg.norm(M)
@@ -416,6 +417,28 @@ class TestEvalModel:
         expected = np.sum(weights * model.node_values[0]) / np.sum(weights)
         assert abs(got - expected) <= 1e-14
         assert abs(got - 1.0 / (xi - w_test)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_grid_matches_pointwise(self, n):
+        # off-node points, then the nodes: z-node rows, p-node columns and
+        # node pairs
+        s = np.linspace(1.0, 2.0, 10)
+        p = np.linspace(4.0, 5.0, 10)
+        model = paaa_fit(1.0 / (s[:, None] - p[None, :]), s, p)
+        if n is not None:
+            rng = np.random.default_rng(3)
+            shape = model.node_values.shape + (n,)
+            model = lift_vector(model, rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape))
+        zs = np.concatenate([[1.05, 1.5 + 0.1j], model.z_nodes])
+        ps = np.concatenate([[4.33, 4.7 - 0.2j], model.p_nodes])
+        F = paaa._eval_grid(model, zs, ps)[0]
+        assert F.shape == (len(zs), len(ps)) + model.node_values.shape[2:]
+        for a, z in enumerate(zs):
+            for b, w in enumerate(ps):
+                want = eval_model(model, z, w)
+                assert np.all(np.abs(F[a, b] - want) <= 1e-14 * np.abs(want))
+        np.testing.assert_array_equal(F[2:, 2:], model.node_values)
 
     def test_analytic_value_off_grid(self):
         s = np.linspace(1.0, 2.0, 10)

@@ -122,28 +122,34 @@ class TestOffline:
 
     def test_fit_error_describes_lifts(self):
         # tangential_error measures what online reads against the probed
-        # tangential data at every parameter sample, on both sides
+        # tangential data at every parameter sample, on both sides, and
+        # converged follows it: delay's refit stack misses 1e-11, but what
+        # online reads does not, so offline does not warn
         problem = get_problem("delay")
         domain = Disk(0.0, 0.075)
         config = default_sampling(domain, 20, 40, (30.0, 35.0), seed=0,
                                   dim=problem.dim)
-        model = offline(problem, domain, config, 128, fit_opts={"tol": 1e-11})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            model = offline(problem, domain, config, 128,
+                            fit_opts={"tol": 1e-11})
         samples = probe_samples(problem, build_trapezoid_rule(domain, 128),
                                 config, domain)
+        want = np.concatenate([
+            samples.left[np.arange(config.r), config.left_indices],
+            samples.right[np.arange(config.r), config.right_indices]])
         worst = 0.0
-        for collapsed, idx, data in (
-                (model.left_collapsed, config.left_indices, samples.left),
-                (model.right_collapsed, config.right_indices, samples.right)):
-            want = data[np.arange(config.r), idx]          # (r, q, n)
-            for j, pj in enumerate(config.parameter_points):
-                got = eval_collapsed(collapsed, pj)
-                worst = max(worst, np.max(
-                    np.linalg.norm(got - want[:, j], axis=1)
-                    / np.linalg.norm(want[:, j], axis=1)))
+        for j, pj in enumerate(config.parameter_points):
+            got = eval_collapsed(model.collapsed, pj)
+            worst = max(worst, np.max(
+                np.linalg.norm(got - want[:, j], axis=1)
+                / np.linalg.norm(want[:, j], axis=1)))
         error = model.metadata["tangential_error"]
         assert model.metadata["max_fit_error"] == model.scalar_model.max_error
         assert error <= 10 * model.metadata["max_fit_error"]
         np.testing.assert_allclose(error, worst, rtol=1e-3)
+        assert not model.scalar_model.converged
+        assert model.metadata["converged"] and error <= 1e-11
 
     def test_single_blas_thread_builds_same_model(self, delay):
         # the pinned delay model built in a child process on one BLAS thread
@@ -196,29 +202,29 @@ class TestCollapsedLifts:
         p_off = list(rng.uniform(lo, hi, 5))
         p_off.append((lo + hi) / 2 + 0.01j * (hi - lo))
         on_line = 0
-        for points, collapsed, vals, rows in (
-                (config.left_points, model.left_collapsed, model.left_vals,
-                 samples.left[np.arange(config.r), config.left_indices]),
-                (config.right_points, model.right_collapsed,
-                 model.right_vals,
-                 samples.right[np.arange(config.r), config.right_indices])):
-            # the stored values are the exact samples at the p-nodes
-            np.testing.assert_allclose(vals, rows[:, pj], rtol=1e-14, atol=0)
-            for k, z in enumerate(points):
-                line = np.flatnonzero(np.abs(z - scalar.z_nodes) <= 1e-14)
-                on_line += len(line)
-                d = (scalar.coeffs[line[0]] if len(line)
-                     else (1.0 / (z - scalar.z_nodes)) @ scalar.coeffs)
-                for p_hat in p_off:
-                    c = d / (p_hat - scalar.p_nodes)
-                    want = (c @ vals[k]) / np.sum(c)
-                    got = eval_collapsed(collapsed, complex(p_hat))[k]
-                    assert (np.linalg.norm(got - want)
-                            <= 1e-13 * np.linalg.norm(want))
-            for j in range(len(scalar.p_nodes)):
-                np.testing.assert_allclose(
-                    eval_collapsed(collapsed, scalar.p_nodes[j]),
-                    rows[:, pj[j]], rtol=1e-14, atol=0)
+        # theta_1..theta_r, then sigma_1..sigma_r
+        points = np.concatenate([config.left_points, config.right_points])
+        vals = np.concatenate([model.left_vals, model.right_vals])
+        rows = np.concatenate([
+            samples.left[np.arange(config.r), config.left_indices],
+            samples.right[np.arange(config.r), config.right_indices]])
+        # the stored values are the exact samples at the p-nodes
+        np.testing.assert_allclose(vals, rows[:, pj], rtol=1e-14, atol=0)
+        for k, z in enumerate(points):
+            line = np.flatnonzero(np.abs(z - scalar.z_nodes) <= 1e-14)
+            on_line += len(line)
+            d = (scalar.coeffs[line[0]] if len(line)
+                 else (1.0 / (z - scalar.z_nodes)) @ scalar.coeffs)
+            for p_hat in p_off:
+                c = d / (p_hat - scalar.p_nodes)
+                want = (c @ vals[k]) / np.sum(c)
+                got = eval_collapsed(model.collapsed, complex(p_hat))[k]
+                assert (np.linalg.norm(got - want)
+                        <= 1e-13 * np.linalg.norm(want))
+        for j in range(len(scalar.p_nodes)):
+            np.testing.assert_allclose(
+                eval_collapsed(model.collapsed, scalar.p_nodes[j]),
+                rows[:, pj[j]], rtol=1e-14, atol=0)
         if name == "delay":
             assert on_line == 5
 
@@ -236,7 +242,7 @@ class TestCollapsedLifts:
                              scalar_model=scalar, left_vals=vals,
                              right_vals=vals)
         with pytest.raises(EvaluationError):
-            eval_collapsed(model.left_collapsed, 0.5)
+            eval_collapsed(model.collapsed, 0.5)
         with pytest.raises(EvaluationError, match="denominator underflow"):
             online(model, 0.5)
 
@@ -524,3 +530,13 @@ def test_benchmark_tracer_binds_every_wrapped_name():
     finally:
         tracer.restore()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_every_exported_name_resolves():
+    # a stale entry of pnlevp.__all__ fails `from pnlevp import *`
+    src_dir = os.path.dirname(os.path.dirname(pnlevp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "from pnlevp import *"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
