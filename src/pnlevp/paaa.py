@@ -13,7 +13,8 @@ matrices 1/(z - xi_i) and 1/(p - pi_j) of _cauchy, in which a point within
 node's terms, the 1-D barycentric limit on its line, and a node pair gives
 its node value.  Nodes are picked greedily at the worst-error grid point;
 the unit-norm coefficients a_ij minimize the linearized residual over the
-grid in a least-squares sense.  Once the nodes are fixed,
+grid in a least-squares sense, its rows filled and QR-reduced a block at a
+time so that the whole row matrix is never held.  Once the nodes are fixed,
 refit_coefficients re-solves the coefficients against a stack of grid
 functions sharing those nodes (the set-valued AAA idea), so one set of
 coefficients serves every function in the stack.  collapse_lifts turns
@@ -26,13 +27,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvaluationError, RankConsistencyError
-from .loewner import (_SKETCH_SEED, TangentialData, _dominant_left,
-                      build_loewner, numerical_rank)
+from .loewner import _SKETCH_SEED, _dominant_left, numerical_rank
 
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
 # initial sketch width of the rank check; doubled while the count fills it
 _RANK_SKETCH = 16
+# rows of M filled and reduced at a time by _solve_coefficients
+_BLOCK_ROWS = 2048
 
 _log = logging.getLogger(__name__)
 
@@ -95,15 +97,13 @@ def tangential_samples(config, H):
 
 
 def _parameter_loewner(samples, config):
-    """The Loewner matrix L of each parameter sample p_j, in order."""
+    """The Loewner matrix L of each parameter sample p_j, in order, as
+    build_loewner forms it, without the shifted matrix."""
     b, c = tangential_samples(config, samples.H)
+    D = config.left_points[:, None] - config.right_points[None, :]
     for j in range(config.q):
-        L, _ = build_loewner(TangentialData(
-            theta=config.left_points, sigma=config.right_points,
-            left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-            left_vals=b[:, j], right_vals=c[:, j],
-        ))
-        yield L
+        yield (b[:, j] @ config.right_dirs.T
+               - config.left_dirs @ c[:, j].T) / D
 
 
 def _sketched_rank(L, rank_tol):
@@ -271,41 +271,64 @@ def _solve_coefficients(D, s, p, zi, pj):
     D is one grid function (ns, np) or a stack of them (ns, np, k); a stack
     contributes the rows of each of its functions.  The coefficients are the
     last right singular vector of the stacked row matrix M, which has a row
-    for every grid point and so is never wide.  M is first reduced to its
-    square triangular factor R (M = QR), whose right singular vectors are
-    those of M, so no factor of M's height is formed.
+    for every grid point and so is never wide.  M itself is never formed:
+    its rows are filled in blocks of at most _BLOCK_ROWS into one buffer,
+    each block is reduced to its triangular QR factor, and the stacked
+    factors are reduced once more to the square factor R of M (TSQR;
+    Demmel, Grigori, Hoemmen & Langou, SISC 2012), whose right singular
+    vectors are those of M.
     """
     nz, npj = len(zi), len(pj)
     if nz == len(s) or npj == len(p):
         alpha = np.ones((nz, npj), dtype=complex)
         return alpha / np.linalg.norm(alpha)
-    M = _residual_rows(D.reshape(D.shape[:2] + (-1,)), s, p, zi, pj)
-    _, _, Vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
+    G = D.reshape(D.shape[:2] + (-1,))
+    factors = _row_factors(G, s, p, zi, pj)
+    buf = np.empty((min(_BLOCK_ROWS, G.size), nz * npj), dtype=complex)
+    R = np.vstack([
+        np.linalg.qr(_residual_rows(G, s, p, zi, pj, start,
+                                    buf[:G.size - start], factors), mode="r")
+        for start in range(0, G.size, len(buf))])
+    _, _, Vh = np.linalg.svd(np.linalg.qr(R, mode="r"))
     alpha = Vh[-1].conj().reshape(nz, npj)
     return alpha / np.linalg.norm(alpha)
 
 
-def _residual_rows(G, s, p, zi, pj):
-    """Linearized-residual rows of the grid functions G[:, :, f] at every
-    grid point, stacked function by function into one preallocated matrix.
+def _row_factors(G, s, p, zi, pj):
+    """The Cauchy matrices Cz (ns, mz) and Cp (np, mp) of _cauchy and the
+    node values (mz, mp, k) from which _residual_rows builds its rows."""
+    return _cauchy(s, s[zi])[0], _cauchy(p, p[pj])[0], G[np.ix_(zi, pj)]
 
-    The row of point (s_a, p_b) holds (D(s_a, p_b) - D(xi_i, pi_j)) times
-    Cz[a, i] Cp[b, j] at coefficient (i, j), with the Cauchy matrices of
-    _cauchy.  On a node line it is therefore the 1-D barycentric row of
-    that node, and a node pair, which is interpolated exactly, gives a zero
-    row.
+
+def _residual_rows(G, s, p, zi, pj, start=0, out=None, factors=None):
+    """Rows start, start + 1, ... of the linearized-residual matrix M of the
+    grid functions G[:, :, f], written into out and returned (by default a
+    new array holding every row from start on).
+
+    M holds the rows of each function one after another, and a function's
+    rows run over the grid points (s_a, p_b), b fastest.  The row of point
+    (s_a, p_b) holds (D(s_a, p_b) - D(xi_i, pi_j)) times Cz[a, i] Cp[b, j]
+    at coefficient (i, j).  On a node line it is therefore the 1-D
+    barycentric row of that node, and a node pair, which is interpolated
+    exactly, gives a zero row.  factors is _row_factors(G, s, p, zi, pj),
+    formed here when not given; a caller that fills M block by block forms
+    it once.
     """
-    Cz, _ = _cauchy(s, s[zi])
-    Cp, _ = _cauchy(p, p[pj])
-    ns, nq, nf = G.shape
-    M = np.empty((nf * ns * nq, len(zi) * len(pj)), dtype=complex)
-    rows = M.reshape(nf, ns, nq, len(zi), len(pj))
-    Gf = np.moveaxis(G, 2, 0)
-    np.subtract(Gf[..., None, None], Gf[:, zi][:, :, pj][:, None, None],
-                out=rows)
-    rows *= Cz[:, None, :, None]
-    rows *= Cp[None, :, None, :]
-    return M
+    nq = G.shape[1]
+    n = G.shape[0] * nq  # rows per function
+    if out is None:
+        out = np.empty((G.size - start, len(zi) * len(pj)), dtype=complex)
+    Cz, Cp, N = factors or _row_factors(G, s, p, zi, pj)
+    stop = start + len(out)
+    rows = out.reshape(len(out), len(zi), len(pj))
+    for f in range(start // n, (stop - 1) // n + 1):
+        lo, hi = max(start, f * n), min(stop, (f + 1) * n)
+        a, b = np.divmod(np.arange(lo, hi) - f * n, nq)
+        block = rows[lo - start:hi - start]
+        np.subtract(G[a, b, f][:, None, None], N[:, :, f], out=block)
+        block *= Cz[a, :, None]
+        block *= Cp[b, None, :]
+    return out
 
 
 def _eval_grid(model, s, p):

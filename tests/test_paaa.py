@@ -1,6 +1,7 @@
 """Tests for bivariate barycentric fitting and the rank consistency check."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pnlevp import paaa
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
     probe_samples
 from pnlevp.errors import RankConsistencyError
-from pnlevp.loewner import numerical_rank
+from pnlevp.loewner import TangentialData, build_loewner, numerical_rank
 from pnlevp.paaa import (consistency_rank_check, eval_model, lift_vector,
                          node_indices, paaa_fit, refit_coefficients)
 from pnlevp.problems import (LinearDemoProblem, SyntheticRationalProblem,
@@ -50,6 +51,20 @@ def full_svd_calls(monkeypatch):
 
     monkeypatch.setattr(paaa, "numerical_rank", counted)
     return calls
+
+
+def _record_blocks(monkeypatch):
+    """Copies of the row blocks that _solve_coefficients fills, in order."""
+    blocks = []
+    fill = paaa._residual_rows
+
+    def recorded(*args):
+        rows = fill(*args)
+        blocks.append(rows.copy())
+        return rows
+
+    monkeypatch.setattr(paaa, "_residual_rows", recorded)
+    return blocks
 
 
 def _planted(singular_values, seed=0):
@@ -97,6 +112,18 @@ class TestConsistencyRankCheck:
 
 
 class TestSketchedRank:
+    @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
+    def test_parameter_loewner_is_build_loewner(self, probed, request):
+        config, samples = request.getfixturevalue(probed)
+        b, c = paaa.tangential_samples(config, samples.H)
+        Ls = list(paaa._parameter_loewner(samples, config))
+        assert len(Ls) == config.q
+        for j, L in enumerate(Ls):
+            np.testing.assert_array_equal(L, build_loewner(TangentialData(
+                theta=config.left_points, sigma=config.right_points,
+                left_dirs=config.left_dirs, right_dirs=config.right_dirs,
+                left_vals=b[:, j], right_vals=c[:, j]))[0])
+
     @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
     def test_probed_loewner_matrices(self, probed, request, full_svd_calls):
         config, samples = request.getfixturevalue(probed)
@@ -363,7 +390,8 @@ class TestRefitCoefficients:
 
 class TestSolveCoefficients:
     def test_qr_first_matches_full_svd_on_delay_refit_stack(self,
-                                                             delay_probed):
+                                                             delay_probed,
+                                                             monkeypatch):
         config, samples = delay_probed
         s, p = config.sample_points, config.parameter_points
         D = (config.left_dirs.mean(axis=0) @ samples.H
@@ -373,19 +401,72 @@ class TestSolveCoefficients:
         G = G / np.max(np.abs(G), axis=(0, 1))
         zi = node_indices(greedy.z_nodes, s)
         pj = node_indices(greedy.p_nodes, p)
+        blocks = _record_blocks(monkeypatch)
         alpha = paaa._solve_coefficients(G, s, p, zi, pj)
 
-        M = paaa._residual_rows(G, s, p, zi, pj)
-        # the stack's rows are those of its functions, one after the other
+        # the stack's rows, concatenated from the blocks, are those of its
+        # functions, one after the other
+        assert len(blocks) > 1
+        M = np.vstack(blocks)
         np.testing.assert_array_equal(M, np.vstack([
             paaa._residual_rows(G[:, :, f:f + 1], s, p, zi, pj)
             for f in range(G.shape[2])]))
         assert M.shape[0] > M.shape[1]
-        v = np.linalg.svd(M, full_matrices=False)[2][-1].conj()
-        v = v.reshape(alpha.shape) / np.linalg.norm(v)
+        _, sv, Vh = np.linalg.svd(M, full_matrices=False)
+        eps = np.finfo(float).eps
+        # the residual is minimal up to rounding of M
+        assert np.linalg.norm(M @ alpha.ravel()) <= sv[-1] + 10 * eps * sv[0]
+        # this stack's last two singular values lie 4.7e-11 sigma_0 apart,
+        # so the null vector is defined only to the first-order (Wedin)
+        # bound eps sigma_0 / (sigma_{n-1} - sigma_n) on its rounding
+        v = Vh[-1].conj().reshape(alpha.shape)
         phase = np.vdot(v, alpha)
         phase /= abs(phase)
-        assert np.max(np.abs(alpha - phase * v)) <= 1e-12
+        assert (np.linalg.norm(alpha - phase * v)
+                <= eps * sv[0] / (sv[-2] - sv[-1]))
+
+    @pytest.mark.parametrize("block_rows", [7, 50])
+    def test_block_boundaries_leave_coefficients(self, block_rows,
+                                                 monkeypatch):
+        # two functions with the common denominator Q of degree (2, 2),
+        # exactly rational on 3 x 3 nodes, so that the null vector is well
+        # separated; 12 x 9 points give 216 rows, a multiple of neither
+        # block size, and node lines of q = 9 rows that blocks of 7 cut
+        s = 1j * np.linspace(-1.0, 1.0, 12)
+        p = np.linspace(1.0, 2.0, 9)
+        z, w = s[:, None], p[None, :]
+        Q = (z - w - 3.0) * (z * w + 2.0)
+        G = np.stack([1.0 / Q, (z + w) / Q], axis=2)
+        zi, pj = [0, 5, 11], [1, 4, 8]
+        monkeypatch.setattr(paaa, "_BLOCK_ROWS", G.size)
+        whole = paaa._solve_coefficients(G, s, p, zi, pj)
+        monkeypatch.setattr(paaa, "_BLOCK_ROWS", block_rows)
+        blocks = _record_blocks(monkeypatch)
+        alpha = paaa._solve_coefficients(G, s, p, zi, pj)
+        assert max(len(b) for b in blocks) == block_rows
+        np.testing.assert_array_equal(
+            np.vstack(blocks), paaa._residual_rows(G, s, p, zi, pj))
+        phase = np.vdot(whole, alpha)
+        phase /= abs(phase)
+        assert np.max(np.abs(alpha - phase * whole)) <= 1e-12
+
+    def test_solve_memory_stays_in_blocks(self):
+        # a stack of damped-string-1's size: 5 functions on 500 x 25 points,
+        # 5 x 11 nodes, so M would be 62,500 x 55 complex (55 MB)
+        rng = np.random.default_rng(0)
+        shape = (500, 25, 5)
+        G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = np.exp(2j * np.pi * np.arange(500) / 500)
+        p = np.linspace(3.0, 4.0, 25)
+        zi, pj = list(range(0, 500, 100)), list(range(0, 22, 2))
+        tracemalloc.start()
+        try:
+            alpha = paaa._solve_coefficients(G, s, p, zi, pj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alpha.shape == (5, 11)
+        assert peak <= 16 * 2**20
 
     def test_wide_rows_give_unit_null_vector(self):
         # 9 coefficients against 16 grid points, 9 of them node pairs whose
