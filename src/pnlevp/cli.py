@@ -180,6 +180,9 @@ def cmd_online(args):
         }
         if res is not None:
             doc["residuals"] = res
+        gap = sol.diagnostics.get("rank_gap", np.inf)
+        doc["rank_gap"] = gap if np.isfinite(gap) else None
+        doc["discarded_infinite"] = sol.diagnostics.get("discarded_infinite", 0)
         text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [f"{'Re(lambda)':>24} {'Im(lambda)':>24} {'in_domain':>9}"

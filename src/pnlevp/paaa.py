@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvaluationError, RankConsistencyError
-from .loewner import _SKETCH_SEED, _dominant_left, numerical_rank
+from .loewner import _SKETCH_SEED, _dominant_left, _loewner, numerical_rank
 
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
@@ -102,8 +102,8 @@ def _parameter_loewner(samples, config):
     b, c = tangential_samples(config, samples.H)
     D = config.left_points[:, None] - config.right_points[None, :]
     for j in range(config.q):
-        yield (b[:, j] @ config.right_dirs.T
-               - config.left_dirs @ c[:, j].T) / D
+        yield _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j],
+                       D)
 
 
 def _sketched_rank(L, rank_tol):

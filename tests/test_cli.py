@@ -120,6 +120,14 @@ class TestOnline:
         assert all(flag for flag in doc["in_domain"])
         assert max(doc["residuals"]) <= 1e-6
 
+    def test_json_reports_rank_diagnostics(self, delay_model):
+        proc = run_cli("online", "--model", str(delay_model), "--p", "32.5",
+                       "--json")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["rank_gap"] > 1e8
+        assert doc["discarded_infinite"] == 0
+
     def test_missing_model_exits_1(self, tmp_path):
         proc = run_cli("online", "--model", str(tmp_path / "absent.json"),
                        "--p", "30")

@@ -1,11 +1,15 @@
 """Tests for Loewner matrix assembly and eigenvalue realization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pnlevp.contour import Disk
-from pnlevp.loewner import (TangentialData, build_loewner, eigenvalue_order,
-                            filter_in_domain, numerical_rank, realize)
+from pnlevp.loewner import (_OVERSAMPLING, TangentialData, _sketches,
+                            build_loewner, eigenvalue_order, filter_in_domain,
+                            numerical_rank, realize)
 from pnlevp.problems import SyntheticRationalProblem
 
 
@@ -85,6 +89,24 @@ class TestBuildLoewner:
                 left_dirs=np.ones((2, 1)), right_dirs=np.ones((2, 1)),
                 left_vals=np.ones((2, 1)), right_vals=np.ones((2, 1)),
             )
+
+    def test_signed_zero_tie_rejected(self):
+        # |0.0 - (-0.0)| == 0: a tie, whatever the sign of the zero
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            TangentialData(
+                theta=np.array([0.0, 1.0]), sigma=np.array([-0.0, 3.0]),
+                left_dirs=np.ones((2, 1)), right_dirs=np.ones((2, 1)),
+                left_vals=np.ones((2, 1)), right_vals=np.ones((2, 1)),
+            )
+
+    def test_near_tie_accepted(self):
+        near = np.nextafter(2.0, 3.0)
+        data = TangentialData(
+            theta=np.array([1.0, 2.0]), sigma=np.array([near, 3.0 + 1j]),
+            left_dirs=np.ones((2, 1)), right_dirs=np.ones((2, 1)),
+            left_vals=np.ones((2, 1)), right_vals=np.ones((2, 1)),
+        )
+        assert data.sigma[0] == near
 
 
 class TestNumericalRank:
@@ -264,6 +286,119 @@ class TestRealize:
         np.testing.assert_array_equal(again.eigenvalues, sketched.eigenvalues)
         np.testing.assert_array_equal(again.V, sketched.V)
         np.testing.assert_array_equal(again.W, sketched.W)
+
+
+def _three_pole_data(r=14):
+    """Exact tangential data of a 3-pole synthetic problem at p = 0.6, as in
+    test_sketched_truncation_matches_exact."""
+    domain = Disk(0.0, 1.0)
+    prob = SyntheticRationalProblem.inside_domain(domain, 3, (0.0, 1.0),
+                                                  seed=13)
+    p = 0.6
+    rng = np.random.default_rng(113)
+    theta = 1.5 * np.exp(2j * np.pi * np.arange(r) / (2 * r))
+    sigma = 1.5 * np.exp(2j * np.pi * (np.arange(r) + 0.5) / (2 * r))
+    ld = _random_dirs(rng, r, prob.dim)
+    rd = _random_dirs(rng, r, prob.dim)
+    b = np.array([prob.exact_H(t, p).T @ l for t, l in zip(theta, ld)])
+    c = np.array([prob.exact_H(s, p) @ v for s, v in zip(sigma, rd)])
+    return TangentialData(theta=theta, sigma=sigma, left_dirs=ld,
+                          right_dirs=rd, left_vals=b, right_vals=c)
+
+
+def _explicit_realize(data, m, order=None):
+    """Eigenvalues and sketched singular values of the pencil formed
+    explicitly: L and Ls from build_loewner, the blocks [L Ls] and [L; Ls]^H
+    stacked, and their leading singular pairs from the same Gaussian draws
+    and a full SVD of each sketched block."""
+    L, Ls = build_loewner(data)
+    k_row, k_col = L.shape
+    if order is not None:
+        k_row = min(k_row, order + _OVERSAMPLING)
+        k_col = min(k_col, order + _OVERSAMPLING)
+    G_row, G_col = _sketches(L.shape, k_row, k_col)
+
+    def dominant_left(A, G):
+        Q, _ = np.linalg.qr(A @ G)
+        U, s, _ = np.linalg.svd(Q.conj().T @ A, full_matrices=False)
+        return Q @ U, s
+
+    X, s_row = dominant_left(np.hstack([L, Ls]), G_row)
+    Ys, s_col = dominant_left(np.vstack([L, Ls]).conj().T, G_col)
+    Xh, Ys = X[:, :m].conj().T, Ys[:, :m]
+    lam = scipy.linalg.eigvals(Xh @ Ls @ Ys, Xh @ L @ Ys)
+    return lam[eigenvalue_order(lam)], (s_row, s_col)
+
+
+class TestStructuredRealize:
+    """realize forms only L; the pencil it projects must be the one formed
+    explicitly from L and Ls."""
+
+    # with noise the trailing sketched values and the projected eigenvalues
+    # depend on the sketch draws and on which singular vectors are kept
+    @pytest.mark.parametrize("order, lengths, noise", [(3, [11, 11], 0.0),
+                                                       (None, [14, 14], 0.0),
+                                                       (3, [11, 11], 1e-6)])
+    def test_matches_explicit_pencil(self, order, lengths, noise):
+        data = _three_pole_data()
+        rng = np.random.default_rng(8)
+        shape = data.left_vals.shape
+        data = TangentialData(
+            theta=data.theta, sigma=data.sigma,
+            left_dirs=data.left_dirs, right_dirs=data.right_dirs,
+            left_vals=data.left_vals + noise * _random_dirs(rng, *shape),
+            right_vals=data.right_vals + noise * _random_dirs(rng, *shape),
+        )
+        out = realize(data, order=order)
+        lam, svals = _explicit_realize(data, out.rank, order)
+        assert out.rank == 3
+        assert [len(s) for s in out.singular_values] == lengths
+        np.testing.assert_allclose(out.eigenvalues, lam,
+                                   rtol=1e-12, atol=0.0)
+        for got, want in zip(out.singular_values, svals):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-13 * want[0])
+
+    def test_rank_gap(self):
+        data = _three_pole_data()
+        # the mirrored data have L^T for L, so the row and column sides trade
+        # places and each side gives the smaller gap once
+        mirror = TangentialData(
+            theta=data.sigma, sigma=data.theta,
+            left_dirs=data.right_dirs, right_dirs=data.left_dirs,
+            left_vals=data.right_vals, right_vals=data.left_vals,
+        )
+        for d in (data, mirror):
+            sketched = realize(d, order=3)
+            s_row, s_col = sketched.singular_values
+            gap = sketched.diagnostics["rank_gap"]
+            assert gap == min(s_row[2] / s_row[3], s_col[2] / s_col[3])
+            assert gap > 1e8
+        # a 1x1 pencil holds no value past m = 1
+        one = TangentialData(
+            theta=np.array([2.0]), sigma=np.array([3.0]),
+            left_dirs=np.array([[1.0]]), right_dirs=np.array([[1.0]]),
+            left_vals=np.array([[0.5]]), right_vals=np.array([[1.0 / 3.0]]),
+        )
+        assert realize(one).diagnostics["rank_gap"] == np.inf
+
+    def test_memory_stays_below_four_r_by_r_matrices(self):
+        rng = np.random.default_rng(17)
+        n, r = 3, 250
+        residues = [(_random_dirs(rng, 1, n)[0], _random_dirs(rng, 1, n)[0])
+                    for _ in range(4)]
+        theta = 2.0 * np.exp(2j * np.pi * np.arange(r) / (2 * r))
+        sigma = 2.0 * np.exp(2j * np.pi * (np.arange(r) + 0.5) / (2 * r))
+        data, _ = _pole_data([0.3, -0.2, 0.1j, -0.4j], residues, theta, sigma,
+                             _random_dirs(rng, r, n), _random_dirs(rng, r, n))
+        tracemalloc.start()
+        try:
+            out = realize(data, order=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.rank == 4
+        assert peak <= 4 * r * r * 16
 
 
 class TestEigenvalueOrder:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pnlevp
-from pnlevp import paaa, solver
+from pnlevp import benchmarks, paaa, solver
 from pnlevp.contour import (Disk, ProbedSampleSet, build_trapezoid_rule,
                             default_sampling, probe_samples)
 from pnlevp.errors import EvaluationError, ModelFormatError
@@ -292,6 +292,22 @@ class TestOnline:
         lam = online(model, 0.61).eigenvalues
         key = list(zip(lam.real, lam.imag))
         assert key == sorted(key)
+
+    def test_sweep_answers_each_parameter_by_one_online_call(
+            self, synthetic3, monkeypatch):
+        # the benchmark times every answer by wrapping benchmarks.online
+        problem, model = synthetic3
+        asked = []
+
+        def counted(model, p_hat):
+            asked.append(p_hat)
+            return online(model, p_hat)
+
+        monkeypatch.setattr(benchmarks, "online", counted)
+        p_values = np.linspace(0.1, 0.9, 5)
+        data = benchmarks.sweep(problem, model, p_values)
+        np.testing.assert_array_equal(asked, p_values)
+        assert np.isfinite(data["max_residuals"]).all()
 
     def test_extrapolation_warns(self, linear1):
         _, model = linear1
