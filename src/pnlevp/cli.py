@@ -10,6 +10,7 @@ stream.  Exit codes: 0 ok, 1 I/O, 2 usage or assumption violation,
 
 import argparse
 import json
+import logging
 import sys
 import time
 
@@ -33,6 +34,11 @@ EXIT_NUMERICAL = 3
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    log = logging.getLogger("pnlevp")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     # the package's errors subclass ValueError, so they go first
     try:
         return args.func(args)
@@ -45,6 +51,9 @@ def main(argv=None):
     except (RankConsistencyError, UnsupportedProblemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def _build_parser():
@@ -53,6 +62,8 @@ def _build_parser():
         description="Parametric nonlinear eigenvalue solver "
                     "(contour sampling + Loewner realization).",
     )
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="print the pnlevp DEBUG records to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_off = sub.add_parser("offline", help="sample a problem and fit a model")
@@ -64,7 +75,8 @@ def _build_parser():
     p_off.add_argument("--q", type=int, required=True,
                        help="number of parameter sample points")
     p_off.add_argument("--r", type=int, required=True,
-                       help="number of left/right probing directions")
+                       help="number of left/right probing directions; the "
+                            "model keeps r_online <= r of them for online")
     p_off.add_argument("--N", type=int, required=True,
                        help="number of quadrature nodes")
     p_off.add_argument("--seed", type=int, default=0)
@@ -162,6 +174,9 @@ def cmd_offline(args):
     print(f"max fit error = {meta['max_fit_error']:.3e}", file=sys.stderr)
     print(f"tangential error = {meta['tangential_error']:.3e} "
           f"(converged: {meta['converged']})", file=sys.stderr)
+    print(f"rank gap = {meta['rank_gap'] or np.inf:.3e}", file=sys.stderr)
+    print(f"online directions: {meta['r_online']} of {meta['r_probed']}",
+          file=sys.stderr)
     print(f"wall time = {elapsed:.2f} s", file=sys.stderr)
     print(f"model written to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -183,6 +198,7 @@ def cmd_online(args):
         gap = sol.diagnostics.get("rank_gap", np.inf)
         doc["rank_gap"] = gap if np.isfinite(gap) else None
         doc["discarded_infinite"] = sol.diagnostics.get("discarded_infinite", 0)
+        doc["min_denominator"] = sol.diagnostics["min_denominator"]
         text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [f"{'Re(lambda)':>24} {'Im(lambda)':>24} {'in_domain':>9}"

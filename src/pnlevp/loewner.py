@@ -136,13 +136,14 @@ def eigenvalue_order(values):
 
 
 def _dominant_left(A, k, rng):
-    """Leading k left singular vectors and values of A, from a Gaussian
-    sketch of its range (exact when k = A.shape[0])."""
+    """Leading k left singular vectors, values and right singular vectors
+    (as rows) of A, from a Gaussian sketch of its range (exact when
+    k = A.shape[0])."""
     shape = (A.shape[1], k)
     G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     Q, _ = np.linalg.qr(A @ G)
-    U, s, _ = np.linalg.svd(Q.conj().T @ A, full_matrices=False)
-    return Q @ U, s
+    U, s, Vh = np.linalg.svd(Q.conj().T @ A, full_matrices=False)
+    return Q @ U, s, Vh
 
 
 def _left_pairs(Q, block_h):

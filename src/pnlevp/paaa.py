@@ -55,7 +55,7 @@ class BarycentricModel2D:
         return eval_model(self, z, p)
 
 
-def consistency_rank_check(samples, config, rank_tol=1e-10):
+def consistency_rank_check(samples, config, rank_tol=1e-10, info=None):
     """Common rank of the per-parameter Loewner matrices.
 
     The rank equals the eigenvalue count m inside the domain; the parametric
@@ -65,26 +65,35 @@ def consistency_rank_check(samples, config, rank_tol=1e-10):
     (see _sketched_rank): the sketch is certified by Weyl's bound to give
     the full-SVD count, and the full SVD runs only where it is not.  One
     DEBUG record on the "pnlevp.paaa" logger holds the ranks, the smallest
-    certified lower bound on sigma_m / sigma_{m+1} and the fallback count.
+    sigma_m / sigma_{m+1} and the fallback count.
+
+    A dict `info` receives "rank_gap", that smallest sigma_m / sigma_{m+1}
+    (the certified bound, or the full-SVD value on a fallback), and
+    "bases", per parameter the singular triplet (X, s, Vh) of L cut to m.
     """
-    ranks, gaps = [], []
+    ranks, gaps, bases, fallbacks = [], [], [], 0
     for L in _parameter_loewner(samples, config):
-        rank, gap = _sketched_rank(L, rank_tol)
+        rank, gap, basis = _sketched_rank(L, rank_tol)
+        if basis is None:
+            fallbacks += 1
+            U, s, Vh = np.linalg.svd(L)
+            gap = (s[rank - 1] / s[rank] if 0 < rank < len(s) and s[rank] > 0
+                   else np.inf)
+            basis = U[:, :rank].copy(), s[:rank], Vh[:rank].copy()
         ranks.append(rank)
-        gaps.append(gap)
-    certified = [g for g in gaps if g is not None]
+        gaps.append(float(gap))
+        bases.append(basis)
     _log.debug(
-        "rank check: ranks %s, min certified sigma_m/sigma_m+1 %s, "
-        "full-SVD fallbacks %d of %d", ranks,
-        f"{min(certified):.3e}" if certified else "n/a",
-        len(gaps) - len(certified), len(gaps),
-    )
+        "rank check: ranks %s, min sigma_m/sigma_m+1 %.3e, "
+        "full-SVD fallbacks %d of %d", ranks, min(gaps), fallbacks, len(gaps))
     if len(set(ranks)) != 1:
         raise RankConsistencyError(
             "eigenvalue count inside the domain varies across parameter "
             f"samples; per-parameter Loewner ranks: {ranks}",
             ranks=ranks,
         )
+    if info is not None:
+        info.update(rank_gap=min(gaps), bases=bases)
     return ranks[0]
 
 
@@ -108,8 +117,9 @@ def _parameter_loewner(samples, config):
 
 def _sketched_rank(L, rank_tol):
     """numerical_rank(L, rank_tol) from a sketch of the leading singular
-    values, and a certified lower bound on sigma_m / sigma_{m+1} (inf when
-    m = 0, None when the full SVD decides).
+    values, a certified lower bound on sigma_m / sigma_{m+1} (inf when
+    m = 0) and the sketch's leading singular triplet (X, s, Vh) truncated to
+    m; bound and triplet are None when the full SVD decides.
 
     X spans a Gaussian sketch of width k of L's range, s the singular values
     of X^H L, and e = ||L - X X^H L||_F (plus a rounding allowance) bounds
@@ -124,7 +134,7 @@ def _sketched_rank(L, rank_tol):
     rng = np.random.default_rng(_SKETCH_SEED)
     k = _RANK_SKETCH
     while k < min(L.shape):
-        X, s = _dominant_left(L, k, rng)
+        X, s, Vh = _dominant_left(L, k, rng)
         e = (np.linalg.norm(L - X @ (X.conj().T @ L))
              + k * np.finfo(float).eps * np.linalg.norm(L))
         lo, hi = rank_tol * s[0], rank_tol * (s[0] + e)
@@ -134,9 +144,10 @@ def _sketched_rank(L, rank_tol):
             k *= 2
             continue
         if np.all(above | (s + e <= lo)) and e <= lo:
-            return m, (s[m - 1] / (s[m] + e) if m else np.inf)
+            return (m, (s[m - 1] / (s[m] + e) if m else np.inf),
+                    (X[:, :m].copy(), s[:m], Vh[:m].copy()))
         break
-    return numerical_rank(L, rank_tol), None
+    return numerical_rank(L, rank_tol), None, None
 
 
 def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
@@ -413,17 +424,21 @@ def collapse_lifts(scalar, points, vals):
                           numer=denom[:, :, None] * vals, denom=denom)
 
 
-def eval_collapsed(collapsed, p):
+def eval_collapsed(collapsed, p, return_min_denominator=False):
     """Values (k, n) of all collapsed lifts at parameter p; a p on a node
-    takes that node's column."""
+    takes that node's column.  With return_min_denominator, also the
+    smallest |denominator| over the k lifts."""
     cp = _cauchy(p, collapsed.p_nodes)[0][0]
     num = np.einsum("kjn,j->kn", collapsed.numer, cp)
     den = np.einsum("kj,j->k", collapsed.denom, cp)
-    if np.min(np.abs(den)) < _DENOM_FLOOR:
+    smallest = float(np.min(np.abs(den)))
+    if smallest < _DENOM_FLOOR:
         raise EvaluationError(
             f"barycentric denominator underflow at p={p}; the evaluation "
             "point hits a spurious pole"
         )
+    if return_min_denominator:
+        return num / den[:, None], smallest
     return num / den[:, None]
 
 

@@ -9,29 +9,33 @@ l^T H(s, p) r (with l, r the means of the probing directions); the
 coefficients are then re-solved against a stack of that scalar and a few
 random combinations of the left and right samples, so that they fit the
 tangential data b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k
-too.  The model stores b_k and c_k at the p-nodes exactly, as read from the
-probed H: theta_k, sigma_k and the p-nodes are all sample points.
+too.  Of the r directions per side, the model keeps the r' <= r that a
+pivoted selection on the rank check's singular vectors picks and a check
+against the full pencil accepts, and stores their b_k and c_k at the
+p-nodes exactly, as read from the probed H: theta_k, sigma_k and the
+p-nodes are all sample points.
 
 Online needs b_k and c_k only at these fixed theta_k and sigma_k.  The
 fitted weights are summed out there once, when a model is built or loaded,
-into one p-only barycentric tensor over all 2r directions that interpolates
-the stored samples, so an answer at any complex parameter p costs one
-contraction over the p-nodes, the Loewner assembly and a sketched rank
-truncation: O(r^2 m + r m_p n), independent of the quadrature size.
+into one p-only barycentric tensor over the 2r' kept directions that
+interpolates the stored samples, so an answer at any complex parameter p
+costs one contraction over the p-nodes, the Loewner assembly and a sketched
+rank truncation: O(r'^2 m + r' m_p n), independent of the quadrature size.
 """
 
+import itertools
 import json
 import os
 import secrets
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
                       probe_samples)
-from .errors import EvaluationError, ModelFormatError
+from .errors import EvaluationError, ModelFormatError, RealizationError
 from .loewner import TangentialData, eigenvalue_order, filter_in_domain, realize
 from .paaa import (BarycentricModel2D, _cauchy, collapse_lifts,
                    consistency_rank_check, eval_collapsed, node_indices,
@@ -97,7 +101,8 @@ def offline(problem, domain, config, N, fit_opts=None):
 
     rule = build_trapezoid_rule(domain, N)
     samples = probe_samples(problem, rule, config, domain)
-    m = consistency_rank_check(samples, config, rank_tol)
+    rank_info = {}
+    m = consistency_rank_check(samples, config, rank_tol, info=rank_info)
 
     # scalar data l^T H(s_i, p_j) r with l, r the direction means
     D = (config.left_dirs.mean(axis=0) @ samples.H
@@ -116,7 +121,14 @@ def offline(problem, domain, config, N, fit_opts=None):
         greedy, stack, config.sample_points, config.parameter_points, tol=tol,
     )
     b, c = tangential_samples(config, samples.H)  # (r, q, n) each
+    rows, cols = _select_directions(config, m, b, c, rank_info["bases"],
+                                    rank_tol)
+    b, c = b[rows], c[cols]
+    kept = replace(config, sample_points=np.column_stack(
+        [config.left_points[rows], config.right_points[cols]]).ravel(),
+        left_dirs=config.left_dirs[rows], right_dirs=config.right_dirs[cols])
     pj = node_indices(scalar_model.p_nodes, config.parameter_points)
+    gap = rank_info["rank_gap"]
     metadata = {
         "problem_name": getattr(problem, "name", "custom"),
         "N": N,
@@ -125,9 +137,12 @@ def offline(problem, domain, config, N, fit_opts=None):
         "z_degree": len(scalar_model.z_nodes) - 1,
         "p_degree": len(scalar_model.p_nodes) - 1,
         "max_fit_error": scalar_model.max_error,
+        "rank_gap": gap if np.isfinite(gap) else None,
+        "r_probed": config.r,
+        "r_online": kept.r,
     }
     model = OfflineModel(
-        domain=domain, config=config, m=m, scalar_model=scalar_model,
+        domain=domain, config=kept, m=m, scalar_model=scalar_model,
         left_vals=b[:, pj], right_vals=c[:, pj], metadata=metadata,
     )
     # converged describes what online reads, not the refit stack
@@ -141,6 +156,70 @@ def offline(problem, domain, config, N, fit_opts=None):
             stacklevel=2,
         )
     return model
+
+
+def _select_directions(config, m, b, c, bases, rank_tol):
+    """Ascending indices of the left and right directions online keeps:
+    the first r' pivots of column-pivoted QRs of the stacked singular
+    vectors [X_1 ... X_q]^T and [V_1 ... V_q]^H of the L(p_j), a CUR
+    selection (Sorensen & Embree, SISC 2016), or all r.  r' starts at
+    2m + 8 and doubles, below r / 2, until the kept pencil gives at every
+    p_j the m eigenvalues of the full one, which with L = X diag(s) V^H and
+    Ls = L Sigma + B R^T projects to (diag(s) V^H Sigma V + X^H B R^T V,
+    diag(s))."""
+    r, k = config.r, 2 * m + 8
+    every = np.arange(r)
+    if m == 0 or 2 * k >= r:
+        return every, every
+    theta, sigma = config.left_points, config.right_points
+    Ld, Rd = config.left_dirs, config.right_dirs
+    reference = [np.linalg.eigvals(
+        (Vh * sigma) @ Vh.conj().T
+        + (X.conj().T @ b[:, j]) @ (Rd.T @ Vh.conj().T) / s[:, None])
+        for j, (X, s, Vh) in enumerate(bases)]
+    orders = (_pivot_order(np.vstack([X.T for X, _, _ in bases])),
+              _pivot_order(np.vstack([Vh for _, _, Vh in bases])))
+    rows, cols = [], []
+    while 2 * k < r:
+        rows += itertools.islice(orders[0], k - len(rows))
+        cols += itertools.islice(orders[1], k - len(cols))
+        I, J = np.sort(rows), np.sort(cols)
+        if all(_subset_matches(TangentialData(
+                theta[I], sigma[J], Ld[I], Rd[J], b[I, j], c[J, j]),
+                m, want, rank_tol) for j, want in enumerate(reference)):
+            return I, J
+        k *= 2
+    return every, every
+
+
+def _pivot_order(A):
+    """Column indices of A in the order of a column-pivoted QR (Businger &
+    Golub, 1965), one at a time and without BLAS calls, whose threads make
+    LAPACK's pivoted QR of such thin blocks erratic."""
+    A = np.array(A, dtype=complex)
+    taken = np.zeros(A.shape[1], dtype=bool)
+    for _ in range(A.shape[1]):
+        norms = np.where(taken, -1.0, np.einsum("ij,ij->j", A.conj(), A).real)
+        j = int(np.argmax(norms))
+        taken[j] = True
+        yield j
+        if norms[j] > 0:
+            q = A[:, j] / np.sqrt(norms[j])
+            A -= np.outer(q, np.einsum("i,ij->j", q.conj(), A))
+
+
+def _subset_matches(data, m, want, rank_tol):
+    """Whether realize(data) gives len(want) == m eigenvalues that match
+    want both ways within rank_tol * max|want|."""
+    try:
+        got = realize(data, rank_tol, order=m).eigenvalues
+    except RealizationError:
+        return False
+    if len(got) != len(want):
+        return False
+    d = np.abs(got[:, None] - want[None, :])
+    return max(d.min(axis=0).max(), d.min(axis=1).max()) <= (
+        rank_tol * np.max(np.abs(want)))
 
 
 def _tangential_error(model, want):
@@ -186,7 +265,8 @@ def online(model, p_hat, rank_tol=None):
         rank_tol = model.metadata.get("rank_tol", 1e-10)
     _warn_if_extrapolating(model, p_hat)
     config = model.config
-    vals = eval_collapsed(model.collapsed, p_hat)
+    vals, min_denominator = eval_collapsed(model.collapsed, p_hat,
+                                           return_min_denominator=True)
     data = TangentialData(
         theta=config.left_points, sigma=config.right_points,
         left_dirs=config.left_dirs, right_dirs=config.right_dirs,
@@ -196,6 +276,7 @@ def online(model, p_hat, rank_tol=None):
     flags = filter_in_domain(realization, model.domain)
     diagnostics = dict(realization.diagnostics)
     diagnostics["singular_values"] = realization.singular_values
+    diagnostics["min_denominator"] = min_denominator
     return EigenSolution(
         p_hat=p_hat,
         eigenvalues=realization.eigenvalues,

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (run as subprocesses)."""
 
 import json
+import logging
 import os
 import stat
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from pnlevp.cli import main
 from pnlevp.solver import FORMAT_VERSION
 
 CLI = [sys.executable, "-c",
@@ -97,6 +99,31 @@ class TestOffline:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("verbose", [True, False])
+    def test_verbose_flag_prints_rank_check_record(self, tmp_path, verbose):
+        proc = run_cli(
+            *(["-v"] if verbose else []),
+            "offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
+            "--p", "0.75:1.25", "--q", "4", "--r", "8", "--N", "128",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ("rank check: ranks [2, 2, 2, 2]" in proc.stderr) == verbose
+        assert "rank gap = " in proc.stderr
+        assert "online directions: 8 of 8" in proc.stderr
+
+    @pytest.mark.filterwarnings("ignore:barycentric fit did not reach")
+    def test_verbose_leaves_logger_as_it_was(self, tmp_path, capsys):
+        log = logging.getLogger("pnlevp")
+        before = (list(log.handlers), log.level)
+        assert main(["-v", "offline", "--problem", "linear-demo",
+                     "--disk", "0,0,0.6", "--p", "0.75:1.25", "--q", "4",
+                     "--r", "8", "--N", "128",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert "rank check: ranks" in capsys.readouterr().err
+        assert (log.handlers, log.level) == before
+
+
 class TestOnline:
     def test_four_eigenvalue_lines(self, delay_model):
         proc = run_cli("online", "--model", str(delay_model), "--p", "30")
@@ -127,6 +154,12 @@ class TestOnline:
         doc = json.loads(proc.stdout)
         assert doc["rank_gap"] > 1e8
         assert doc["discarded_infinite"] == 0
+
+    def test_json_reports_min_denominator(self, delay_model):
+        proc = run_cli("online", "--model", str(delay_model), "--p", "32.5",
+                       "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["min_denominator"] > 0.0
 
     def test_missing_model_exits_1(self, tmp_path):
         proc = run_cli("online", "--model", str(tmp_path / "absent.json"),

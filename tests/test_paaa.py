@@ -111,6 +111,32 @@ class TestConsistencyRankCheck:
         assert f"full-SVD fallbacks 0 of {config.q}" in message
 
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_info_holds_gap_and_bases(self, linear1_probed, fallback,
+                                      monkeypatch):
+        config, samples = linear1_probed
+        if fallback:
+            monkeypatch.setattr(paaa, "_sketched_rank", lambda L, tol: (
+                numerical_rank(L, tol), None, None))
+        info = {}
+        m = consistency_rank_check(samples, config, info=info)
+        assert m == 2 and len(info["bases"]) == config.q
+        gaps = []
+        for L, (X, s, Vh) in zip(paaa._parameter_loewner(samples, config),
+                                 info["bases"]):
+            full = np.linalg.svd(L, compute_uv=False)
+            gaps.append(full[m - 1] / full[m])
+            assert X.shape == (config.r, m) and Vh.shape == (m, config.r)
+            np.testing.assert_allclose(s, full[:m], rtol=1e-12)
+            np.testing.assert_allclose(X.conj().T @ X, np.eye(m), atol=1e-14)
+            np.testing.assert_allclose(X @ (s[:, None] * Vh), L,
+                                       atol=1e-10 * full[0])
+        if fallback:
+            assert info["rank_gap"] == pytest.approx(min(gaps), rel=1e-10)
+        else:
+            assert 1.0 < info["rank_gap"] <= min(gaps)
+
+
 class TestSketchedRank:
     @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
     def test_parameter_loewner_is_build_loewner(self, probed, request):
@@ -128,7 +154,7 @@ class TestSketchedRank:
     def test_probed_loewner_matrices(self, probed, request, full_svd_calls):
         config, samples = request.getfixturevalue(probed)
         for L in paaa._parameter_loewner(samples, config):
-            rank, gap = paaa._sketched_rank(L, 1e-10)
+            rank, gap, _ = paaa._sketched_rank(L, 1e-10)
             assert rank == numerical_rank(L, 1e-10)
             s = np.linalg.svd(L, compute_uv=False)
             assert 1.0 < gap <= s[rank - 1] / s[rank]
@@ -165,12 +191,12 @@ class TestSketchedRank:
         # the tail lies below the threshold, but beyond any sketch its
         # energy exceeds it, so the sketch cannot certify the count
         L = _planted(np.r_[1.0, 0.1, 0.1, 0.1, 5e-11 * 0.99 ** np.arange(56)])
-        assert paaa._sketched_rank(L, 1e-10) == (4, None)
+        assert paaa._sketched_rank(L, 1e-10) == (4, None, None)
         assert full_svd_calls == [L.shape]
 
     def test_sketch_as_wide_as_matrix_falls_back(self, full_svd_calls):
         L = _planted(np.logspace(0, -5, 20))
-        assert paaa._sketched_rank(L, 1e-10) == (20, None)
+        assert paaa._sketched_rank(L, 1e-10) == (20, None, None)
         assert full_svd_calls == [L.shape]
 
 

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -556,3 +557,196 @@ def test_every_exported_name_resolves():
     proc = subprocess.run([sys.executable, "-c", "from pnlevp import *"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _build_with_samples(bench, monkeypatch, **changes):
+    """Offline model of a pinned benchmark (with `changes` to its fields),
+    its sampling config and the tangential samples (b, c) at every
+    parameter sample over all r directions, as offline computed them."""
+    bench = replace(bench, **changes)
+    problem = get_problem(bench.problem_name)
+    config = default_sampling(bench.domain, bench.r, bench.q, bench.p_range,
+                              bench.seed, problem.dim,
+                              sampling_domain=bench.sampling_domain)
+    seen = []
+
+    def recorded(*args):
+        seen.append(paaa.tangential_samples(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(solver, "tangential_samples", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = offline(problem, bench.domain, config, bench.N,
+                        fit_opts=dict(bench.fit_opts))
+    monkeypatch.undo()
+    return model, config, seen[-1]
+
+
+def _all_directions(model, config, samples):
+    """The model of the same fit that keeps all r directions."""
+    b, c = samples
+    pj = paaa.node_indices(model.scalar_model.p_nodes,
+                           config.parameter_points)
+    return OfflineModel(domain=model.domain, config=config, m=model.m,
+                        scalar_model=model.scalar_model, left_vals=b[:, pj],
+                        right_vals=c[:, pj], metadata=model.metadata)
+
+
+def _delay40(monkeypatch):
+    """The delay benchmark with r = 40 probing directions, enough for the
+    selection to run (2m + 8 = 16 < r / 2)."""
+    return _build_with_samples(benchmarks.get_benchmark("delay"),
+                               monkeypatch, r=40)
+
+
+class TestDirectionSelection:
+    @pytest.mark.parametrize("name, seed, r_online", [
+        ("damped-string-1", 0, 16), ("damped-string-1", 4, 16),
+        ("damped-string-1", 5, 16), ("damped-string-2", 0, 22)])
+    def test_answers_match_all_directions(self, name, seed, r_online,
+                                          monkeypatch):
+        model, config, samples = _build_with_samples(
+            benchmarks.get_benchmark(name), monkeypatch, seed=seed)
+        assert model.metadata["r_online"] == model.config.r == r_online
+        assert model.metadata["r_probed"] == config.r == 250
+        full = _all_directions(model, config, samples)
+        p = config.parameter_points
+        worst = 0.0
+        for p_hat in np.concatenate([p, (p[1:] + p[:-1]) / 2]):
+            got = online(model, p_hat).eigenvalues
+            want = online(full, p_hat).eigenvalues
+            assert len(got) == len(want) == model.m
+            d = np.abs(got[:, None] - want[None, :])
+            worst = max(worst, max(d.min(axis=0).max(), d.min(axis=1).max())
+                        / np.max(np.abs(want)))
+        assert worst <= 1e-10
+
+    # linear-2 (m = 1) sits on the boundary: 2m + 8 = r / 2 keeps all r
+    @pytest.mark.parametrize("name", ["delay", "linear-1", "linear-2"])
+    def test_small_r_keeps_every_direction(self, name, monkeypatch):
+        model, config, (b, c) = _build_with_samples(
+            benchmarks.get_benchmark(name), monkeypatch)
+        assert model.metadata["r_online"] == model.metadata["r_probed"] == 20
+        for field in ("sample_points", "parameter_points", "left_dirs",
+                      "right_dirs"):
+            np.testing.assert_array_equal(getattr(model.config, field),
+                                          getattr(config, field))
+        full = _all_directions(model, config, (b, c))
+        np.testing.assert_array_equal(model.left_vals, full.left_vals)
+        np.testing.assert_array_equal(model.right_vals, full.right_vals)
+
+    def test_selection_on_delay_with_more_directions(self, monkeypatch):
+        model, config, _ = _delay40(monkeypatch)
+        assert model.metadata["r_online"] == 16 < config.r
+        # the kept points are the probed ones at the kept directions
+        rows = [int(np.flatnonzero(np.all(config.left_dirs == d, axis=1))[0])
+                for d in model.config.left_dirs]
+        assert rows == sorted(rows)
+        np.testing.assert_array_equal(model.config.left_points,
+                                      config.left_points[rows])
+
+    def test_check_that_cannot_pass_keeps_every_direction(self, monkeypatch):
+        tried = []
+        check = solver._subset_matches
+
+        def exact(data, m, want, rank_tol):
+            tried.append(len(data.theta))
+            return check(data, m, want, 0.0)
+
+        monkeypatch.setattr(solver, "_subset_matches", exact)
+        model, config, _ = _build_with_samples(
+            benchmarks.get_benchmark("damped-string-1"), monkeypatch)
+        assert model.metadata["r_online"] == model.config.r == 250
+        # 16, then 32 and 64 directions are tried; 128 exceeds r / 2
+        assert sorted(set(tried)) == [16, 32, 64]
+        np.testing.assert_array_equal(model.config.sample_points,
+                                      config.sample_points)
+
+    def test_subset_round_trip_answers_bit_identical(self, monkeypatch,
+                                                    tmp_path):
+        model, _, _ = _delay40(monkeypatch)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.metadata["r_online"] == loaded.config.r == 16
+        for p_hat in (30.0, 31.7, 35.0, model.scalar_model.p_nodes[2]):
+            a, b = online(model, p_hat), online(loaded, p_hat)
+            np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+            np.testing.assert_array_equal(a.V, b.V)
+            np.testing.assert_array_equal(a.W, b.W)
+
+    def test_selection_is_deterministic(self, monkeypatch):
+        first, _, _ = _delay40(monkeypatch)
+        second, _, _ = _delay40(monkeypatch)
+        for field in ("sample_points", "left_dirs", "right_dirs"):
+            np.testing.assert_array_equal(getattr(first.config, field),
+                                          getattr(second.config, field))
+        np.testing.assert_array_equal(first.left_vals, second.left_vals)
+        np.testing.assert_array_equal(first.right_vals, second.right_vals)
+
+    def test_keeps_the_directions_that_carry_data(self):
+        # H(z, p) acts on the first 3 of n = 6 coordinates only, so a
+        # direction supported on the last 3 gives a zero row or column of
+        # every L(p_j); six directions per side carry the data
+        rng = np.random.default_rng(5)
+        r, n, q = 60, 6, 5
+        informative = {"left": [3, 17, 25, 40, 41, 58],
+                       "right": [0, 9, 22, 33, 47, 51]}
+        dirs = {}
+        for side, keep in informative.items():
+            d = np.zeros((r, n), dtype=complex)
+            d[:, 3:] = rng.standard_normal((r, 3))
+            d[keep] = rng.standard_normal((6, n)) \
+                + 1j * rng.standard_normal((6, n))
+            dirs[side] = d
+        config = replace(
+            default_sampling(Disk(0.0, 1.0), r, q, (0.0, 1.0), seed=0,
+                             dim=n, inflation=2.0),
+            left_dirs=dirs["left"], right_dirs=dirs["right"])
+        U, W = np.zeros((2, 2, n), dtype=complex)
+        U[:, :3], W[:, :3] = rng.standard_normal((2, 2, 3))
+        s = config.sample_points
+        H = np.zeros((2 * r, q, n, n), dtype=complex)
+        for j, p in enumerate(config.parameter_points):
+            for pole, u, w in zip((0.3 + 0.2 * p, -0.4j - 0.1 * p), U, W):
+                H[:, j] += np.outer(u, w)[None] / (s - pole)[:, None, None]
+        info = {}
+        m = paaa.consistency_rank_check(ProbedSampleSet(H=H, config=config),
+                                        config, info=info)
+        b, c = paaa.tangential_samples(config, H)
+        rows, cols = solver._select_directions(config, m, b, c,
+                                               info["bases"], 1e-10)
+        assert m == 2 and len(rows) == len(cols) == 2 * m + 8
+        assert set(informative["left"]) <= set(rows.tolist())
+        assert set(informative["right"]) <= set(cols.tolist())
+
+    def test_rank_gap_in_metadata(self, delay):
+        problem, model = delay
+        config = default_sampling(Disk(0.0, 0.075), 20, 40, (30.0, 35.0),
+                                  seed=0, dim=problem.dim)
+        samples = probe_samples(problem, build_trapezoid_rule(
+            Disk(0.0, 0.075), 128), config)
+        gaps = []
+        for L in paaa._parameter_loewner(samples, config):
+            s = np.linalg.svd(L, compute_uv=False)
+            gaps.append(s[model.m - 1] / s[model.m])
+        # a certified lower bound on the smallest gap, and a tight one
+        assert 0.5 * min(gaps) <= model.metadata["rank_gap"] <= min(gaps)
+
+
+class TestOnlineDiagnostics:
+    @pytest.mark.parametrize("p_hat", [32.5, 31.0 + 0.2j, "node"])
+    def test_min_denominator(self, delay, p_hat):
+        _, model = delay
+        if p_hat == "node":
+            p_hat = model.scalar_model.p_nodes[0]
+        cp = paaa._cauchy(complex(p_hat), model.collapsed.p_nodes)[0][0]
+        want = np.min(np.abs(model.collapsed.denom @ cp))
+        got = online(model, p_hat).diagnostics["min_denominator"]
+        assert got == pytest.approx(want, rel=1e-14)
+        values, smallest = eval_collapsed(model.collapsed, p_hat,
+                                          return_min_denominator=True)
+        assert smallest == got
+        np.testing.assert_array_equal(
+            values, eval_collapsed(model.collapsed, p_hat))
