@@ -21,13 +21,18 @@ Sigma = diag(sigma), B, C the rows b_i, c_j and R, L_dirs the rows r_j, l_i,
 
 (Mayo & Antoulas, LAA 2007), so every product with Ls, [L Ls] or [L; Ls]
 that realize needs is a product with L plus a rank-n correction.
+
+Every factorization of realize and numerical_rank calls LAPACK directly
+(zgeqrf/zungqr, zgesdd, zggev through scipy.linalg.lapack): on the small
+blocks of an online answer, the checks, workspace queries and Python loops
+of the NumPy and SciPy wrappers cost several times the routines themselves.
 """
 
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .errors import RealizationError
 
@@ -108,10 +113,71 @@ def _sketches(shape, k_row, k_col):
     return tuple(out)
 
 
+def _checked(info, routine):
+    if info != 0:
+        raise RealizationError(
+            f"LAPACK {routine} failed (info {info}); use more or different "
+            "sample points")
+
+
+@functools.lru_cache(maxsize=64)
+def _strict_lower(shape):
+    """Read-only mask of the entries below the diagonal of this shape."""
+    mask = np.tri(*shape, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _qr(A):
+    """Thin Q factor of A (m >= n), by zgeqrf and zungqr."""
+    qr, tau, _, info = lapack.zgeqrf(A)
+    _checked(info, "zgeqrf")
+    Q, _, info = lapack.zungqr(qr, tau, overwrite_a=True)
+    _checked(info, "zungqr")
+    return Q
+
+
+def _qr_r(A):
+    """Upper-triangular QR factor R of A, min(m, n) x n, by zgeqrf."""
+    qr, tau, _, info = lapack.zgeqrf(A)
+    _checked(info, "zgeqrf")
+    R = qr[:len(tau)]
+    R[_strict_lower(R.shape)] = 0
+    return R
+
+
+def _svd(A):
+    """Full SVD U, s, Vh of A, by zgesdd."""
+    U, s, Vh, info = lapack.zgesdd(A)
+    _checked(info, "zgesdd")
+    return U, s, Vh
+
+
+def _svdvals(A):
+    """Singular values of A, by zgesdd without vectors."""
+    _, s, _, info = lapack.zgesdd(A, compute_uv=False)
+    _checked(info, "zgesdd")
+    return s
+
+
+def _eig(A, B):
+    """Eigenvalues alpha / beta of the pencil A - lambda B (non-finite where
+    beta = 0 or the quotient overflows) and its right eigenvectors scaled
+    to unit 2-norm by BLAS dznrm2 (as scipy.linalg.eig scales them), by one
+    zggev."""
+    alpha, beta, _, S, _, info = lapack.zggev(A, B, compute_vl=False)
+    _checked(info, "zggev")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = alpha / beta
+    return lam, S / [blas.dznrm2(v) for v in S.T]
+
+
 def numerical_rank(M, rank_tol=1e-10):
     """Count of singular values above rank_tol relative to the largest."""
-    s = np.linalg.svd(M, compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
+    if np.size(M) == 0:
+        return 0
+    s = _svdvals(M)
+    if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
@@ -150,8 +216,7 @@ def _left_pairs(Q, block_h):
     """Left singular vectors and values of the sketched block Z = Q^H A,
     given Z^H: with Z^H = Q' R, Z = R^H Q'^H shares its left singular pairs
     with the small square factor R^H."""
-    R = np.linalg.qr(block_h, mode="r")
-    U, s, _ = np.linalg.svd(R.conj().T)
+    U, s, _ = _svd(_qr_r(block_h).conj().T)
     return Q @ U, s
 
 
@@ -170,10 +235,13 @@ def realize(data, rank_tol=1e-10, order=None):
     blocks of k or m columns, and each sketched block's singular pairs come
     from the QR factor of its k columns.  `diagnostics["rank_gap"]` is the
     smaller over both sides of s_m / s_{m+1} from the sketched values (inf
-    when the sketch holds no value past m).
+    when the sketch holds no value past m).  Non-finite tangential values
+    and a failed LAPACK routine raise RealizationError.
     """
     theta, sigma = data.theta, data.sigma
     B, C = data.left_vals, data.right_vals
+    if not (np.isfinite(B).all() and np.isfinite(C).all()):
+        raise RealizationError("tangential data hold a non-finite value")
     Ld, Rd = data.left_dirs, data.right_dirs
     L = _loewner(B, Rd, Ld, C, theta[:, None] - sigma[None, :])
     k_row, k_col = L.shape
@@ -184,7 +252,7 @@ def realize(data, rank_tol=1e-10, order=None):
     nr, nc = L.shape
     # [L Ls] G = L (G1 + Sigma G2) + B (R^T G2)
     G1, G2 = G_row[:nc], G_row[nc:]
-    Qr, _ = np.linalg.qr(L @ (G1 + sigma[:, None] * G2) + B @ (Rd.T @ G2))
+    Qr = _qr(L @ (G1 + sigma[:, None] * G2) + B @ (Rd.T @ G2))
     Qh = Qr.conj().T
     QL = Qh @ L
     # Q^H [L Ls] = [Q^H L, (Q^H L) Sigma + (Q^H B) R^T]
@@ -194,8 +262,7 @@ def realize(data, rank_tol=1e-10, order=None):
     # L^H Y taken as (Y^H L)^H so that L is never conjugated
     G1, G2 = G_col[:nr], G_col[nr:]
     Y = G1 + theta.conj()[:, None] * G2
-    Qc, _ = np.linalg.qr((Y.conj().T @ L).conj().T
-                         + C.conj() @ (Ld.conj().T @ G2))
+    Qc = _qr((Y.conj().T @ L).conj().T + C.conj() @ (Ld.conj().T @ G2))
     # ([L; Ls]^H Q)^H = [L Q; Theta (L Q) + L_dirs (C^T Q)]
     LQ = L @ Qc
     Ys, s_col = _left_pairs(Qc, np.vstack([LQ, theta[:, None] * LQ
@@ -232,7 +299,7 @@ def realize(data, rank_tol=1e-10, order=None):
             "projected Loewner matrix is numerically singular; use more or "
             "different sample points"
         )
-    lam, S = scipy.linalg.eig(A, M)
+    lam, S = _eig(A, M)
     finite = np.isfinite(lam)
     diagnostics["discarded_infinite"] = int(np.count_nonzero(~finite))
     lam, S = lam[finite], S[:, finite]

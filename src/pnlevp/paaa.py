@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvaluationError, RankConsistencyError
-from .loewner import _SKETCH_SEED, _dominant_left, _loewner, numerical_rank
+from .loewner import _SKETCH_SEED, _dominant_left, _loewner
 
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
@@ -63,7 +63,8 @@ def consistency_rank_check(samples, config, rank_tol=1e-10, info=None):
     Each rank counts the singular values above rank_tol times the largest,
     as numerical_rank does, but from a Gaussian sketch of the leading ones
     (see _sketched_rank): the sketch is certified by Weyl's bound to give
-    the full-SVD count, and the full SVD runs only where it is not.  One
+    the full-SVD count, and the full SVD runs only where it is not, once,
+    with vectors, for the count, the gap and the basis (_svd_rank).  One
     DEBUG record on the "pnlevp.paaa" logger holds the ranks, the smallest
     sigma_m / sigma_{m+1} and the fallback count.
 
@@ -73,13 +74,11 @@ def consistency_rank_check(samples, config, rank_tol=1e-10, info=None):
     """
     ranks, gaps, bases, fallbacks = [], [], [], 0
     for L in _parameter_loewner(samples, config):
-        rank, gap, basis = _sketched_rank(L, rank_tol)
-        if basis is None:
+        found = _sketched_rank(L, rank_tol)
+        if found is None:
             fallbacks += 1
-            U, s, Vh = np.linalg.svd(L)
-            gap = (s[rank - 1] / s[rank] if 0 < rank < len(s) and s[rank] > 0
-                   else np.inf)
-            basis = U[:, :rank].copy(), s[:rank], Vh[:rank].copy()
+            found = _svd_rank(L, rank_tol)
+        rank, gap, basis = found
         ranks.append(rank)
         gaps.append(float(gap))
         bases.append(basis)
@@ -115,11 +114,22 @@ def _parameter_loewner(samples, config):
                        D)
 
 
+def _svd_rank(L, rank_tol):
+    """numerical_rank(L, rank_tol), sigma_m / sigma_{m+1} (inf when m = 0 or
+    sigma_{m+1} = 0) and the singular triplet (X, s, Vh) of L cut to m, all
+    from one full SVD."""
+    U, s, Vh = np.linalg.svd(L)
+    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
+    gap = (s[rank - 1] / s[rank] if 0 < rank < len(s) and s[rank] > 0
+           else np.inf)
+    return rank, gap, (U[:, :rank].copy(), s[:rank], Vh[:rank].copy())
+
+
 def _sketched_rank(L, rank_tol):
     """numerical_rank(L, rank_tol) from a sketch of the leading singular
     values, a certified lower bound on sigma_m / sigma_{m+1} (inf when
     m = 0) and the sketch's leading singular triplet (X, s, Vh) truncated to
-    m; bound and triplet are None when the full SVD decides.
+    m; None when the sketch cannot certify the count (see _svd_rank).
 
     X spans a Gaussian sketch of width k of L's range, s the singular values
     of X^H L, and e = ||L - X X^H L||_F (plus a rounding allowance) bounds
@@ -128,8 +138,8 @@ def _sketched_rank(L, rank_tol):
     sigma_0 lies in [rank_tol s_0, rank_tol (s_0 + e)].  The count is
     certified when every s_i clears that interval by e (above its top, or
     below its bottom) and e lies below its bottom.  A count that fills the
-    sketch doubles k; an uncertified count, or a sketch as wide as L, falls
-    back to the full SVD.
+    sketch doubles k; an uncertified count, or a sketch as wide as L, gives
+    None.
     """
     rng = np.random.default_rng(_SKETCH_SEED)
     k = _RANK_SKETCH
@@ -147,7 +157,7 @@ def _sketched_rank(L, rank_tol):
             return (m, (s[m - 1] / (s[m] + e) if m else np.inf),
                     (X[:, :m].copy(), s[:m], Vh[:m].copy()))
         break
-    return numerical_rank(L, rank_tol), None, None
+    return None
 
 
 def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,

@@ -493,4 +493,6 @@ def _l2c(lst):
     a = np.asarray(lst, dtype=float)
     if a.shape[-1] != 2:
         raise ModelFormatError("complex entries must be [re, im] pairs")
+    if not np.isfinite(a).all():
+        raise ModelFormatError("model arrays must hold finite numbers")
     return a[..., 0] + 1j * a[..., 1]

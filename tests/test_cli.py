@@ -184,6 +184,18 @@ class TestOnline:
         assert proc.returncode == 1
         assert "unsupported model format version 1" in proc.stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_model_value_exits_1(self, delay_model, tmp_path,
+                                            value):
+        # json writes NaN and Infinity literals, which it also reads
+        doc = json.loads(delay_model.read_text())
+        doc["left_vals"][0][0][0][0] = float(value)
+        path = tmp_path / "non-finite.model"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("online", "--model", str(path), "--p", "32")
+        assert proc.returncode == 1
+        assert "model arrays must hold finite numbers" in proc.stderr
+
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_non_finite_parameter_exits_2(self, delay_model, p):
         proc = run_cli("online", "--model", str(delay_model), "--p", p)

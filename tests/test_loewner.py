@@ -2,15 +2,20 @@
 
 import tracemalloc
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
-from pnlevp.contour import Disk
+from pnlevp.contour import Disk, default_sampling
+from pnlevp.errors import RealizationError
 from pnlevp.loewner import (_OVERSAMPLING, TangentialData, _sketches,
                             build_loewner, eigenvalue_order, filter_in_domain,
                             numerical_rank, realize)
 from pnlevp.problems import SyntheticRationalProblem
+from pnlevp.solver import offline, online
 
 
 def _pole_data(poles, residues, theta, sigma, left_dirs, right_dirs):
@@ -399,6 +404,72 @@ class TestStructuredRealize:
             tracemalloc.stop()
         assert out.rank == 4
         assert peak <= 4 * r * r * 16
+
+
+@pytest.fixture(scope="module")
+def synthetic_model():
+    """Small offline model of a synthetic problem with 3 poles."""
+    domain = Disk(0.0, 1.0)
+    problem = SyntheticRationalProblem.inside_domain(domain, 3, (0.0, 1.0),
+                                                     seed=21)
+    config = default_sampling(domain, 8, 12, (0.0, 1.0), seed=4,
+                              dim=problem.dim)
+    return offline(problem, domain, config, 256)
+
+
+def _two_pole_data():
+    rng = np.random.default_rng(5)
+    n, r = 3, 6
+    residues = [(_random_dirs(rng, 1, n)[0], _random_dirs(rng, 1, n)[0])
+                for _ in range(2)]
+    data, _ = _pole_data([0.3, -0.2], residues,
+                         theta=1.5 + 0.25 * np.arange(r),
+                         sigma=-1.5 - 0.25 * np.arange(r),
+                         left_dirs=_random_dirs(rng, r, n),
+                         right_dirs=_random_dirs(rng, r, n))
+    return data
+
+
+class TestLapackErrors:
+    @pytest.mark.parametrize("side, value", [("left_vals", np.nan),
+                                             ("right_vals", np.inf)])
+    def test_non_finite_data_raises(self, side, value):
+        data = _two_pole_data()
+        vals = getattr(data, side).copy()
+        vals[1, 2] = value
+        with pytest.raises(RealizationError, match="non-finite"):
+            realize(replace(data, **{side: vals}))
+
+    @pytest.mark.parametrize("routine",
+                             ["zgeqrf", "zungqr", "zgesdd", "zggev"])
+    def test_failed_routine_raises(self, synthetic_model, monkeypatch,
+                                   routine):
+        assert len(online(synthetic_model, 0.5).eigenvalues) == 3
+        call = getattr(lapack, routine)
+
+        def failing(*args, **kwargs):
+            return (*call(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(lapack, routine, failing)
+        with pytest.raises(RealizationError, match=routine):
+            online(synthetic_model, 0.5)
+
+    def test_zero_beta_is_discarded(self, monkeypatch):
+        data = _two_pole_data()
+        want = realize(data, order=2)
+        assert want.diagnostics["discarded_infinite"] == 0
+        zggev = lapack.zggev
+
+        def infinite_first(*args, **kwargs):
+            alpha, beta, *rest = zggev(*args, **kwargs)
+            beta[0] = 0.0
+            return (alpha, beta, *rest)
+
+        monkeypatch.setattr(lapack, "zggev", infinite_first)
+        got = realize(data, order=2)
+        assert got.diagnostics["discarded_infinite"] == 1
+        assert len(got.eigenvalues) == 1 and got.V.shape[1] == 1
+        assert got.eigenvalues[0] in want.eigenvalues
 
 
 class TestEigenvalueOrder:

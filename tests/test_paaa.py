@@ -42,15 +42,22 @@ def delay_probed():
 
 @pytest.fixture
 def full_svd_calls(monkeypatch):
-    """Calls of numerical_rank made by the rank check (its fallback)."""
+    """Shapes of the full SVDs the rank check runs (its fallback)."""
     calls = []
+    svd_rank = paaa._svd_rank
 
-    def counted(M, rank_tol=1e-10):
-        calls.append(M.shape)
-        return numerical_rank(M, rank_tol)
+    def counted(L, rank_tol):
+        calls.append(L.shape)
+        return svd_rank(L, rank_tol)
 
-    monkeypatch.setattr(paaa, "numerical_rank", counted)
+    monkeypatch.setattr(paaa, "_svd_rank", counted)
     return calls
+
+
+def _rank_check_of(monkeypatch, L, info=None):
+    """consistency_rank_check over the single Loewner matrix L."""
+    monkeypatch.setattr(paaa, "_parameter_loewner", lambda *args: iter([L]))
+    return consistency_rank_check(None, None, 1e-10, info)
 
 
 def _record_blocks(monkeypatch):
@@ -116,8 +123,7 @@ class TestConsistencyRankCheck:
                                       monkeypatch):
         config, samples = linear1_probed
         if fallback:
-            monkeypatch.setattr(paaa, "_sketched_rank", lambda L, tol: (
-                numerical_rank(L, tol), None, None))
+            monkeypatch.setattr(paaa, "_sketched_rank", lambda L, tol: None)
         info = {}
         m = consistency_rank_check(samples, config, info=info)
         assert m == 2 and len(info["bases"]) == config.q
@@ -187,17 +193,28 @@ class TestSketchedRank:
         assert full_svd_calls == []
         assert widths[-1] > rank
 
-    def test_slow_tail_falls_back(self, full_svd_calls):
+    def test_slow_tail_falls_back(self, full_svd_calls, monkeypatch):
         # the tail lies below the threshold, but beyond any sketch its
         # energy exceeds it, so the sketch cannot certify the count
         L = _planted(np.r_[1.0, 0.1, 0.1, 0.1, 5e-11 * 0.99 ** np.arange(56)])
-        assert paaa._sketched_rank(L, 1e-10) == (4, None, None)
+        assert paaa._sketched_rank(L, 1e-10) is None
+        info = {}
+        assert _rank_check_of(monkeypatch, L, info) == 4
         assert full_svd_calls == [L.shape]
+        s = np.linalg.svd(L, compute_uv=False)
+        # s[4] ~ 5e-11 s[0] carries only about 1e-16 / 5e-11 relative accuracy
+        assert info["rank_gap"] == pytest.approx(s[3] / s[4], rel=1e-5)
+        X, sx, Vh = info["bases"][0]
+        np.testing.assert_allclose(X @ (sx[:, None] * Vh), L, atol=1e-10)
 
-    def test_sketch_as_wide_as_matrix_falls_back(self, full_svd_calls):
+    def test_sketch_as_wide_as_matrix_falls_back(self, full_svd_calls,
+                                                 monkeypatch):
         L = _planted(np.logspace(0, -5, 20))
-        assert paaa._sketched_rank(L, 1e-10) == (20, None, None)
+        assert paaa._sketched_rank(L, 1e-10) is None
+        info = {}
+        assert _rank_check_of(monkeypatch, L, info) == 20
         assert full_svd_calls == [L.shape]
+        assert info["rank_gap"] == np.inf
 
 
 class TestPaaaFit:

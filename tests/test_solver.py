@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pnlevp
 from pnlevp import benchmarks, paaa, solver
@@ -254,6 +255,23 @@ class TestOnline:
         _, model = linear1
         with pytest.raises(ValueError, match=r"parameter p = .* is not finite"):
             online(model, p_hat)
+
+    def test_answers_without_numpy_and_scipy_wrappers(self, delay, tmp_path,
+                                                      monkeypatch):
+        # the factorizations of an answer call LAPACK directly
+        path = tmp_path / "delay.model"
+        save_model(delay[1], path)
+        want = online(load_model(path), 32.5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("online called a NumPy or SciPy wrapper")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(scipy.linalg, "eig", refuse)
+        got = online(load_model(path), 32.5)
+        assert len(got.eigenvalues) == 4
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
 
     def test_linear_demo_eigenvalues(self, linear1):
         problem, model = linear1
