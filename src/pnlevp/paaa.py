@@ -144,7 +144,9 @@ def _sketched_rank(L, rank_tol):
     rng = np.random.default_rng(_SKETCH_SEED)
     k = _RANK_SKETCH
     while k < min(L.shape):
-        X, s, Vh = _dominant_left(L, k, rng)
+        shape = (L.shape[1], k)
+        X, s, Vh = _dominant_left(
+            L, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         e = (np.linalg.norm(L - X @ (X.conj().T @ L))
              + k * np.finfo(float).eps * np.linalg.norm(L))
         lo, hi = rank_tol * s[0], rank_tol * (s[0] + e)

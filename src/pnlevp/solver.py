@@ -25,6 +25,7 @@ rank truncation: O(r'^2 m + r' m_p n), independent of the quadrature size.
 
 import itertools
 import json
+import numbers
 import os
 import secrets
 import warnings
@@ -36,7 +37,8 @@ import scipy.linalg
 from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
                       probe_samples)
 from .errors import EvaluationError, ModelFormatError, RealizationError
-from .loewner import TangentialData, eigenvalue_order, filter_in_domain, realize
+from .loewner import (TangentialData, _pencil_eig, eigenvalue_order,
+                      filter_in_domain, realize)
 from .paaa import (BarycentricModel2D, _cauchy, collapse_lifts,
                    consistency_rank_check, eval_collapsed, node_indices,
                    paaa_fit, refit_coefficients, tangential_samples)
@@ -92,12 +94,12 @@ def offline(problem, domain, config, N, fit_opts=None):
     if config.q < 2:
         raise ValueError("parametric fitting needs at least 2 parameter samples")
     opts = dict(fit_opts or {})
-    rank_tol = opts.pop("rank_tol", 1e-10)
+    rank_tol = _checked_rank_tol(opts.pop("rank_tol", 1e-10))
     tol = opts.pop("tol", 1e-12)
-    max_z_nodes = opts.pop("max_z_nodes", None)
-    max_p_nodes = opts.pop("max_p_nodes", None)
     if opts:
         raise ValueError(f"unknown fit options: {sorted(opts)}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"fit tol must be a finite number >= 0, got {tol!r}")
 
     rule = build_trapezoid_rule(domain, N)
     samples = probe_samples(problem, rule, config, domain)
@@ -107,14 +109,11 @@ def offline(problem, domain, config, N, fit_opts=None):
     # scalar data l^T H(s_i, p_j) r with l, r the direction means
     D = (config.left_dirs.mean(axis=0) @ samples.H
          @ config.right_dirs.mean(axis=0))  # (2r, q)
-    if max_z_nodes is None:
-        # the pole part is rational of degree exactly m in z, so m+1 nodes
-        # suffice; extra z-nodes fit quadrature noise with spurious poles
-        max_z_nodes = m + 1
+    # the pole part is rational of degree exactly m in z, so m+1 nodes
+    # suffice; extra z-nodes fit quadrature noise with spurious poles
     greedy = paaa_fit(
         D, config.sample_points, config.parameter_points,
-        tol=tol, max_z_nodes=max_z_nodes, max_p_nodes=max_p_nodes,
-        min_z_nodes=m + 1,
+        tol=tol, max_z_nodes=m + 1, min_z_nodes=m + 1,
     )
     stack = np.concatenate([D[:, :, None], _lift_sketches(samples)], axis=2)
     scalar_model = refit_coefficients(
@@ -158,25 +157,32 @@ def offline(problem, domain, config, N, fit_opts=None):
     return model
 
 
+def _checked_rank_tol(rank_tol, error=ValueError):
+    """rank_tol, unless it is not a real number in (0, 1), which NaN and
+    inf are not: then error."""
+    if (isinstance(rank_tol, bool) or not isinstance(rank_tol, numbers.Real)
+            or not 0 < rank_tol < 1):
+        raise error(
+            f"rank_tol must be a finite number in (0, 1), got {rank_tol!r}")
+    return rank_tol
+
+
 def _select_directions(config, m, b, c, bases, rank_tol):
     """Ascending indices of the left and right directions online keeps:
     the first r' pivots of column-pivoted QRs of the stacked singular
     vectors [X_1 ... X_q]^T and [V_1 ... V_q]^H of the L(p_j), a CUR
     selection (Sorensen & Embree, SISC 2016), or all r.  r' starts at
     2m + 8 and doubles, below r / 2, until the kept pencil gives at every
-    p_j the m eigenvalues of the full one, which with L = X diag(s) V^H and
-    Ls = L Sigma + B R^T projects to (diag(s) V^H Sigma V + X^H B R^T V,
-    diag(s))."""
+    p_j the m eigenvalues of the full one: those of the pencil that realize
+    solves (_pencil_eig), on the rank check's triplet L = X diag(s) V^H."""
     r, k = config.r, 2 * m + 8
     every = np.arange(r)
     if m == 0 or 2 * k >= r:
         return every, every
     theta, sigma = config.left_points, config.right_points
     Ld, Rd = config.left_dirs, config.right_dirs
-    reference = [np.linalg.eigvals(
-        (Vh * sigma) @ Vh.conj().T
-        + (X.conj().T @ b[:, j]) @ (Rd.T @ Vh.conj().T) / s[:, None])
-        for j, (X, s, Vh) in enumerate(bases)]
+    reference = [_pencil_eig(X, s, Vh, sigma, b[:, j], Rd)[0]
+                 for j, (X, s, Vh) in enumerate(bases)]
     orders = (_pivot_order(np.vstack([X.T for X, _, _ in bases])),
               _pivot_order(np.vstack([Vh for _, _, Vh in bases])))
     rows, cols = [], []
@@ -263,6 +269,7 @@ def online(model, p_hat, rank_tol=None):
         raise ValueError(f"parameter p = {p_hat} is not finite")
     if rank_tol is None:
         rank_tol = model.metadata.get("rank_tol", 1e-10)
+    _checked_rank_tol(rank_tol)
     _warn_if_extrapolating(model, p_hat)
     config = model.config
     vals, min_denominator = eval_collapsed(model.collapsed, p_hat,
@@ -440,6 +447,13 @@ def load_model(path):
             right_dirs=_l2c(sampling["right_dirs"]),
             seed=sampling["seed"],
         )
+        m, metadata = doc["m"], doc["metadata"]
+        if type(m) is not int or not 0 <= m <= config.r:
+            raise ModelFormatError(
+                f"model order m = {m!r} is not an integer in [0, {config.r}]")
+        if not isinstance(metadata, dict):
+            raise ModelFormatError("model metadata must be a JSON object")
+        _checked_rank_tol(metadata.get("rank_tol", 1e-10), ModelFormatError)
         fit = doc.get("scalar_fit", {})
         scalar_model = BarycentricModel2D(
             z_nodes=_l2c(doc["scalar_nodes"]["z"]),
@@ -451,11 +465,11 @@ def load_model(path):
             error_history=tuple(fit.get("error_history", ())),
         )
         return OfflineModel(
-            domain=domain, config=config, m=doc["m"],
+            domain=domain, config=config, m=m,
             scalar_model=scalar_model,
             left_vals=_l2c(doc["left_vals"]),
             right_vals=_l2c(doc["right_vals"]),
-            metadata=doc["metadata"],
+            metadata=metadata,
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ModelFormatError(f"malformed model file {path!r}: {exc}") from exc

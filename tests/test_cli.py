@@ -89,6 +89,18 @@ class TestOffline:
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-12"),
+        ("--rank-tol", "nan"), ("--rank-tol", "0"), ("--rank-tol", "1")])
+    def test_bad_tolerance_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                   flag, value):
+        assert main(["offline", "--problem", "linear-demo",
+                     "--disk", "0,0,0.6", "--p", "0.75:1.25", "--q", "4",
+                     "--r", "4", "--N", "16", f"{flag}={value}",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_identical_config_and_seed_byte_identical_models(self, tmp_path):
         args = ("offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
                 "--p", "0.75:1.25", "--q", "8", "--r", "6", "--N", "128",
@@ -195,6 +207,40 @@ class TestOnline:
         proc = run_cli("online", "--model", str(path), "--p", "32")
         assert proc.returncode == 1
         assert "model arrays must hold finite numbers" in proc.stderr
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("m", -1, "model order m = -1 is not an integer in [0, 20]"),
+        ("m", 21, "model order m = 21 is not an integer in [0, 20]"),
+        ("m", "4", "model order m = '4' is not an integer"),
+        ("m", 4.5, "model order m = 4.5 is not an integer"),
+        ("m", True, "model order m = True is not an integer"),
+        ("metadata", [], "model metadata must be a JSON object"),
+        ("rank_tol", "x", "rank_tol must be a finite number in (0, 1)"),
+        ("rank_tol", float("nan"), "rank_tol must be a finite number"),
+        ("rank_tol", 1.0, "rank_tol must be a finite number in (0, 1)"),
+    ])
+    def test_malformed_model_field_exits_1(self, delay_model, tmp_path,
+                                           capsys, field, value, message):
+        doc = json.loads(delay_model.read_text())
+        if field == "rank_tol":
+            doc["metadata"][field] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "field.model"
+        path.write_text(json.dumps(doc))
+        assert main(["online", "--model", str(path), "--p", "32"]) == 1
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "2"])
+    def test_bad_rank_tol_exits_2_writing_nothing(self, delay_model, tmp_path,
+                                                  capsys, value):
+        assert main(["online", "--model", str(delay_model), "--p", "32",
+                     f"--rank-tol={value}",
+                     "--out", str(tmp_path / "out.txt")]) == 2
+        assert ("rank_tol must be a finite number in (0, 1)"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_non_finite_parameter_exits_2(self, delay_model, p):

@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 
 from pnlevp.contour import Disk, default_sampling
 from pnlevp.errors import RealizationError
-from pnlevp.loewner import (_OVERSAMPLING, TangentialData, _sketches,
+from pnlevp.loewner import (_OVERSAMPLING, TangentialData, _sketch,
                             build_loewner, eigenvalue_order, filter_in_domain,
                             numerical_rank, realize)
 from pnlevp.problems import SyntheticRationalProblem
@@ -186,8 +186,8 @@ class TestRealize:
         )
         out = realize(data)
         assert out.rank == 1
-        s_row, s_col = out.singular_values
-        assert np.count_nonzero(s_row > 1e-10 * s_row[0]) == 1
+        s = out.singular_values
+        assert np.count_nonzero(s > 1e-10 * s[0]) == 1
 
     def test_exact_recovery_and_tangential_interpolation(self):
         domain = Disk(0.0, 1.0)
@@ -280,8 +280,8 @@ class TestRealize:
         sketched = realize(data, order=3)
         exact = realize(data)
         assert sketched.rank == exact.rank == 3
-        assert [len(s) for s in sketched.singular_values] == [11, 11]
-        assert [len(s) for s in exact.singular_values] == [r, r]
+        assert len(sketched.singular_values) == 11
+        assert len(exact.singular_values) == r
         truth = np.sort_complex(prob.eigenvalues_at(p))
         np.testing.assert_allclose(np.sort_complex(sketched.eigenvalues),
                                    truth, atol=1e-9)
@@ -313,26 +313,31 @@ def _three_pole_data(r=14):
 
 def _explicit_realize(data, m, order=None):
     """Eigenvalues and sketched singular values of the pencil formed
-    explicitly: L and Ls from build_loewner, the blocks [L Ls] and [L; Ls]^H
-    stacked, and their leading singular pairs from the same Gaussian draws
-    and a full SVD of each sketched block."""
+    explicitly: L and Ls from build_loewner, the leading singular pairs
+    X, s, Y of L from the same Gaussian draws through NumPy's QR and SVD,
+    and the eigenvalues of (X^H Ls Y, X^H L Y)."""
     L, Ls = build_loewner(data)
-    k_row, k_col = L.shape
+    k = min(L.shape)
     if order is not None:
-        k_row = min(k_row, order + _OVERSAMPLING)
-        k_col = min(k_col, order + _OVERSAMPLING)
-    G_row, G_col = _sketches(L.shape, k_row, k_col)
+        k = min(k, order + _OVERSAMPLING)
+    Q, _ = np.linalg.qr(L @ _sketch(L.shape[1], k))
+    U, s, Vh = np.linalg.svd(Q.conj().T @ L, full_matrices=False)
+    Xh, Y = (Q @ U[:, :m]).conj().T, Vh[:m].conj().T
+    lam = scipy.linalg.eigvals(Xh @ Ls @ Y, Xh @ L @ Y)
+    return lam[eigenvalue_order(lam)], s
 
-    def dominant_left(A, G):
-        Q, _ = np.linalg.qr(A @ G)
-        U, s, _ = np.linalg.svd(Q.conj().T @ A, full_matrices=False)
-        return Q @ U, s
 
-    X, s_row = dominant_left(np.hstack([L, Ls]), G_row)
-    Ys, s_col = dominant_left(np.vstack([L, Ls]).conj().T, G_col)
-    Xh, Ys = X[:, :m].conj().T, Ys[:, :m]
-    lam = scipy.linalg.eigvals(Xh @ Ls @ Ys, Xh @ L @ Ys)
-    return lam[eigenvalue_order(lam)], (s_row, s_col)
+def _two_block_realize(data, m):
+    """Eigenvalues of the pencil truncated by the full SVDs of the two
+    blocks [L Ls] and [L; Ls], which also serves improper (descriptor) data
+    (Antoulas, Lefteriu & Ionita, SIAM 2017): X and Y are the leading m left
+    singular vectors of [L Ls] and right singular vectors of [L; Ls]."""
+    L, Ls = build_loewner(data)
+    X = np.linalg.svd(np.hstack([L, Ls]))[0][:, :m]
+    Y = np.linalg.svd(np.vstack([L, Ls]))[2][:m].conj().T
+    Xh = X.conj().T
+    lam = scipy.linalg.eigvals(Xh @ Ls @ Y, Xh @ L @ Y)
+    return lam[eigenvalue_order(lam)]
 
 
 class TestStructuredRealize:
@@ -340,10 +345,11 @@ class TestStructuredRealize:
     explicitly from L and Ls."""
 
     # with noise the trailing sketched values and the projected eigenvalues
-    # depend on the sketch draws and on which singular vectors are kept
-    @pytest.mark.parametrize("order, lengths, noise", [(3, [11, 11], 0.0),
-                                                       (None, [14, 14], 0.0),
-                                                       (3, [11, 11], 1e-6)])
+    # depend on the sketch draws and on which singular vectors are kept;
+    # lengths is the shape of the sketched spectrum
+    @pytest.mark.parametrize("order, lengths, noise", [(3, [11], 0.0),
+                                                       (None, [14], 0.0),
+                                                       (3, [11], 1e-6)])
     def test_matches_explicit_pencil(self, order, lengths, noise):
         data = _three_pole_data()
         rng = np.random.default_rng(8)
@@ -357,17 +363,49 @@ class TestStructuredRealize:
         out = realize(data, order=order)
         lam, svals = _explicit_realize(data, out.rank, order)
         assert out.rank == 3
-        assert [len(s) for s in out.singular_values] == lengths
+        assert list(out.singular_values.shape) == lengths
         np.testing.assert_allclose(out.eigenvalues, lam,
                                    rtol=1e-12, atol=0.0)
-        for got, want in zip(out.singular_values, svals):
-            np.testing.assert_allclose(got, want, rtol=0.0,
-                                       atol=1e-13 * want[0])
+        np.testing.assert_allclose(out.singular_values, svals, rtol=0.0,
+                                   atol=1e-13 * svals[0])
+
+    @pytest.mark.parametrize("order", [3, None])
+    def test_matches_two_block_truncation(self, order):
+        # strictly proper data: L alone carries the pencil of [L Ls], [L; Ls]
+        data = _three_pole_data()
+        out = realize(data, order=order)
+        assert out.rank == 3
+        np.testing.assert_allclose(out.eigenvalues,
+                                   _two_block_realize(data, 3),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_pole_at_zero(self):
+        # a pole at 0 drops the rank of Ls = -O J R below that of L = -O R
+        rng = np.random.default_rng(19)
+        n, r = 4, 8
+        poles = [0.0, 0.3, -0.2j]
+        residues = [(_random_dirs(rng, 1, n)[0], _random_dirs(rng, 1, n)[0])
+                    for _ in poles]
+        theta = 1.5 * np.exp(2j * np.pi * np.arange(r) / (2 * r))
+        sigma = 1.5 * np.exp(2j * np.pi * (np.arange(r) + 0.5) / (2 * r))
+        data, _ = _pole_data(poles, residues, theta, sigma,
+                             _random_dirs(rng, r, n), _random_dirs(rng, r, n))
+        L, Ls = build_loewner(data)
+        assert numerical_rank(L) == 3 and numerical_rank(Ls) == 2
+        out = realize(data)
+        assert out.rank == 3
+        for mu, (u, w) in zip(poles, residues):
+            j = int(np.argmin(np.abs(out.eigenvalues - mu)))
+            assert abs(out.eigenvalues[j] - mu) <= 1e-13
+            truth = np.outer(u, w)
+            np.testing.assert_allclose(
+                np.outer(out.V[:, j], out.W[:, j].conj()), truth,
+                rtol=0.0, atol=1e-13 * np.max(np.abs(truth)))
 
     def test_rank_gap(self):
         data = _three_pole_data()
-        # the mirrored data have L^T for L, so the row and column sides trade
-        # places and each side gives the smaller gap once
+        # the mirrored data have L^T for L, with the same singular values;
+        # each reads its gap off its own sketched spectrum
         mirror = TangentialData(
             theta=data.sigma, sigma=data.theta,
             left_dirs=data.right_dirs, right_dirs=data.left_dirs,
@@ -375,9 +413,9 @@ class TestStructuredRealize:
         )
         for d in (data, mirror):
             sketched = realize(d, order=3)
-            s_row, s_col = sketched.singular_values
+            s = sketched.singular_values
             gap = sketched.diagnostics["rank_gap"]
-            assert gap == min(s_row[2] / s_row[3], s_col[2] / s_col[3])
+            assert gap == s[2] / s[3]
             assert gap > 1e8
         # a 1x1 pencil holds no value past m = 1
         one = TangentialData(

@@ -182,9 +182,9 @@ class TestSketchedRank:
         widths = []
         sketch = paaa._dominant_left
 
-        def recorded(A, k, rng):
-            widths.append(k)
-            return sketch(A, k, rng)
+        def recorded(A, G):
+            widths.append(G.shape[1])
+            return sketch(A, G)
 
         monkeypatch.setattr(paaa, "_dominant_left", recorded)
         L = _planted(singular_values)

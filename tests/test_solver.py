@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
 import pnlevp
 from pnlevp import benchmarks, paaa, solver
@@ -272,6 +273,28 @@ class TestOnline:
         got = online(load_model(path), 32.5)
         assert len(got.eigenvalues) == 4
         np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+
+    def test_one_call_of_each_lapack_routine(self, delay, tmp_path,
+                                             monkeypatch):
+        # one sketched SVD of L (zgeqrf, zungqr, zgesdd), one pencil (zggev)
+        path = tmp_path / "delay.model"
+        save_model(delay[1], path)
+        model = load_model(path)
+        calls = []
+
+        def counted(name, routine):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return routine(*args, **kwargs)
+            return call
+
+        fortran = type(lapack.zgeqrf)
+        for name in dir(lapack):
+            routine = getattr(lapack, name)
+            if type(routine) is fortran:
+                monkeypatch.setattr(lapack, name, counted(name, routine))
+        assert len(online(model, 32.5).eigenvalues) == 4
+        assert sorted(calls) == ["zgeqrf", "zgesdd", "zggev", "zungqr"]
 
     def test_linear_demo_eigenvalues(self, linear1):
         problem, model = linear1
