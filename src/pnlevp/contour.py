@@ -33,7 +33,8 @@ class Disk:
             raise ValueError("disk radius must be positive")
 
     def contains(self, z):
-        """Strict interior test; boundary points (within 1e-14) are outside."""
+        """Strict interior test of a point or an array of points; boundary
+        points (within 1e-14) are outside."""
         return abs(z - self.center) < self.radius - _BOUNDARY_TOL
 
     def gamma(self, t):
@@ -62,6 +63,7 @@ class Ellipse:
             raise ValueError("ellipse semi-axes must be positive")
 
     def contains(self, z):
+        """Strict interior test of a point or an array of points."""
         w = z - self.center
         rho = np.hypot(w.real / self.semi_real, w.imag / self.semi_imag)
         return (1.0 - rho) * min(self.semi_real, self.semi_imag) > _BOUNDARY_TOL

@@ -259,6 +259,4 @@ def realize(data, rank_tol=1e-10, order=None):
 def filter_in_domain(realization, domain):
     """Flag each eigenvalue with strict-interior containment; nothing is
     deleted (computed eigenvalues may legitimately sit outside the domain)."""
-    return np.array(
-        [domain.contains(z) for z in realization.eigenvalues], dtype=bool
-    )
+    return np.asarray(domain.contains(realization.eigenvalues), dtype=bool)

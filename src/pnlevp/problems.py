@@ -2,7 +2,9 @@
 
 A problem exposes ``eval(z, p)`` returning an n-by-n complex matrix,
 ``eval_nodes(z, p)`` returning the stack of T at many points (the contour
-probe inverts that stack), plus left/right linear solves against T(z, p).
+probe inverts that stack and the residuals multiply by it), plus left/right
+linear solves against T(z, p).  The benchmark problems assemble T for an
+array of points with array arithmetic; their ``eval`` is the one-point case.
 The benchmark problems also carry independent eigenvalue oracles used for
 validation.
 """
@@ -18,17 +20,24 @@ _CUT_TOL = 1e-14
 class PNlevpProblem:
     """Base class: a matrix-valued function T(z, p) with linear solves.
 
-    Subclasses set ``dim`` and implement ``eval``; they may override
-    ``eval_nodes`` with a vectorized assembly.  Solves default to dense LU
-    with partial pivoting of the evaluated matrix; problems are immutable
-    after construction, so eval/solve are safe to call concurrently.
+    Subclasses set ``dim`` and implement ``eval``, ``eval_nodes`` or both.
+    Everything that needs T at several points (the contour probe, the
+    residuals) asks for it once, through ``eval_nodes``, whose default
+    stacks ``eval``; a problem that can assemble T for an array of points
+    overrides it, and then ``eval`` defaults to its one-point case.  Solves
+    default to dense LU with partial pivoting of the evaluated matrix;
+    problems are immutable after construction, so eval/solve are safe to
+    call concurrently.
     """
 
     dim = None
     name = "custom"
 
     def eval(self, z, p):
-        raise NotImplementedError
+        """T(z, p), n-by-n."""
+        if type(self).eval_nodes is PNlevpProblem.eval_nodes:
+            raise NotImplementedError("implement eval or eval_nodes")
+        return self.eval_nodes(np.array([z], dtype=complex), p)[0]
 
     def eval_nodes(self, z, p):
         """T(z_t, p) for every point z_t of the 1-D array z, (len(z), n, n)."""
@@ -74,11 +83,12 @@ class LinearDemoProblem(PNlevpProblem):
     dim = 3
     name = "linear-demo"
 
-    def eval(self, z, p):
+    def eval_nodes(self, z, p):
+        z = np.asarray(z, dtype=complex)
         A = np.array(
             [[0.0, 1.0, 0.0], [1.0 - p, 0.0, 0.0], [0.0, 1.0, p]], dtype=complex
         )
-        return z * np.eye(3, dtype=complex) - A
+        return z[:, None, None] * np.eye(3, dtype=complex) - A
 
     def true_eigenvalues(self, p, domain=None, margin=1.0):
         """All three roots of the characteristic polynomial, optionally
@@ -103,9 +113,13 @@ class DelayProblem(PNlevpProblem):
     def __init__(self):
         self.E = np.logspace(-4, 10, self.dim)
 
-    def eval(self, z, p):
+    def eval_nodes(self, z, p):
+        z = np.asarray(z, dtype=complex)
         scalar = z + self.damping * np.exp(-p * z)
-        return np.diag(scalar + self.E).astype(complex)
+        T = np.zeros((len(z), self.dim, self.dim), dtype=complex)
+        i = np.arange(self.dim)
+        T[:, i, i] = scalar[:, None] + self.E
+        return T
 
     def true_eigenvalues(self, p, domain=None, margin=1.0):
         """Newton-refined roots of z + 0.01 e^{-pz} + E_ii = 0, seeded from a
@@ -156,16 +170,12 @@ class DampedStringProblem(PNlevpProblem):
                 f"string problem (real axis outside ({-2 * np.real(p)}, 0))"
             )
 
-    def eval(self, z, p):
-        self._check_cut(z, p)
-        return self._build(complex(z), p)
-
     def eval_nodes(self, z, p):
         self._check_cut(z, p)
         return self._build(z, p)
 
     def _build(self, z, p):
-        """Assemble T for scalar or array z; no branch-cut check."""
+        """Assemble T for the array z; no branch-cut check."""
         z = np.asarray(z, dtype=complex)
         zh = self.branch(z, p)
         s4, c4 = np.sinh(z / 4), np.cosh(z / 4)
@@ -180,7 +190,7 @@ class DampedStringProblem(PNlevpProblem):
                 [zero, -zh * ch3, -zh * sh3, -z * c4],
             ]
         )
-        # move the trailing z-axis (if any) to the front: (..., 4, 4)
+        # move the trailing z-axis to the front: (len(z), 4, 4)
         return np.moveaxis(T, (0, 1), (-2, -1))
 
     def _det_batch(self, z, p):

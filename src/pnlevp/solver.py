@@ -68,6 +68,9 @@ class OfflineModel:
     metadata: dict = field(default_factory=dict)
     # p-only form at theta_1..r, then sigma_1..r; derived, not stored
     collapsed: object = field(init=False, repr=False, compare=False)
+    # min and max real part, mean imaginary part of the parameter points,
+    # for the extrapolation warning; derived, not stored
+    p_window: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.shape(self.left_vals) != np.shape(self.right_vals):
@@ -77,6 +80,9 @@ class OfflineModel:
             self.scalar_model,
             np.concatenate([config.left_points, config.right_points]),
             np.concatenate([self.left_vals, self.right_vals])))
+        p = config.parameter_points
+        object.__setattr__(self, "p_window",
+                           (p.real.min(), p.real.max(), p.imag.mean()))
 
 
 @dataclass(frozen=True)
@@ -295,18 +301,24 @@ def online(model, p_hat, rank_tol=None):
 
 
 def residuals(problem, solution):
-    """Per-eigenpair relative residuals ||T(lam_j, p) v_j|| / ||v_j||."""
-    if len(solution.eigenvalues) == 0:
+    """Per-eigenpair relative residuals ||T(lam_j, p) v_j|| / ||v_j||, as a
+    list of floats.
+
+    T is asked for once, at all eigenvalues, through problem.eval_nodes, and
+    multiplied by the eigenvectors as one stack.  Raises ValueError for a
+    solution without eigenpairs or with a zero eigenvector, and whatever
+    eval_nodes raises, e.g. BranchCutError for an eigenvalue on a cut.
+    """
+    lams = solution.eigenvalues
+    if len(lams) == 0:
         raise ValueError("solution has no eigenpairs")
-    out = []
-    for j, lam in enumerate(solution.eigenvalues):
-        v = solution.V[:, j]
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise ValueError(f"eigenvector {j} is zero")
-        T = problem.eval(lam, solution.p_hat)
-        out.append(float(np.linalg.norm(T @ v) / nv))
-    return out
+    V = solution.V
+    nv = np.linalg.norm(V, axis=0)
+    if np.any(nv == 0.0):
+        raise ValueError(f"eigenvector {np.argmax(nv == 0.0)} is zero")
+    T = problem.eval_nodes(lams, solution.p_hat)
+    TV = (T @ V.T[:, :, None])[:, :, 0]  # row j is T(lam_j, p) v_j
+    return (np.linalg.norm(TV, axis=1) / nv).tolist()
 
 
 def scalar_probe_eigenvalues(model, p_hat):
@@ -347,13 +359,12 @@ def scalar_probe_eigenvalues(model, p_hat):
 
 
 def _warn_if_extrapolating(model, p_hat):
-    p = model.config.parameter_points
-    lo, hi = p.real.min(), p.real.max()
+    lo, hi, mid = model.p_window
     span = max(hi - lo, 1e-12)
     outside = (
         p_hat.real < lo - 0.5 * span
         or p_hat.real > hi + 0.5 * span
-        or abs(p_hat.imag - p.imag.mean()) > 0.5 * span
+        or abs(p_hat.imag - mid) > 0.5 * span
     )
     if outside:
         warnings.warn(

@@ -144,8 +144,9 @@ class TestDampedString:
             batch = prob.eval_nodes(nodes, p)
             stacked = np.array([prob.eval(z, p) for z in nodes])
             assert batch.shape == (1000, 4, 4)
-            # the vectorized complex products round differently from the
-            # scalar ones, so the match is to rounding, not bit for bit
+            # eval is the one-point case of the same assembly; SIMD array
+            # loops may still round a lone point and a long stack apart, so
+            # the match is to rounding, not bit for bit
             assert (np.linalg.norm(batch - stacked)
                     <= 1e-15 * np.linalg.norm(stacked))
 
@@ -264,3 +265,17 @@ class TestInterface:
 
         with pytest.raises(UnsupportedProblemError):
             Custom().true_eigenvalues(0.0)
+
+    def test_custom_problem_implements_eval_or_eval_nodes(self):
+        class Stacked(PNlevpProblem):
+            dim = 2
+
+            def eval_nodes(self, z, p):
+                return (np.asarray(z)[:, None, None] - p) * np.eye(2)
+
+        np.testing.assert_array_equal(Stacked().eval(0.5j, 0.25),
+                                      (0.5j - 0.25) * np.eye(2))
+        with pytest.raises(NotImplementedError):
+            PNlevpProblem().eval(0.5j, 0.25)
+        with pytest.raises(NotImplementedError):
+            PNlevpProblem().eval_nodes(np.array([0.5j]), 0.25)

@@ -16,12 +16,14 @@ from scipy.linalg import lapack
 
 import pnlevp
 from pnlevp import benchmarks, paaa, solver
-from pnlevp.contour import (Disk, ProbedSampleSet, build_trapezoid_rule,
-                            default_sampling, probe_samples)
-from pnlevp.errors import EvaluationError, ModelFormatError
+from pnlevp.contour import (Disk, Ellipse, ProbedSampleSet,
+                            build_trapezoid_rule, default_sampling,
+                            probe_samples)
+from pnlevp.errors import BranchCutError, EvaluationError, ModelFormatError
 from pnlevp.paaa import BarycentricModel2D, eval_collapsed, paaa_fit
-from pnlevp.problems import (LinearDemoProblem, PNlevpProblem,
-                             SyntheticRationalProblem, get_problem)
+from pnlevp.problems import (DampedStringProblem, LinearDemoProblem,
+                             PNlevpProblem, SyntheticRationalProblem,
+                             get_problem)
 from pnlevp.solver import (EigenSolution, OfflineModel, load_model, offline,
                            online, residuals, save_model,
                            scalar_probe_eigenvalues, write_atomic)
@@ -363,7 +365,71 @@ class TestOnline:
             online(model, 1.1)
 
 
+def _eigensolution(name):
+    """(problem, solution) at an oracle eigenpair per eigenvalue, null
+    vectors from the SVD of T, plus one pair that is no eigenpair."""
+    problem = get_problem(name)
+    p, domain = {"linear-demo": (0.75, None),
+                 "delay": (32.0, Disk(0.0, 0.075)),
+                 "damped-string": (3.5, Ellipse(-3.0, 2.5, 10.0)),
+                 "synthetic": (0.3, None)}[name]
+    lams = problem.true_eigenvalues(p, domain)
+    V = np.column_stack([np.linalg.svd(problem.eval(lam, p))[2][-1].conj()
+                         for lam in lams])
+    rng = np.random.default_rng(13)
+    lams = np.append(lams, lams[0] + 0.1j)
+    V = np.column_stack([V, rng.standard_normal(problem.dim)
+                         + 1j * rng.standard_normal(problem.dim)])
+    return problem, EigenSolution(p_hat=p, eigenvalues=lams, V=V, W=V,
+                                  in_domain=np.ones(len(lams), dtype=bool))
+
+
+_RESIDUAL_PROBLEMS = ("linear-demo", "delay", "damped-string", "synthetic")
+
+
 class TestResiduals:
+    @pytest.mark.parametrize("name", _RESIDUAL_PROBLEMS)
+    def test_batched_matches_pair_by_pair(self, name):
+        problem, sol = _eigensolution(name)
+        got = residuals(problem, sol)
+        assert isinstance(got, list)
+        assert all(type(x) is float for x in got)
+        assert len(got) == len(sol.eigenvalues)
+        # the reference: one eval and one product per eigenpair
+        for g, lam, v in zip(got, sol.eigenvalues, sol.V.T):
+            T = problem.eval(lam, sol.p_hat)
+            want = np.linalg.norm(T @ v) / np.linalg.norm(v)
+            # exact pairs give residuals near 1e-15, so the match is
+            # absolute, to a few rounding errors of T
+            assert abs(g - want) <= 4 * np.finfo(float).eps * np.linalg.norm(
+                T, 2)
+        assert max(got[:-1]) <= 1e-13 < got[-1]
+
+    @pytest.mark.parametrize("name", _RESIDUAL_PROBLEMS)
+    def test_one_eval_nodes_call_per_answer(self, name, monkeypatch):
+        problem, sol = _eigensolution(name)
+        calls = []
+        for method in ("eval", "eval_nodes"):
+            def counted(z, p, _f=getattr(problem, method), _name=method):
+                calls.append(_name)
+                return _f(z, p)
+            monkeypatch.setattr(problem, method, counted)
+        residuals(problem, sol)
+        assert calls.count("eval_nodes") == 1
+        if name != "synthetic":
+            # the benchmark problems assemble the stack; synthetic stays
+            # on the default, which stacks eval
+            assert calls == ["eval_nodes"]
+
+    def test_eigenvalue_on_branch_cut_named(self):
+        problem = DampedStringProblem()
+        lams = np.array([-1.0 + 0.5j, 0.5 + 0j, -7.0 + 0j])
+        V = np.ones((4, 3), dtype=complex)
+        sol = EigenSolution(p_hat=3.0, eigenvalues=lams, V=V, W=V,
+                            in_domain=np.zeros(3, dtype=bool))
+        with pytest.raises(BranchCutError, match=r"z=\(0\.5\+0j\)"):
+            residuals(problem, sol)
+
     def test_exact_eigenpair_zero(self):
         problem = LinearDemoProblem()
         v = np.array([1.0, 0.5, -2.0], dtype=complex)
