@@ -21,34 +21,10 @@ _BOUNDARY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class Disk:
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.center) and np.isfinite(self.radius)):
-            raise ValueError(f"disk center {self.center} and radius "
-                             f"{self.radius} must be finite")
-        if self.radius <= 0:
-            raise ValueError("disk radius must be positive")
-
-    def contains(self, z):
-        """Strict interior test of a point or an array of points; boundary
-        points (within 1e-14) are outside."""
-        return abs(z - self.center) < self.radius - _BOUNDARY_TOL
-
-    def gamma(self, t):
-        return self.center + self.radius * np.exp(1j * np.asarray(t))
-
-    def dgamma(self, t):
-        return 1j * self.radius * np.exp(1j * np.asarray(t))
-
-    def boundary_distance(self, z):
-        return abs(abs(z - self.center) - self.radius)
-
-
-@dataclass(frozen=True)
 class Ellipse:
+    """Target domain: the open ellipse with axes along the real and
+    imaginary axes; Disk(center, radius) builds the round one."""
+
     center: complex
     semi_real: float
     semi_imag: float
@@ -63,17 +39,16 @@ class Ellipse:
             raise ValueError("ellipse semi-axes must be positive")
 
     def contains(self, z):
-        """Strict interior test of a point or an array of points."""
+        """Strict interior test of a point or an array of points; points
+        within 1e-14 of the boundary are outside."""
         w = z - self.center
         rho = np.hypot(w.real / self.semi_real, w.imag / self.semi_imag)
         return (1.0 - rho) * min(self.semi_real, self.semi_imag) > _BOUNDARY_TOL
 
     def gamma(self, t):
-        t = np.asarray(t)
         return self.center + self.semi_real * np.cos(t) + 1j * self.semi_imag * np.sin(t)
 
     def dgamma(self, t):
-        t = np.asarray(t)
         return -self.semi_real * np.sin(t) + 1j * self.semi_imag * np.cos(t)
 
     def boundary_distance(self, z):
@@ -83,26 +58,15 @@ class Ellipse:
         return abs(1.0 - rho) * min(self.semi_real, self.semi_imag)
 
 
+def Disk(center, radius):
+    """The disk |z - center| < radius, as a round Ellipse."""
+    return Ellipse(center, radius, radius)
+
+
 def scale_domain(domain, factor):
-    """Domain with all radii/semi-axes scaled about the same center."""
-    if factor == 1.0:
-        return domain
-    if isinstance(domain, Disk):
-        return Disk(domain.center, domain.radius * factor)
-    if isinstance(domain, Ellipse):
-        return Ellipse(domain.center, domain.semi_real * factor, domain.semi_imag * factor)
-    raise TypeError(f"unsupported domain type: {type(domain)!r}")
-
-
-def bounding_box(domain):
-    """(lower-left, upper-right) corners of the domain's bounding box."""
-    if isinstance(domain, Disk):
-        r = domain.radius
-        return domain.center - r - 1j * r, domain.center + r + 1j * r
-    if isinstance(domain, Ellipse):
-        w = domain.semi_real + 1j * domain.semi_imag
-        return domain.center - w, domain.center + w
-    raise TypeError(f"unsupported domain type: {type(domain)!r}")
+    """Domain with both semi-axes scaled about the same center."""
+    return Ellipse(domain.center, domain.semi_real * factor,
+                   domain.semi_imag * factor)
 
 
 @dataclass(frozen=True)
@@ -145,6 +109,9 @@ class SamplingConfig:
         if len(s) % 2 != 0 or len(s) < 2:
             raise ValueError("need an even, positive number of sample points")
         r = len(s) // 2
+        if not set(s[0::2].tolist()).isdisjoint(s[1::2].tolist()):
+            raise ValueError(
+                "left and right sample points must be pairwise distinct")
         if self.left_dirs.shape[0] != r or self.right_dirs.shape[0] != r:
             raise ValueError("need r left and r right probing directions")
         object.__setattr__(self, "sample_points", s)
@@ -186,8 +153,9 @@ def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
     parameter points; complex standard-normal probing directions."""
     if r < 1 or q < 1:
         raise ValueError("need r >= 1 and q >= 1")
-    if inflation <= 1.0:
-        raise ValueError("inflation factor must exceed 1")
+    if not (np.isfinite(inflation) and inflation > 1.0):
+        raise ValueError(f"inflation factor {inflation} must be a finite "
+                         "number exceeding 1")
     boundary = sampling_domain if sampling_domain is not None else scale_domain(domain, inflation)
     t = 2 * np.pi * np.arange(2 * r) / (2 * r)
     s = boundary.gamma(t)
@@ -209,9 +177,10 @@ def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
 def _check_outside(domain, points):
     """Raise ValueError for the first point that is not strictly outside the
     closed domain (inside, or within 1e-10 of its boundary)."""
-    for si in points:
-        if domain.contains(si) or domain.boundary_distance(si) <= 1e-10:
-            raise ValueError(f"sample point {si} is not strictly outside the domain")
+    bad = domain.contains(points) | (domain.boundary_distance(points) <= 1e-10)
+    if np.any(bad):
+        raise ValueError(f"sample point {points[np.argmax(bad)]} is not "
+                         "strictly outside the domain")
 
 
 @dataclass(frozen=True)

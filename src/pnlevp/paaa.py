@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvaluationError, RankConsistencyError
-from .loewner import _SKETCH_SEED, _dominant_left, _loewner
+from .loewner import _dominant_left, _loewner, _sketch
 
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
@@ -131,7 +131,8 @@ def _sketched_rank(L, rank_tol):
     m = 0) and the sketch's leading singular triplet (X, s, Vh) truncated to
     m; None when the sketch cannot certify the count (see _svd_rank).
 
-    X spans a Gaussian sketch of width k of L's range, s the singular values
+    X spans a Gaussian sketch of width k of L's range (the test matrix of
+    loewner._sketch, which online sketches with too), s the singular values
     of X^H L, and e = ||L - X X^H L||_F (plus a rounding allowance) bounds
     the rest.  By Weyl's inequality each sigma_i of L lies in [s_i, s_i + e]
     for i < k, and below e beyond the sketch; so the threshold rank_tol *
@@ -141,12 +142,9 @@ def _sketched_rank(L, rank_tol):
     sketch doubles k; an uncertified count, or a sketch as wide as L, gives
     None.
     """
-    rng = np.random.default_rng(_SKETCH_SEED)
     k = _RANK_SKETCH
     while k < min(L.shape):
-        shape = (L.shape[1], k)
-        X, s, Vh = _dominant_left(
-            L, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        X, s, Vh = _dominant_left(L, _sketch(L.shape[1], k))
         e = (np.linalg.norm(L - X @ (X.conj().T @ L))
              + k * np.finfo(float).eps * np.linalg.norm(L))
         lo, hi = rank_tol * s[0], rank_tol * (s[0] + e)

@@ -11,7 +11,7 @@ validation.
 
 import numpy as np
 
-from .contour import Disk, Ellipse, bounding_box, scale_domain
+from .contour import scale_domain
 from .errors import BranchCutError, SingularMatrixError, UnsupportedProblemError
 
 _CUT_TOL = 1e-14
@@ -96,7 +96,7 @@ class LinearDemoProblem(PNlevpProblem):
         root = np.sqrt(complex(1.0 - p))
         lams = np.array([p, root, -root], dtype=complex)
         if domain is not None:
-            lams = lams[[_scaled_contains(domain, z, margin) for z in lams]]
+            lams = lams[scale_domain(domain, margin).contains(lams)]
         return _sort_eigenvalues(lams)
 
 
@@ -133,7 +133,7 @@ class DelayProblem(PNlevpProblem):
             df = lambda z: 1.0 - self.damping * p * np.exp(-p * z)
             roots.append(_newton_batch(f, df, seeds))
         roots = np.concatenate(roots)
-        roots = roots[[_scaled_contains(domain, z, margin) for z in roots]]
+        roots = roots[scale_domain(domain, margin).contains(roots)]
         return _sort_eigenvalues(_merge_close(roots))
 
 
@@ -214,7 +214,7 @@ class DampedStringProblem(PNlevpProblem):
             return (f(z + step) - f(z - step)) / (2 * step)
 
         roots = _newton_batch(f, df, seeds)
-        roots = roots[[_scaled_contains(domain, z, margin) for z in roots]]
+        roots = roots[scale_domain(domain, margin).contains(roots)]
         return _sort_eigenvalues(_merge_close(roots))
 
 
@@ -287,7 +287,7 @@ class SyntheticRationalProblem(PNlevpProblem):
     def true_eigenvalues(self, p, domain=None, margin=1.0):
         lams = self.eigenvalues_at(p)
         if domain is not None:
-            lams = lams[[_scaled_contains(domain, z, margin) for z in lams]]
+            lams = lams[scale_domain(domain, margin).contains(lams)]
         return _sort_eigenvalues(lams)
 
 
@@ -342,15 +342,13 @@ def _newton_batch(f, df, seeds, tol=1e-13, max_steps=50):
 
 def _domain_grid(domain, margin=1.0, n=60):
     """n-by-n complex grid over the bounding box of the scaled domain."""
-    lo, hi = bounding_box(scale_domain(domain, margin))
+    scaled = scale_domain(domain, margin)
+    w = scaled.semi_real + 1j * scaled.semi_imag
+    lo, hi = scaled.center - w, scaled.center + w
     xs = np.linspace(lo.real, hi.real, n)
     ys = np.linspace(lo.imag, hi.imag, n)
     X, Y = np.meshgrid(xs, ys)
     return (X + 1j * Y).ravel()
-
-
-def _scaled_contains(domain, z, margin=1.0):
-    return scale_domain(domain, margin).contains(z)
 
 
 def _random_in_unit_disk(rng):
@@ -362,8 +360,4 @@ def _random_in_unit_disk(rng):
 
 def _from_unit(domain, w):
     """Map a point of the unit disk into the domain (affine, axis-scaled)."""
-    if isinstance(domain, Disk):
-        return domain.center + domain.radius * w
-    if isinstance(domain, Ellipse):
-        return domain.center + domain.semi_real * w.real + 1j * domain.semi_imag * w.imag
-    raise TypeError(f"unsupported domain type: {type(domain)!r}")
+    return domain.center + domain.semi_real * w.real + 1j * domain.semi_imag * w.imag

@@ -451,12 +451,15 @@ def load_model(path):
                 f"the model with this offline (format {FORMAT_VERSION})")
         domain = _domain_from_doc(doc["domain"])
         sampling = doc["sampling"]
+        seed = sampling["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ModelFormatError(f"sampling seed {seed!r} is not an int >= 0")
         config = SamplingConfig(
             sample_points=_l2c(sampling["sample_points"]),
             parameter_points=_l2c(sampling["parameter_points"]),
             left_dirs=_l2c(sampling["left_dirs"]),
             right_dirs=_l2c(sampling["right_dirs"]),
-            seed=sampling["seed"],
+            seed=seed,
         )
         m, metadata = doc["m"], doc["metadata"]
         if type(m) is not int or not 0 <= m <= config.r:
@@ -466,6 +469,8 @@ def load_model(path):
             raise ModelFormatError("model metadata must be a JSON object")
         _checked_rank_tol(metadata.get("rank_tol", 1e-10), ModelFormatError)
         fit = doc.get("scalar_fit", {})
+        if not isinstance(fit, dict):
+            raise ModelFormatError("scalar_fit must be a JSON object")
         scalar_model = BarycentricModel2D(
             z_nodes=_l2c(doc["scalar_nodes"]["z"]),
             p_nodes=_l2c(doc["scalar_nodes"]["p"]),
@@ -482,21 +487,19 @@ def load_model(path):
             right_vals=_l2c(doc["right_vals"]),
             metadata=metadata,
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file {path!r}: {exc}") from exc
 
 
 def _domain_to_doc(domain):
-    if isinstance(domain, Disk):
-        return {"type": "disk",
-                "center": [domain.center.real, domain.center.imag],
-                "radius": domain.radius}
-    if isinstance(domain, Ellipse):
-        return {"type": "ellipse",
-                "center": [domain.center.real, domain.center.imag],
-                "semi_real": domain.semi_real,
-                "semi_imag": domain.semi_imag}
-    raise TypeError(f"unsupported domain type: {type(domain)!r}")
+    """A round ellipse is written as a disk."""
+    center = [domain.center.real, domain.center.imag]
+    if domain.semi_real == domain.semi_imag:
+        return {"type": "disk", "center": center, "radius": domain.semi_real}
+    return {"type": "ellipse", "center": center,
+            "semi_real": domain.semi_real, "semi_imag": domain.semi_imag}
 
 
 def _domain_from_doc(doc):

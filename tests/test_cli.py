@@ -101,6 +101,17 @@ class TestOffline:
         assert "must be a finite number" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1"])
+    def test_bad_inflation_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                   value):
+        assert main(["offline", "--problem", "linear-demo",
+                     "--disk", "0,0,0.6", "--p", "0.75:1.25", "--q", "4",
+                     "--r", "4", "--N", "16", f"--inflation={value}",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert (f"inflation factor {float(value)} must be a finite number "
+                "exceeding 1" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_identical_config_and_seed_byte_identical_models(self, tmp_path):
         args = ("offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
                 "--p", "0.75:1.25", "--q", "8", "--r", "6", "--N", "128",
@@ -231,6 +242,48 @@ class TestOnline:
         assert main(["online", "--model", str(path), "--p", "32"]) == 1
         out, err = capsys.readouterr()
         assert message in err and out == ""
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d["sampling"]["left_dirs"].pop(),
+                     "need r left and r right probing directions",
+                     id="left-dirs-row"),
+        pytest.param(lambda d: d["left_vals"].pop(),
+                     "left_vals and right_vals differ in shape",
+                     id="left-vals-direction"),
+        pytest.param(lambda d: d["scalar_nodes"]["p"].pop(),
+                     "malformed model file", id="p-node"),
+        pytest.param(lambda d: d["scalar_nodes"]["z"].pop(),
+                     "malformed model file", id="z-node"),
+        pytest.param(lambda d: d.update(alpha=d["alpha"][0]),
+                     "malformed model file", id="1-d-alpha"),
+        pytest.param(lambda d: d["domain"].update(radius=-0.075),
+                     "ellipse semi-axes must be positive",
+                     id="negative-radius"),
+        pytest.param(lambda d: d["sampling"]["sample_points"].pop(),
+                     "need an even, positive number of sample points",
+                     id="odd-sample-points"),
+        pytest.param(lambda d: d["sampling"]["sample_points"].__setitem__(
+                         1, d["sampling"]["sample_points"][0]),
+                     "left and right sample points must be pairwise distinct",
+                     id="theta-is-sigma"),
+        pytest.param(lambda d: d.update(scalar_fit=[]),
+                     "scalar_fit must be a JSON object", id="list-scalar-fit"),
+        pytest.param(lambda d: d["sampling"].update(seed="7"),
+                     "sampling seed '7' is not an int >= 0",
+                     id="string-seed"),
+        pytest.param(lambda d: d["sampling"].update(seed=-1),
+                     "sampling seed -1 is not an int >= 0",
+                     id="negative-seed"),
+    ])
+    def test_inconsistent_model_exits_1(self, delay_model, tmp_path, capsys,
+                                        edit, message):
+        doc = json.loads(delay_model.read_text())
+        edit(doc)
+        path = tmp_path / "inconsistent.model"
+        path.write_text(json.dumps(doc))
+        assert main(["online", "--model", str(path), "--p", "32"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err and out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "2"])
     def test_bad_rank_tol_exits_2_writing_nothing(self, delay_model, tmp_path,

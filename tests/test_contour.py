@@ -1,8 +1,11 @@
 """Tests for domains, boundary quadrature, and probed resolvent sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
+from pnlevp import benchmarks
 from pnlevp.contour import (Disk, Ellipse, build_trapezoid_rule,
                             default_sampling, probe_samples, scale_domain)
 from pnlevp.errors import SingularMatrixError
@@ -89,9 +92,28 @@ class TestDomains:
         with pytest.raises(ValueError, match="finite"):
             Ellipse(0.0, 1.0, bad)
 
+    def test_disk_is_a_round_ellipse(self):
+        assert Disk(0.5j, 0.25) == Ellipse(0.5j, 0.25, 0.25)
+
+    def test_disk_contains_matches_modulus_test(self):
+        # the ellipse test (1 - rho) r > 1e-14 and |z - c| < r - 1e-14 may
+        # differ only by rounding, within the 1e-14 band of the boundary
+        c, r = 0.3 + 0.2j, 1.7
+        x = np.linspace(-2 * r, 2 * r, 301)
+        phi = np.linspace(0.0, 2 * np.pi, 50)
+        z = np.concatenate([
+            c + (x[:, None] + 1j * x[None, :]).ravel(),
+            c + (r + 1e-11) * np.exp(1j * phi),
+            c + (r - 1e-11) * np.exp(1j * phi),
+        ])
+        z = z[np.abs(np.abs(z - c) - (r - 1e-14)) > 1e-12]
+        got = Disk(c, r).contains(z)
+        np.testing.assert_array_equal(got, np.abs(z - c) < r - 1e-14)
+        assert 0 < np.count_nonzero(got) < len(z)
+
     def test_scale_domain(self):
         d = scale_domain(Disk(1.0j, 0.075), 4.0 / 3.0)
-        assert abs(d.radius - 0.1) <= 1e-15
+        assert abs(d.semi_real - 0.1) <= 1e-15
         assert d.center == 1.0j
         e = scale_domain(Ellipse(-3.0, 3.0, 11.0), 2.0)
         assert (e.semi_real, e.semi_imag) == (6.0, 22.0)
@@ -112,6 +134,19 @@ class TestTrapezoidRule:
     def test_ellipse_two_nodes(self):
         rule = build_trapezoid_rule(Ellipse(-3.0, 2.5, 10.0), 2)
         np.testing.assert_allclose(rule.nodes, [-0.5, -5.5], atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["linear-1", "linear-2", "delay"])
+    def test_pinned_disk_rule_is_the_closed_form(self, name):
+        bench = benchmarks.BENCHMARKS[name]
+        c, r = bench.domain.center, bench.domain.semi_real
+        assert bench.domain.semi_imag == r
+        rule = build_trapezoid_rule(Disk(c, r), bench.N)
+        # gamma(t) = c + r e^{it} and gamma'(t) = i r e^{it}, bit for bit
+        t = 2 * np.pi * np.arange(bench.N) / bench.N
+        nodes = c + r * np.exp(1j * t)
+        weights = 1j * r * np.exp(1j * t) / (1j * bench.N)
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
 
     def test_disk_weights_sum_to_zero(self):
         for N in (2, 7, 16, 33):
@@ -291,6 +326,16 @@ class TestDefaultSampling:
         ell = Ellipse(-3.0, 3.0, 11.0)
         for s in config.sample_points:
             assert ell.boundary_distance(s) <= 1e-12
+
+    def test_first_point_inside_is_named(self):
+        # the third of 8 points on this ellipse, near 0.5i, is the first one
+        # inside the unit disk
+        crossing = Ellipse(0.0, 2.0, 0.5)
+        s = crossing.gamma(2 * np.pi * np.arange(8) / 8)
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample point {s[2]} is not strictly outside")):
+            default_sampling(Disk(0.0, 1.0), 4, 3, (0.0, 1.0), seed=0, dim=2,
+                             sampling_domain=crossing)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

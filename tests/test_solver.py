@@ -571,6 +571,21 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.right_vals, model.right_vals)
         assert loaded.metadata == model.metadata
 
+    @pytest.mark.parametrize("domain, doc", [
+        (Disk(0.1 + 0.2j, 0.7),
+         {"type": "disk", "center": [0.1, 0.2], "radius": 0.7}),
+        (Ellipse(-0.1, 0.7, 0.8),
+         {"type": "ellipse", "center": [-0.1, 0.0], "semi_real": 0.7,
+          "semi_imag": 0.8}),
+    ])
+    def test_round_domain_saved_as_disk(self, linear1, tmp_path, domain,
+                                        doc):
+        _, model = linear1
+        path = tmp_path / "model.json"
+        save_model(replace(model, domain=domain), path)
+        assert json.loads(path.read_text())["domain"] == doc
+        assert load_model(path).domain == domain
+
     def test_truncated_file_rejected(self, linear1, tmp_path):
         _, model = linear1
         path = tmp_path / "model.json"
