@@ -8,7 +8,9 @@ part H of T^{-1} at points outside the closed domain:
 so samples of H come from N dense n-by-n inverses of T per parameter, one
 batched inverse over the boundary nodes (the block-resolvent sum of Beyn's
 contour method, Beyn, LAA 2012).  Tangential samples l^T H and H r are
-contractions of H with the probing directions.
+contractions of H with the probing directions; tangential_samples forms the
+ones the Loewner pencil reads, b_k(p) = l_k^T H(theta_k, p) and
+c_k(p) = H(sigma_k, p) r_k, each direction at its own sample point.
 """
 
 from dataclasses import dataclass
@@ -206,19 +208,19 @@ class ProbedSampleSet:
         return np.tensordot(self.config.right_dirs, self.H, axes=(1, 3))
 
 
-def probe_samples(problem, rule, config, domain=None):
+def probe_samples(problem, rule, config, domain):
     """Approximate H at every sample point and parameter by boundary
     quadrature.
 
     For each parameter, T is evaluated at all N nodes as one stack
     (problem.eval_nodes) and inverted with one batched dense inverse; H at
     the 2r sample points is the weighted sum of those inverses.  Raises
-    SingularMatrixError naming the first node where T is singular.
+    ValueError for a sample point that is not strictly outside the domain,
+    and SingularMatrixError naming the first node where T is singular.
     """
     s = config.sample_points
     n = problem.dim
-    if domain is not None:
-        _check_outside(domain, s)
+    _check_outside(domain, s)
     C = rule.weights[None, :] / (s[:, None] - rule.nodes[None, :])  # (2r, N)
     H = np.empty((len(s), config.q, n, n), dtype=complex)
     for j, pj in enumerate(config.parameter_points):
@@ -227,6 +229,14 @@ def probe_samples(problem, rule, config, domain=None):
     if not np.all(np.isfinite(H)):
         raise ValueError("probed samples contain non-finite entries")
     return ProbedSampleSet(H=H, config=config)
+
+
+def tangential_samples(config, H):
+    """Rows l_k^T H(theta_k, p) and columns H(sigma_k, p) r_k, (r, q', n)
+    each, of pole-part samples H (2r, q', n, n) at any q' parameters."""
+    b = np.einsum("ka,kjab->kjb", config.left_dirs, H[config.left_indices])
+    c = np.einsum("kjab,kb->kja", H[config.right_indices], config.right_dirs)
+    return b, c
 
 
 def _invert_nodes(problem, nodes, p):

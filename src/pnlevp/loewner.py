@@ -1,4 +1,5 @@
-"""Loewner-matrix realization of eigenvalues from tangential samples.
+"""The Loewner pencil of tangential samples: the rank check, the choice of
+directions, and the realization of eigenvalues.
 
 Given left samples b_i = H^T(theta_i) l_i and right samples
 c_j = H(sigma_j) r_j of the rational pole part H, the Loewner pencil
@@ -21,19 +22,30 @@ b_i and R the rows r_j, Ls = L Sigma + B R^T, so the projected pencil is
 
     (diag(s) V^H Sigma V + X^H B R^T V, diag(s)).
 
-Every factorization of realize and numerical_rank calls LAPACK directly
-(zgeqrf/zungqr, zgesdd, zggev through scipy.linalg.lapack): on the small
-blocks of an online answer, the checks, workspace queries and Python loops
-of the NumPy and SciPy wrappers cost several times the routines themselves.
+Every factorization of realize calls LAPACK directly (zgeqrf/zungqr,
+zgesdd, zggev through scipy.linalg.lapack): on the small blocks of an online
+answer, the checks, workspace queries and Python loops of the NumPy and
+SciPy wrappers cost several times the routines themselves.
+
+Offline, the same pencil at each parameter sample p_j gives two more
+steps.  consistency_rank_check counts the rank of every L(p_j), which is
+the eigenvalue count m and must be the same at every p_j, and keeps the
+singular triplets it found.  select_directions then picks, by pivoted QR on
+those triplets, the r' <= r directions per side that online keeps, and
+accepts them only if their pencil gives the eigenvalues of the full one at
+every p_j.  realize and the rank check count the rank by one rule (_rank):
+the singular values above rank_tol times the largest.
 """
 
 import functools
+import itertools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import RealizationError
+from .errors import RankConsistencyError, RealizationError
 
 # extra sketch columns beyond the requested order
 _OVERSAMPLING = 8
@@ -44,6 +56,10 @@ _SKETCH_SEED = 0
 # modulus are ordered by imaginary part (a conjugate pair of a real problem
 # then keeps its order whatever the rounding of its real parts)
 _ORDER_RTOL = 1e-8
+# initial sketch width of the rank check; doubled while the count fills it
+_RANK_SKETCH = 16
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -135,17 +151,6 @@ def _eig(A, B):
     return lam, S / [blas.dznrm2(v) for v in S.T]
 
 
-def numerical_rank(M, rank_tol=1e-10):
-    """Count of singular values above rank_tol relative to the largest."""
-    if np.size(M) == 0:
-        return 0
-    _, s, _, info = lapack.zgesdd(M, compute_uv=False)
-    _checked(info, "zgesdd")
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
-
-
 def eigenvalue_order(values):
     """Indices that sort values by real part, where real parts within
     _ORDER_RTOL of the largest modulus count as equal and are ordered by
@@ -185,6 +190,18 @@ def _pencil_eig(X, s, Vh, sigma, B, Rd):
     return _eig(A, np.diag(s).astype(complex))
 
 
+def _rank(s, rank_tol):
+    """Count of the descending singular values s above rank_tol times the
+    largest (0 when the largest is 0)."""
+    return int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
+
+
+def _gap(s, m):
+    """s_m / s_{m+1} of the descending singular values s for a rank m (inf
+    when m = 0, when s holds no value past m, or when s_{m+1} = 0)."""
+    return s[m - 1] / s[m] if 0 < m < len(s) and s[m] > 0 else np.inf
+
+
 def realize(data, rank_tol=1e-10, order=None):
     """Recover eigenvalues and eigenvector matrices from tangential data.
 
@@ -212,7 +229,7 @@ def realize(data, rank_tol=1e-10, order=None):
     if order is not None:
         k = min(k, order + _OVERSAMPLING)
     X, s, Vh = _dominant_left(L, _sketch(L.shape[1], k))
-    m = int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
+    m = _rank(s, rank_tol)
     diagnostics = {}
     if order is not None:
         m = min(m, order)
@@ -227,8 +244,7 @@ def realize(data, rank_tol=1e-10, order=None):
             rank=0,
             diagnostics=diagnostics,
         )
-    diagnostics["rank_gap"] = (float(s[m - 1] / s[m])
-                               if len(s) > m and s[m] > 0 else np.inf)
+    diagnostics["rank_gap"] = float(_gap(s, m))
     if not s[m - 1] > 1e-14 * s[0]:
         raise RealizationError(
             "projected Loewner matrix is numerically singular; use more or "
@@ -256,7 +272,147 @@ def realize(data, rank_tol=1e-10, order=None):
     )
 
 
-def filter_in_domain(realization, domain):
-    """Flag each eigenvalue with strict-interior containment; nothing is
-    deleted (computed eigenvalues may legitimately sit outside the domain)."""
-    return np.asarray(domain.contains(realization.eigenvalues), dtype=bool)
+def consistency_rank_check(config, b, c, rank_tol=1e-10):
+    """Common rank m of the Loewner matrices L(p_j) of the tangential samples
+    b, c (r, q, n) at the parameter samples, the smallest sigma_m /
+    sigma_{m+1} over them, and per parameter the singular triplet
+    (X, s, Vh) of L(p_j) cut to m.
+
+    The rank equals the eigenvalue count m inside the domain; the parametric
+    decomposition requires it to be the same for every sampled parameter.
+    Each rank counts the singular values above rank_tol times the largest
+    (_rank), but from a Gaussian sketch of the leading ones (see
+    _sketched_rank): the sketch is certified by Weyl's bound to give the
+    full-SVD count, and the full SVD runs only where it is not, once, with
+    vectors, for the count, the gap and the basis (_svd_rank).  The gap is
+    the certified bound, or the full-SVD value on a fallback.  One DEBUG
+    record on the "pnlevp.loewner" logger holds the ranks, the smallest gap
+    and the fallback count.
+    """
+    D = config.left_points[:, None] - config.right_points[None, :]
+    ranks, gaps, bases, fallbacks = [], [], [], 0
+    for j in range(b.shape[1]):
+        L = _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j], D)
+        found = _sketched_rank(L, rank_tol)
+        if found is None:
+            fallbacks += 1
+            found = _svd_rank(L, rank_tol)
+        rank, gap, basis = found
+        ranks.append(rank)
+        gaps.append(float(gap))
+        bases.append(basis)
+    _log.debug(
+        "rank check: ranks %s, min sigma_m/sigma_m+1 %.3e, "
+        "full-SVD fallbacks %d of %d", ranks, min(gaps), fallbacks, len(gaps))
+    if len(set(ranks)) != 1:
+        raise RankConsistencyError(
+            "eigenvalue count inside the domain varies across parameter "
+            f"samples; per-parameter Loewner ranks: {ranks}",
+            ranks=ranks,
+        )
+    return ranks[0], min(gaps), bases
+
+
+def _svd_rank(L, rank_tol):
+    """The rank m of L (_rank), sigma_m / sigma_{m+1} (_gap) and the
+    singular triplet (X, s, Vh) of L cut to m, all from one full SVD."""
+    U, s, Vh = np.linalg.svd(L)
+    rank = _rank(s, rank_tol)
+    return rank, _gap(s, rank), (U[:, :rank].copy(), s[:rank],
+                                 Vh[:rank].copy())
+
+
+def _sketched_rank(L, rank_tol):
+    """The rank m of L (_rank) from a sketch of the leading singular values,
+    a certified lower bound on sigma_m / sigma_{m+1} (inf when m = 0) and
+    the sketch's leading singular triplet (X, s, Vh) truncated to m; None
+    when the sketch cannot certify the count (see _svd_rank).
+
+    X spans a Gaussian sketch of width k of L's range (the test matrix of
+    _sketch, which realize sketches with too), s the singular values of
+    X^H L, and e = ||L - X X^H L||_F (plus a rounding allowance) bounds the
+    rest.  By Weyl's inequality each sigma_i of L lies in [s_i, s_i + e]
+    for i < k, and below e beyond the sketch; so the threshold rank_tol *
+    sigma_0 lies in [rank_tol s_0, rank_tol (s_0 + e)].  The count is
+    certified when every s_i clears that interval by e (above its top, or
+    below its bottom) and e lies below its bottom.  A count that fills the
+    sketch doubles k; an uncertified count, or a sketch as wide as L, gives
+    None.
+    """
+    k = _RANK_SKETCH
+    while k < min(L.shape):
+        X, s, Vh = _dominant_left(L, _sketch(L.shape[1], k))
+        e = (np.linalg.norm(L - X @ (X.conj().T @ L))
+             + k * np.finfo(float).eps * np.linalg.norm(L))
+        lo, hi = rank_tol * s[0], rank_tol * (s[0] + e)
+        above = s > hi
+        m = int(np.count_nonzero(above))
+        if m == k:
+            k *= 2
+            continue
+        if np.all(above | (s + e <= lo)) and e <= lo:
+            return (m, (s[m - 1] / (s[m] + e) if m else np.inf),
+                    (X[:, :m].copy(), s[:m], Vh[:m].copy()))
+        break
+    return None
+
+
+def select_directions(config, m, b, c, bases, rank_tol):
+    """Ascending indices of the left and right directions online keeps:
+    the first r' pivots of column-pivoted QRs of the stacked singular
+    vectors [X_1 ... X_q]^T and [V_1 ... V_q]^H of the L(p_j), a CUR
+    selection (Sorensen & Embree, SISC 2016), or all r.  r' starts at
+    2m + 8 and doubles, below r / 2, until the kept pencil gives at every
+    p_j the m eigenvalues of the full one: those of the pencil that realize
+    solves (_pencil_eig), on the rank check's triplet L = X diag(s) V^H."""
+    r, k = config.r, 2 * m + 8
+    every = np.arange(r)
+    if m == 0 or 2 * k >= r:
+        return every, every
+    theta, sigma = config.left_points, config.right_points
+    Ld, Rd = config.left_dirs, config.right_dirs
+    reference = [_pencil_eig(X, s, Vh, sigma, b[:, j], Rd)[0]
+                 for j, (X, s, Vh) in enumerate(bases)]
+    orders = (_pivot_order(np.vstack([X.T for X, _, _ in bases])),
+              _pivot_order(np.vstack([Vh for _, _, Vh in bases])))
+    rows, cols = [], []
+    while 2 * k < r:
+        rows += itertools.islice(orders[0], k - len(rows))
+        cols += itertools.islice(orders[1], k - len(cols))
+        I, J = np.sort(rows), np.sort(cols)
+        if all(_subset_matches(TangentialData(
+                theta[I], sigma[J], Ld[I], Rd[J], b[I, j], c[J, j]),
+                m, want, rank_tol) for j, want in enumerate(reference)):
+            return I, J
+        k *= 2
+    return every, every
+
+
+def _pivot_order(A):
+    """Column indices of A in the order of a column-pivoted QR (Businger &
+    Golub, 1965), one at a time and without BLAS calls, whose threads make
+    LAPACK's pivoted QR of such thin blocks erratic."""
+    A = np.array(A, dtype=complex)
+    taken = np.zeros(A.shape[1], dtype=bool)
+    for _ in range(A.shape[1]):
+        norms = np.where(taken, -1.0, np.einsum("ij,ij->j", A.conj(), A).real)
+        j = int(np.argmax(norms))
+        taken[j] = True
+        yield j
+        if norms[j] > 0:
+            q = A[:, j] / np.sqrt(norms[j])
+            A -= np.outer(q, np.einsum("i,ij->j", q.conj(), A))
+
+
+def _subset_matches(data, m, want, rank_tol):
+    """Whether realize(data) gives len(want) == m eigenvalues that match
+    want both ways within rank_tol * max|want|."""
+    try:
+        got = realize(data, rank_tol, order=m).eigenvalues
+    except RealizationError:
+        return False
+    if len(got) != len(want):
+        return False
+    d = np.abs(got[:, None] - want[None, :])
+    return max(d.min(axis=0).max(), d.min(axis=1).max()) <= (
+        rank_tol * np.max(np.abs(want)))

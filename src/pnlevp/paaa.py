@@ -21,22 +21,16 @@ coefficients serves every function in the stack.  collapse_lifts turns
 those coefficients and the exact samples at the p-nodes into the p-only
 barycentric forms that online evaluates.
 """
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EvaluationError, RankConsistencyError
-from .loewner import _dominant_left, _loewner, _sketch
+from .errors import EvaluationError
 
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
-# initial sketch width of the rank check; doubled while the count fills it
-_RANK_SKETCH = 16
 # rows of M filled and reduced at a time by _solve_coefficients
 _BLOCK_ROWS = 2048
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -51,117 +45,22 @@ class BarycentricModel2D:
     max_error: float = 0.0
     error_history: tuple = field(default=())
 
+    def __post_init__(self):
+        grid = (len(self.z_nodes), len(self.p_nodes))
+        if np.shape(self.coeffs) != grid:
+            raise ValueError(f"coeffs of shape {np.shape(self.coeffs)} do "
+                             f"not fit the node grid {grid}")
+        if np.shape(self.node_values)[:2] != grid:
+            raise ValueError("node_values of shape "
+                             f"{np.shape(self.node_values)} do not fit the "
+                             f"node grid {grid}")
+
     def __call__(self, z, p):
         return eval_model(self, z, p)
 
 
-def consistency_rank_check(samples, config, rank_tol=1e-10, info=None):
-    """Common rank of the per-parameter Loewner matrices.
-
-    The rank equals the eigenvalue count m inside the domain; the parametric
-    decomposition requires it to be the same for every sampled parameter.
-    Each rank counts the singular values above rank_tol times the largest,
-    as numerical_rank does, but from a Gaussian sketch of the leading ones
-    (see _sketched_rank): the sketch is certified by Weyl's bound to give
-    the full-SVD count, and the full SVD runs only where it is not, once,
-    with vectors, for the count, the gap and the basis (_svd_rank).  One
-    DEBUG record on the "pnlevp.paaa" logger holds the ranks, the smallest
-    sigma_m / sigma_{m+1} and the fallback count.
-
-    A dict `info` receives "rank_gap", that smallest sigma_m / sigma_{m+1}
-    (the certified bound, or the full-SVD value on a fallback), and
-    "bases", per parameter the singular triplet (X, s, Vh) of L cut to m.
-    """
-    ranks, gaps, bases, fallbacks = [], [], [], 0
-    for L in _parameter_loewner(samples, config):
-        found = _sketched_rank(L, rank_tol)
-        if found is None:
-            fallbacks += 1
-            found = _svd_rank(L, rank_tol)
-        rank, gap, basis = found
-        ranks.append(rank)
-        gaps.append(float(gap))
-        bases.append(basis)
-    _log.debug(
-        "rank check: ranks %s, min sigma_m/sigma_m+1 %.3e, "
-        "full-SVD fallbacks %d of %d", ranks, min(gaps), fallbacks, len(gaps))
-    if len(set(ranks)) != 1:
-        raise RankConsistencyError(
-            "eigenvalue count inside the domain varies across parameter "
-            f"samples; per-parameter Loewner ranks: {ranks}",
-            ranks=ranks,
-        )
-    if info is not None:
-        info.update(rank_gap=min(gaps), bases=bases)
-    return ranks[0]
-
-
-def tangential_samples(config, H):
-    """Rows l_k^T H(theta_k, p) and columns H(sigma_k, p) r_k, (r, q', n)
-    each, of pole-part samples H (2r, q', n, n) at any q' parameters."""
-    b = np.einsum("ka,kjab->kjb", config.left_dirs, H[config.left_indices])
-    c = np.einsum("kjab,kb->kja", H[config.right_indices], config.right_dirs)
-    return b, c
-
-
-def _parameter_loewner(samples, config):
-    """The Loewner matrix L of each parameter sample p_j, in order, as
-    build_loewner forms it, without the shifted matrix."""
-    b, c = tangential_samples(config, samples.H)
-    D = config.left_points[:, None] - config.right_points[None, :]
-    for j in range(config.q):
-        yield _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j],
-                       D)
-
-
-def _svd_rank(L, rank_tol):
-    """numerical_rank(L, rank_tol), sigma_m / sigma_{m+1} (inf when m = 0 or
-    sigma_{m+1} = 0) and the singular triplet (X, s, Vh) of L cut to m, all
-    from one full SVD."""
-    U, s, Vh = np.linalg.svd(L)
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
-    gap = (s[rank - 1] / s[rank] if 0 < rank < len(s) and s[rank] > 0
-           else np.inf)
-    return rank, gap, (U[:, :rank].copy(), s[:rank], Vh[:rank].copy())
-
-
-def _sketched_rank(L, rank_tol):
-    """numerical_rank(L, rank_tol) from a sketch of the leading singular
-    values, a certified lower bound on sigma_m / sigma_{m+1} (inf when
-    m = 0) and the sketch's leading singular triplet (X, s, Vh) truncated to
-    m; None when the sketch cannot certify the count (see _svd_rank).
-
-    X spans a Gaussian sketch of width k of L's range (the test matrix of
-    loewner._sketch, which online sketches with too), s the singular values
-    of X^H L, and e = ||L - X X^H L||_F (plus a rounding allowance) bounds
-    the rest.  By Weyl's inequality each sigma_i of L lies in [s_i, s_i + e]
-    for i < k, and below e beyond the sketch; so the threshold rank_tol *
-    sigma_0 lies in [rank_tol s_0, rank_tol (s_0 + e)].  The count is
-    certified when every s_i clears that interval by e (above its top, or
-    below its bottom) and e lies below its bottom.  A count that fills the
-    sketch doubles k; an uncertified count, or a sketch as wide as L, gives
-    None.
-    """
-    k = _RANK_SKETCH
-    while k < min(L.shape):
-        X, s, Vh = _dominant_left(L, _sketch(L.shape[1], k))
-        e = (np.linalg.norm(L - X @ (X.conj().T @ L))
-             + k * np.finfo(float).eps * np.linalg.norm(L))
-        lo, hi = rank_tol * s[0], rank_tol * (s[0] + e)
-        above = s > hi
-        m = int(np.count_nonzero(above))
-        if m == k:
-            k *= 2
-            continue
-        if np.all(above | (s + e <= lo)) and e <= lo:
-            return (m, (s[m - 1] / (s[m] + e) if m else np.inf),
-                    (X[:, :m].copy(), s[:m], Vh[:m].copy()))
-        break
-    return None
-
-
 def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
-             max_p_nodes=None, min_z_nodes=1):
+             min_z_nodes=1):
     """Greedy bivariate barycentric fit of a full data grid.
 
     grid_values[i, j] holds D(s_i, p_j).  Each iteration adds the worst-error
@@ -169,7 +68,8 @@ def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
     linearized least-squares problem for the coefficients.  Terminates when
     the max relative grid error drops below tol and at least min_z_nodes
     z-nodes are present, or when the node budgets are exhausted (then the
-    best model seen is returned with converged=False).
+    best model seen is returned with converged=False).  The p-node budget
+    is max(2, len(p_points) // 2).
     """
     D = np.asarray(grid_values, dtype=complex)
     s = np.asarray(s_points, dtype=complex)
@@ -180,10 +80,8 @@ def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
         raise ValueError("sample and parameter points must be distinct")
     if max_z_nodes is None:
         max_z_nodes = max(min_z_nodes, len(s) // 2)
-    if max_p_nodes is None:
-        max_p_nodes = max(2, len(p) // 2)
     max_z_nodes = min(max_z_nodes, len(s))
-    max_p_nodes = min(max_p_nodes, len(p))
+    max_p_nodes = min(max(2, len(p) // 2), len(p))
     if min_z_nodes > max_z_nodes:
         raise ValueError("min_z_nodes exceeds the z-node budget")
     scale = np.max(np.abs(D))

@@ -1,19 +1,19 @@
 """Offline/online solver for parametric nonlinear eigenvalue problems.
 
-The offline phase samples the pole part H itself by contour quadrature, N
-dense n-by-n inverses of T per parameter, fixes the eigenvalue count m by
-the Loewner rank consistency check on the tangential rows of H, and fits
+The offline phase runs one stage per module.  contour samples the pole part
+H itself by contour quadrature, N dense n-by-n inverses of T per parameter,
+and contracts it once into the tangential data
+b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k.  From those,
+loewner's rank consistency check fixes the eigenvalue count m.  paaa fits
 one set of bivariate barycentric nodes and coefficients that every
 surrogate shares.  The nodes are picked greedily on the scalar
 l^T H(s, p) r (with l, r the means of the probing directions); the
 coefficients are then re-solved against a stack of that scalar and a few
 random combinations of the left and right samples, so that they fit the
-tangential data b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k
-too.  Of the r directions per side, the model keeps the r' <= r that a
-pivoted selection on the rank check's singular vectors picks and a check
-against the full pencil accepts, and stores their b_k and c_k at the
-p-nodes exactly, as read from the probed H: theta_k, sigma_k and the
-p-nodes are all sample points.
+tangential data too.  Of the r directions per side, the model keeps the
+r' <= r that loewner.select_directions picks from the rank check's
+singular vectors, and stores their b_k and c_k at the p-nodes exactly:
+theta_k, sigma_k and the p-nodes are all sample points.
 
 Online needs b_k and c_k only at these fixed theta_k and sigma_k.  The
 fitted weights are summed out there once, when a model is built or loaded,
@@ -23,7 +23,6 @@ costs one contraction over the p-nodes, the Loewner assembly and a sketched
 rank truncation: O(r'^2 m + r' m_p n), independent of the quadrature size.
 """
 
-import itertools
 import json
 import numbers
 import os
@@ -35,13 +34,12 @@ import numpy as np
 import scipy.linalg
 
 from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
-                      probe_samples)
-from .errors import EvaluationError, ModelFormatError, RealizationError
-from .loewner import (TangentialData, _pencil_eig, eigenvalue_order,
-                      filter_in_domain, realize)
+                      probe_samples, tangential_samples)
+from .errors import EvaluationError, ModelFormatError
+from .loewner import (TangentialData, consistency_rank_check,
+                      eigenvalue_order, realize, select_directions)
 from .paaa import (BarycentricModel2D, _cauchy, collapse_lifts,
-                   consistency_rank_check, eval_collapsed, node_indices,
-                   paaa_fit, refit_coefficients, tangential_samples)
+                   eval_collapsed, node_indices, paaa_fit, refit_coefficients)
 # pnlbench/spans.py wraps these two under these names
 from .paaa import eval_model, lift_vector  # noqa: F401
 
@@ -109,8 +107,8 @@ def offline(problem, domain, config, N, fit_opts=None):
 
     rule = build_trapezoid_rule(domain, N)
     samples = probe_samples(problem, rule, config, domain)
-    rank_info = {}
-    m = consistency_rank_check(samples, config, rank_tol, info=rank_info)
+    b, c = tangential_samples(config, samples.H)  # (r, q, n) each
+    m, gap, bases = consistency_rank_check(config, b, c, rank_tol)
 
     # scalar data l^T H(s_i, p_j) r with l, r the direction means
     D = (config.left_dirs.mean(axis=0) @ samples.H
@@ -125,15 +123,12 @@ def offline(problem, domain, config, N, fit_opts=None):
     scalar_model = refit_coefficients(
         greedy, stack, config.sample_points, config.parameter_points, tol=tol,
     )
-    b, c = tangential_samples(config, samples.H)  # (r, q, n) each
-    rows, cols = _select_directions(config, m, b, c, rank_info["bases"],
-                                    rank_tol)
+    rows, cols = select_directions(config, m, b, c, bases, rank_tol)
     b, c = b[rows], c[cols]
     kept = replace(config, sample_points=np.column_stack(
         [config.left_points[rows], config.right_points[cols]]).ravel(),
         left_dirs=config.left_dirs[rows], right_dirs=config.right_dirs[cols])
     pj = node_indices(scalar_model.p_nodes, config.parameter_points)
-    gap = rank_info["rank_gap"]
     metadata = {
         "problem_name": getattr(problem, "name", "custom"),
         "N": N,
@@ -171,67 +166,6 @@ def _checked_rank_tol(rank_tol, error=ValueError):
         raise error(
             f"rank_tol must be a finite number in (0, 1), got {rank_tol!r}")
     return rank_tol
-
-
-def _select_directions(config, m, b, c, bases, rank_tol):
-    """Ascending indices of the left and right directions online keeps:
-    the first r' pivots of column-pivoted QRs of the stacked singular
-    vectors [X_1 ... X_q]^T and [V_1 ... V_q]^H of the L(p_j), a CUR
-    selection (Sorensen & Embree, SISC 2016), or all r.  r' starts at
-    2m + 8 and doubles, below r / 2, until the kept pencil gives at every
-    p_j the m eigenvalues of the full one: those of the pencil that realize
-    solves (_pencil_eig), on the rank check's triplet L = X diag(s) V^H."""
-    r, k = config.r, 2 * m + 8
-    every = np.arange(r)
-    if m == 0 or 2 * k >= r:
-        return every, every
-    theta, sigma = config.left_points, config.right_points
-    Ld, Rd = config.left_dirs, config.right_dirs
-    reference = [_pencil_eig(X, s, Vh, sigma, b[:, j], Rd)[0]
-                 for j, (X, s, Vh) in enumerate(bases)]
-    orders = (_pivot_order(np.vstack([X.T for X, _, _ in bases])),
-              _pivot_order(np.vstack([Vh for _, _, Vh in bases])))
-    rows, cols = [], []
-    while 2 * k < r:
-        rows += itertools.islice(orders[0], k - len(rows))
-        cols += itertools.islice(orders[1], k - len(cols))
-        I, J = np.sort(rows), np.sort(cols)
-        if all(_subset_matches(TangentialData(
-                theta[I], sigma[J], Ld[I], Rd[J], b[I, j], c[J, j]),
-                m, want, rank_tol) for j, want in enumerate(reference)):
-            return I, J
-        k *= 2
-    return every, every
-
-
-def _pivot_order(A):
-    """Column indices of A in the order of a column-pivoted QR (Businger &
-    Golub, 1965), one at a time and without BLAS calls, whose threads make
-    LAPACK's pivoted QR of such thin blocks erratic."""
-    A = np.array(A, dtype=complex)
-    taken = np.zeros(A.shape[1], dtype=bool)
-    for _ in range(A.shape[1]):
-        norms = np.where(taken, -1.0, np.einsum("ij,ij->j", A.conj(), A).real)
-        j = int(np.argmax(norms))
-        taken[j] = True
-        yield j
-        if norms[j] > 0:
-            q = A[:, j] / np.sqrt(norms[j])
-            A -= np.outer(q, np.einsum("i,ij->j", q.conj(), A))
-
-
-def _subset_matches(data, m, want, rank_tol):
-    """Whether realize(data) gives len(want) == m eigenvalues that match
-    want both ways within rank_tol * max|want|."""
-    try:
-        got = realize(data, rank_tol, order=m).eigenvalues
-    except RealizationError:
-        return False
-    if len(got) != len(want):
-        return False
-    d = np.abs(got[:, None] - want[None, :])
-    return max(d.min(axis=0).max(), d.min(axis=1).max()) <= (
-        rank_tol * np.max(np.abs(want)))
 
 
 def _tangential_error(model, want):
@@ -286,7 +220,6 @@ def online(model, p_hat, rank_tol=None):
         left_vals=vals[:config.r], right_vals=vals[config.r:],
     )
     realization = realize(data, rank_tol, order=model.m)
-    flags = filter_in_domain(realization, model.domain)
     diagnostics = dict(realization.diagnostics)
     diagnostics["singular_values"] = realization.singular_values
     diagnostics["min_denominator"] = min_denominator
@@ -295,7 +228,7 @@ def online(model, p_hat, rank_tol=None):
         eigenvalues=realization.eigenvalues,
         V=realization.V,
         W=realization.W,
-        in_domain=flags,
+        in_domain=model.domain.contains(realization.eigenvalues),
         diagnostics=diagnostics,
     )
 

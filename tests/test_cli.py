@@ -250,12 +250,25 @@ class TestOnline:
         pytest.param(lambda d: d["left_vals"].pop(),
                      "left_vals and right_vals differ in shape",
                      id="left-vals-direction"),
+        # the delay model has 5 z-nodes and 6 p-nodes
         pytest.param(lambda d: d["scalar_nodes"]["p"].pop(),
-                     "malformed model file", id="p-node"),
+                     "coeffs of shape (5, 6) do not fit the node grid (5, 5)",
+                     id="p-node"),
         pytest.param(lambda d: d["scalar_nodes"]["z"].pop(),
-                     "malformed model file", id="z-node"),
+                     "coeffs of shape (5, 6) do not fit the node grid (4, 6)",
+                     id="z-node"),
         pytest.param(lambda d: d.update(alpha=d["alpha"][0]),
-                     "malformed model file", id="1-d-alpha"),
+                     "coeffs of shape (6,) do not fit the node grid (5, 6)",
+                     id="1-d-alpha"),
+        pytest.param(lambda d: d["alpha"].pop(),
+                     "coeffs of shape (4, 6) do not fit the node grid (5, 6)",
+                     id="alpha-row"),
+        pytest.param(lambda d: d["scalar_values"].pop(),
+                     "node_values of shape (4, 6) do not fit the node grid "
+                     "(5, 6)", id="scalar-values-row"),
+        pytest.param(lambda d: [row.pop() for row in d["scalar_values"]],
+                     "node_values of shape (5, 5) do not fit the node grid "
+                     "(5, 6)", id="scalar-values-column"),
         pytest.param(lambda d: d["domain"].update(radius=-0.075),
                      "ellipse semi-axes must be positive",
                      id="negative-radius"),
@@ -284,6 +297,7 @@ class TestOnline:
         assert main(["online", "--model", str(path), "--p", "32"]) == 1
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and message in err and out == ""
+        assert "matmul" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "2"])
     def test_bad_rank_tol_exits_2_writing_nothing(self, delay_model, tmp_path,

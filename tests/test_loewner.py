@@ -12,8 +12,7 @@ from scipy.linalg import lapack
 from pnlevp.contour import Disk, default_sampling
 from pnlevp.errors import RealizationError
 from pnlevp.loewner import (_OVERSAMPLING, TangentialData, _sketch,
-                            build_loewner, eigenvalue_order, filter_in_domain,
-                            numerical_rank, realize)
+                            build_loewner, eigenvalue_order, realize)
 from pnlevp.problems import SyntheticRationalProblem
 from pnlevp.solver import offline, online
 
@@ -115,12 +114,6 @@ class TestBuildLoewner:
 
 
 class TestNumericalRank:
-    def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((4, 4)), 1e-10) == 0
-
-    def test_identity(self):
-        assert numerical_rank(np.eye(5), 1e-10) == 5
-
     def test_two_pole_loewner_rank(self):
         rng = np.random.default_rng(2)
         n, r = 3, 4
@@ -134,7 +127,8 @@ class TestNumericalRank:
             right_dirs=_random_dirs(rng, r, n),
         )
         L, _ = build_loewner(data)
-        assert numerical_rank(L, 1e-10) == 2
+        s = np.linalg.svd(L, compute_uv=False)
+        assert np.count_nonzero(s > 1e-10 * s[0]) == 2
 
 
 class TestRealize:
@@ -391,7 +385,9 @@ class TestStructuredRealize:
         data, _ = _pole_data(poles, residues, theta, sigma,
                              _random_dirs(rng, r, n), _random_dirs(rng, r, n))
         L, Ls = build_loewner(data)
-        assert numerical_rank(L) == 3 and numerical_rank(Ls) == 2
+        s, ss = (np.linalg.svd(M, compute_uv=False) for M in (L, Ls))
+        assert np.count_nonzero(s > 1e-10 * s[0]) == 3
+        assert np.count_nonzero(ss > 1e-10 * ss[0]) == 2
         out = realize(data)
         assert out.rank == 3
         for mu, (u, w) in zip(poles, residues):
@@ -533,27 +529,3 @@ class TestEigenvalueOrder:
         assert eigenvalue_order(np.array([], dtype=complex)).size == 0
         assert eigenvalue_order(np.array([1.0 + 1j])).tolist() == [0]
 
-
-class TestFilterInDomain:
-    def test_flags(self):
-        data = TangentialData(
-            theta=np.array([2.0]), sigma=np.array([3.0]),
-            left_dirs=np.array([[1.0]]), right_dirs=np.array([[1.0]]),
-            left_vals=np.array([[0.5]]), right_vals=np.array([[1.0 / 3.0]]),
-        )
-        out = realize(data)
-        assert filter_in_domain(out, Disk(0.0, 1.0)).tolist() == [True]
-        assert filter_in_domain(out, Disk(5.0, 1.0)).tolist() == [False]
-
-    def test_empty_realization(self):
-        rng = np.random.default_rng(7)
-        data = TangentialData(
-            theta=np.array([1.0, 2.0]), sigma=np.array([3.0, 4.0]),
-            left_dirs=_random_dirs(rng, 2, 3),
-            right_dirs=_random_dirs(rng, 2, 3),
-            left_vals=np.zeros((2, 3), dtype=complex),
-            right_vals=np.zeros((2, 3), dtype=complex),
-        )
-        out = realize(data)
-        assert out.rank == 0
-        assert filter_in_domain(out, Disk(0.0, 1.0)).size == 0

@@ -1,18 +1,21 @@
-"""Tests for bivariate barycentric fitting and the rank consistency check."""
+"""Tests for bivariate barycentric fitting and for the Loewner rank
+consistency check that precedes it."""
 
 import logging
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pnlevp import paaa
+from pnlevp import loewner, paaa
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
-    probe_samples
+    probe_samples, tangential_samples
 from pnlevp.errors import RankConsistencyError
-from pnlevp.loewner import TangentialData, build_loewner, numerical_rank
-from pnlevp.paaa import (consistency_rank_check, eval_model, lift_vector,
-                         node_indices, paaa_fit, refit_coefficients)
+from pnlevp.loewner import (TangentialData, build_loewner,
+                            consistency_rank_check)
+from pnlevp.paaa import (eval_model, lift_vector, node_indices, paaa_fit,
+                         refit_coefficients)
 from pnlevp.problems import (LinearDemoProblem, SyntheticRationalProblem,
                              get_problem)
 from pnlevp.solver import _lift_sketches
@@ -44,20 +47,46 @@ def delay_probed():
 def full_svd_calls(monkeypatch):
     """Shapes of the full SVDs the rank check runs (its fallback)."""
     calls = []
-    svd_rank = paaa._svd_rank
+    svd_rank = loewner._svd_rank
 
     def counted(L, rank_tol):
         calls.append(L.shape)
         return svd_rank(L, rank_tol)
 
-    monkeypatch.setattr(paaa, "_svd_rank", counted)
+    monkeypatch.setattr(loewner, "_svd_rank", counted)
     return calls
 
 
-def _rank_check_of(monkeypatch, L, info=None):
+def _rank_check(config, samples, rank_tol=1e-10):
+    """consistency_rank_check on the tangential samples of probed H."""
+    return consistency_rank_check(
+        config, *tangential_samples(config, samples.H), rank_tol)
+
+
+def _rank_check_of(monkeypatch, L):
     """consistency_rank_check over the single Loewner matrix L."""
-    monkeypatch.setattr(paaa, "_parameter_loewner", lambda *args: iter([L]))
-    return consistency_rank_check(None, None, 1e-10, info)
+    monkeypatch.setattr(loewner, "_loewner", lambda *args: L)
+    r = len(L)
+    config = SimpleNamespace(left_points=np.zeros(r), right_points=np.ones(r),
+                             left_dirs=None, right_dirs=None)
+    one = np.zeros((r, 1, 1))
+    return consistency_rank_check(config, one, one, 1e-10)
+
+
+def _probed_loewner(config, samples):
+    """build_loewner's L at each parameter sample, over all r directions."""
+    b, c = tangential_samples(config, samples.H)
+    return [build_loewner(TangentialData(
+        theta=config.left_points, sigma=config.right_points,
+        left_dirs=config.left_dirs, right_dirs=config.right_dirs,
+        left_vals=b[:, j], right_vals=c[:, j]))[0] for j in range(config.q)]
+
+
+def _svd_count(L, rank_tol=1e-10):
+    """Count of the singular values of L above rank_tol times the largest,
+    from a full SVD."""
+    s = np.linalg.svd(L, compute_uv=False)
+    return int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
 
 
 def _record_blocks(monkeypatch):
@@ -88,11 +117,11 @@ def _planted(singular_values, seed=0):
 class TestConsistencyRankCheck:
     def test_linear_demo_m2(self, linear1_probed):
         config, samples = linear1_probed
-        assert consistency_rank_check(samples, config) == 2
+        assert _rank_check(config, samples)[0] == 2
 
     def test_delay_m4(self, delay_probed):
         config, samples = delay_probed
-        assert consistency_rank_check(samples, config) == 4
+        assert _rank_check(config, samples)[0] == 4
 
     def test_crossing_pole_raises(self):
         # one eigenvalue moves from inside the disk to outside across P
@@ -104,14 +133,14 @@ class TestConsistencyRankCheck:
         rule = build_trapezoid_rule(domain, 128)
         samples = probe_samples(problem, rule, config, domain)
         with pytest.raises(RankConsistencyError) as info:
-            consistency_rank_check(samples, config)
+            _rank_check(config, samples)
         assert info.value.ranks == [2, 1]
 
     def test_debug_record(self, linear1_probed, caplog):
         config, samples = linear1_probed
-        with caplog.at_level(logging.DEBUG, logger="pnlevp.paaa"):
-            assert consistency_rank_check(samples, config) == 2
-        records = [r for r in caplog.records if r.name == "pnlevp.paaa"]
+        with caplog.at_level(logging.DEBUG, logger="pnlevp.loewner"):
+            assert _rank_check(config, samples)[0] == 2
+        records = [r for r in caplog.records if r.name == "pnlevp.loewner"]
         assert len(records) == 1
         message = records[0].getMessage()
         assert f"ranks {[2] * config.q}" in message
@@ -123,13 +152,11 @@ class TestConsistencyRankCheck:
                                       monkeypatch):
         config, samples = linear1_probed
         if fallback:
-            monkeypatch.setattr(paaa, "_sketched_rank", lambda L, tol: None)
-        info = {}
-        m = consistency_rank_check(samples, config, info=info)
-        assert m == 2 and len(info["bases"]) == config.q
+            monkeypatch.setattr(loewner, "_sketched_rank", lambda L, tol: None)
+        m, rank_gap, bases = _rank_check(config, samples)
+        assert m == 2 and len(bases) == config.q
         gaps = []
-        for L, (X, s, Vh) in zip(paaa._parameter_loewner(samples, config),
-                                 info["bases"]):
+        for L, (X, s, Vh) in zip(_probed_loewner(config, samples), bases):
             full = np.linalg.svd(L, compute_uv=False)
             gaps.append(full[m - 1] / full[m])
             assert X.shape == (config.r, m) and Vh.shape == (m, config.r)
@@ -138,30 +165,37 @@ class TestConsistencyRankCheck:
             np.testing.assert_allclose(X @ (s[:, None] * Vh), L,
                                        atol=1e-10 * full[0])
         if fallback:
-            assert info["rank_gap"] == pytest.approx(min(gaps), rel=1e-10)
+            assert rank_gap == pytest.approx(min(gaps), rel=1e-10)
         else:
-            assert 1.0 < info["rank_gap"] <= min(gaps)
+            assert 1.0 < rank_gap <= min(gaps)
 
 
 class TestSketchedRank:
     @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
-    def test_parameter_loewner_is_build_loewner(self, probed, request):
+    def test_parameter_loewner_is_build_loewner(self, probed, request,
+                                                monkeypatch):
+        # the L that the rank check hands to _sketched_rank, bit for bit
         config, samples = request.getfixturevalue(probed)
-        b, c = paaa.tangential_samples(config, samples.H)
-        Ls = list(paaa._parameter_loewner(samples, config))
-        assert len(Ls) == config.q
-        for j, L in enumerate(Ls):
-            np.testing.assert_array_equal(L, build_loewner(TangentialData(
-                theta=config.left_points, sigma=config.right_points,
-                left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-                left_vals=b[:, j], right_vals=c[:, j]))[0])
+        seen = []
+        sketched = loewner._sketched_rank
+
+        def recorded(L, rank_tol):
+            seen.append(L.copy())
+            return sketched(L, rank_tol)
+
+        monkeypatch.setattr(loewner, "_sketched_rank", recorded)
+        _rank_check(config, samples)
+        want = _probed_loewner(config, samples)
+        assert len(seen) == len(want) == config.q
+        for L, L_want in zip(seen, want):
+            np.testing.assert_array_equal(L, L_want)
 
     @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
     def test_probed_loewner_matrices(self, probed, request, full_svd_calls):
         config, samples = request.getfixturevalue(probed)
-        for L in paaa._parameter_loewner(samples, config):
-            rank, gap, _ = paaa._sketched_rank(L, 1e-10)
-            assert rank == numerical_rank(L, 1e-10)
+        for L in _probed_loewner(config, samples):
+            rank, gap, _ = loewner._sketched_rank(L, 1e-10)
+            assert rank == _svd_count(L)
             s = np.linalg.svd(L, compute_uv=False)
             assert 1.0 < gap <= s[rank - 1] / s[rank]
         assert full_svd_calls == []
@@ -180,16 +214,16 @@ class TestSketchedRank:
     def test_planted_spectra(self, singular_values, rank, full_svd_calls,
                              monkeypatch):
         widths = []
-        sketch = paaa._dominant_left
+        sketch = loewner._dominant_left
 
         def recorded(A, G):
             widths.append(G.shape[1])
             return sketch(A, G)
 
-        monkeypatch.setattr(paaa, "_dominant_left", recorded)
+        monkeypatch.setattr(loewner, "_dominant_left", recorded)
         L = _planted(singular_values)
-        assert numerical_rank(L, 1e-10) == rank
-        assert paaa._sketched_rank(L, 1e-10)[0] == rank
+        assert _svd_count(L) == rank
+        assert loewner._sketched_rank(L, 1e-10)[0] == rank
         assert full_svd_calls == []
         assert widths[-1] > rank
 
@@ -197,24 +231,24 @@ class TestSketchedRank:
         # the tail lies below the threshold, but beyond any sketch its
         # energy exceeds it, so the sketch cannot certify the count
         L = _planted(np.r_[1.0, 0.1, 0.1, 0.1, 5e-11 * 0.99 ** np.arange(56)])
-        assert paaa._sketched_rank(L, 1e-10) is None
-        info = {}
-        assert _rank_check_of(monkeypatch, L, info) == 4
+        assert loewner._sketched_rank(L, 1e-10) is None
+        m, rank_gap, bases = _rank_check_of(monkeypatch, L)
+        assert m == 4
         assert full_svd_calls == [L.shape]
         s = np.linalg.svd(L, compute_uv=False)
         # s[4] ~ 5e-11 s[0] carries only about 1e-16 / 5e-11 relative accuracy
-        assert info["rank_gap"] == pytest.approx(s[3] / s[4], rel=1e-5)
-        X, sx, Vh = info["bases"][0]
+        assert rank_gap == pytest.approx(s[3] / s[4], rel=1e-5)
+        X, sx, Vh = bases[0]
         np.testing.assert_allclose(X @ (sx[:, None] * Vh), L, atol=1e-10)
 
     def test_sketch_as_wide_as_matrix_falls_back(self, full_svd_calls,
                                                  monkeypatch):
         L = _planted(np.logspace(0, -5, 20))
-        assert paaa._sketched_rank(L, 1e-10) is None
-        info = {}
-        assert _rank_check_of(monkeypatch, L, info) == 20
+        assert loewner._sketched_rank(L, 1e-10) is None
+        m, rank_gap, _ = _rank_check_of(monkeypatch, L)
+        assert m == 20
         assert full_svd_calls == [L.shape]
-        assert info["rank_gap"] == np.inf
+        assert rank_gap == np.inf
 
 
 class TestPaaaFit:

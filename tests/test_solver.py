@@ -15,10 +15,10 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 import pnlevp
-from pnlevp import benchmarks, paaa, solver
+from pnlevp import benchmarks, contour, loewner, paaa, solver
 from pnlevp.contour import (Disk, Ellipse, ProbedSampleSet,
                             build_trapezoid_rule, default_sampling,
-                            probe_samples)
+                            probe_samples, tangential_samples)
 from pnlevp.errors import BranchCutError, EvaluationError, ModelFormatError
 from pnlevp.paaa import BarycentricModel2D, eval_collapsed, paaa_fit
 from pnlevp.problems import (DampedStringProblem, LinearDemoProblem,
@@ -82,7 +82,7 @@ class TestOffline:
         config = default_sampling(domain, 4, 1, (1.0, 1.0), seed=0,
                                   dim=problem.dim)
         with pytest.raises(ValueError):
-            offline(problem, domain, config, 64)
+            offline(problem, domain, config, 32)
 
     def test_unknown_fit_option_rejected(self):
         problem = LinearDemoProblem()
@@ -124,6 +124,31 @@ class TestOffline:
         assert model.m == 4
         np.testing.assert_array_equal(model.scalar_model.coeffs,
                                       delay[1].scalar_model.coeffs)
+
+    def test_tangential_samples_once_per_build(self, monkeypatch):
+        # every module that binds the name is wrapped, so a second
+        # contraction of H through any of them is counted
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args):
+                calls.append(fn.__module__)
+                return fn(*args)
+            return wrapped
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "pnlevp" and hasattr(
+                    module, "tangential_samples"):
+                monkeypatch.setattr(module, "tangential_samples",
+                                    counted(module.tangential_samples))
+        problem = LinearDemoProblem()
+        domain = Disk(0.0, 0.6)
+        config = default_sampling(domain, 6, 6, (0.75, 1.25), seed=0,
+                                  dim=problem.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            offline(problem, domain, config, 32)
+        assert calls == ["pnlevp.contour"]
 
     def test_fit_error_describes_lifts(self):
         # tangential_error measures what online reads against the probed
@@ -693,7 +718,7 @@ def _build_with_samples(bench, monkeypatch, **changes):
     seen = []
 
     def recorded(*args):
-        seen.append(paaa.tangential_samples(*args))
+        seen.append(contour.tangential_samples(*args))
         return seen[-1]
 
     monkeypatch.setattr(solver, "tangential_samples", recorded)
@@ -770,13 +795,13 @@ class TestDirectionSelection:
 
     def test_check_that_cannot_pass_keeps_every_direction(self, monkeypatch):
         tried = []
-        check = solver._subset_matches
+        check = loewner._subset_matches
 
         def exact(data, m, want, rank_tol):
             tried.append(len(data.theta))
             return check(data, m, want, 0.0)
 
-        monkeypatch.setattr(solver, "_subset_matches", exact)
+        monkeypatch.setattr(loewner, "_subset_matches", exact)
         model, config, _ = _build_with_samples(
             benchmarks.get_benchmark("damped-string-1"), monkeypatch)
         assert model.metadata["r_online"] == model.config.r == 250
@@ -833,24 +858,26 @@ class TestDirectionSelection:
         for j, p in enumerate(config.parameter_points):
             for pole, u, w in zip((0.3 + 0.2 * p, -0.4j - 0.1 * p), U, W):
                 H[:, j] += np.outer(u, w)[None] / (s - pole)[:, None, None]
-        info = {}
-        m = paaa.consistency_rank_check(ProbedSampleSet(H=H, config=config),
-                                        config, info=info)
-        b, c = paaa.tangential_samples(config, H)
-        rows, cols = solver._select_directions(config, m, b, c,
-                                               info["bases"], 1e-10)
+        b, c = tangential_samples(config, H)
+        m, _, bases = loewner.consistency_rank_check(config, b, c)
+        rows, cols = loewner.select_directions(config, m, b, c, bases, 1e-10)
         assert m == 2 and len(rows) == len(cols) == 2 * m + 8
         assert set(informative["left"]) <= set(rows.tolist())
         assert set(informative["right"]) <= set(cols.tolist())
 
     def test_rank_gap_in_metadata(self, delay):
         problem, model = delay
-        config = default_sampling(Disk(0.0, 0.075), 20, 40, (30.0, 35.0),
-                                  seed=0, dim=problem.dim)
-        samples = probe_samples(problem, build_trapezoid_rule(
-            Disk(0.0, 0.075), 128), config)
+        domain = Disk(0.0, 0.075)
+        config = default_sampling(domain, 20, 40, (30.0, 35.0), seed=0,
+                                  dim=problem.dim)
+        samples = probe_samples(problem, build_trapezoid_rule(domain, 128),
+                                config, domain)
+        b, c = tangential_samples(config, samples.H)
         gaps = []
-        for L in paaa._parameter_loewner(samples, config):
+        for j in range(config.q):
+            L, _ = loewner.build_loewner(loewner.TangentialData(
+                config.left_points, config.right_points, config.left_dirs,
+                config.right_dirs, b[:, j], c[:, j]))
             s = np.linalg.svd(L, compute_uv=False)
             gaps.append(s[model.m - 1] / s[model.m])
         # a certified lower bound on the smallest gap, and a tight one
