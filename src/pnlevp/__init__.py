@@ -13,9 +13,9 @@ from .contour import (Disk, Ellipse, QuadratureRule, SamplingConfig,
 from .errors import (BranchCutError, EvaluationError, ModelFormatError,
                      PnlevpError, RankConsistencyError, RealizationError,
                      SingularMatrixError, UnsupportedProblemError)
-from .loewner import (EigenRealization, TangentialData, build_loewner,
+from .loewner import (EigenRealization, TangentialData,
                       consistency_rank_check, realize)
-from .paaa import BarycentricModel2D, eval_model, lift_vector, paaa_fit
+from .paaa import BarycentricModel2D, eval_model, paaa_fit
 from .problems import (DampedStringProblem, DelayProblem, LinearDemoProblem,
                        PNlevpProblem, SyntheticRationalProblem, get_problem)
 from .solver import (EigenSolution, OfflineModel, load_model, offline, online,
@@ -30,9 +30,9 @@ __all__ = [
     "OfflineModel", "PNlevpProblem", "PnlevpError", "QuadratureRule",
     "RankConsistencyError", "RealizationError", "SamplingConfig",
     "SingularMatrixError", "SyntheticRationalProblem", "TangentialData",
-    "UnsupportedProblemError", "build_loewner", "build_trapezoid_rule",
+    "UnsupportedProblemError", "build_trapezoid_rule",
     "consistency_rank_check", "default_sampling", "eval_model",
-    "get_problem", "lift_vector", "load_model", "offline", "online",
+    "get_problem", "load_model", "offline", "online",
     "paaa_fit", "probe_samples", "realize", "residuals", "save_model",
     "scalar_probe_eigenvalues", "scale_domain",
 ]

@@ -7,10 +7,12 @@ part H of T^{-1} at points outside the closed domain:
 
 so samples of H come from N dense n-by-n inverses of T per parameter, one
 batched inverse over the boundary nodes (the block-resolvent sum of Beyn's
-contour method, Beyn, LAA 2012).  Tangential samples l^T H and H r are
-contractions of H with the probing directions; tangential_samples forms the
-ones the Loewner pencil reads, b_k(p) = l_k^T H(theta_k, p) and
-c_k(p) = H(sigma_k, p) r_k, each direction at its own sample point.
+contour method, Beyn, LAA 2012).  Offline reads H only through contractions
+with the probing directions, so the probe forms H at one parameter at a
+time, contracts it into all of them and drops it: the tangential data
+b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k, each direction
+at its own sample point, the scalar l^T H r of the direction means, and a
+few random combinations of the tangential samples.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,9 @@ import numpy as np
 from .errors import SingularMatrixError
 
 _BOUNDARY_TOL = 1e-14
+# random combinations of the left (and as many of the right) samples that
+# join the scalar in the coefficient refit
+_LIFT_SKETCHES = 2
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,10 @@ class SamplingConfig:
                 "left and right sample points must be pairwise distinct")
         if self.left_dirs.shape[0] != r or self.right_dirs.shape[0] != r:
             raise ValueError("need r left and r right probing directions")
+        if self.left_dirs.shape != self.right_dirs.shape:
+            raise ValueError(
+                "left and right probing directions differ in shape: "
+                f"{self.left_dirs.shape} and {self.right_dirs.shape}")
         object.__setattr__(self, "sample_points", s)
         object.__setattr__(
             self, "parameter_points", np.asarray(self.parameter_points, dtype=complex)
@@ -138,14 +147,6 @@ class SamplingConfig:
     def right_points(self):
         """sigma_i = s_{2i} (interlaced even positions, 1-based)."""
         return self.sample_points[1::2]
-
-    @property
-    def left_indices(self):
-        return np.arange(0, len(self.sample_points), 2)
-
-    @property
-    def right_indices(self):
-        return np.arange(1, len(self.sample_points), 2)
 
 
 def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
@@ -187,56 +188,71 @@ def _check_outside(domain, points):
 
 @dataclass(frozen=True)
 class ProbedSampleSet:
-    """Samples H[i, j] = H(s_i, p_j) of the pole part, (2r, q, n, n).
+    """What offline reads of the pole part H(s_i, p_j), which is not kept:
+    left[k, j] = l_k^T H(theta_k, p_j) and right[k, j] = H(sigma_k, p_j) r_k,
+    (r, q, n) each; scalar[i, j] = lbar^T H(s_i, p_j) rbar, (2r, q), with
+    lbar, rbar the means of the probing directions; and sketches[i, j, t],
+    (2r, q, 2 * _LIFT_SKETCHES), the sum of H(s_i, p_j) times the t-th
+    matrix of _sketch_weights(config), entry by entry."""
 
-    The tangential samples are derived on request, not stored:
-    left[k, i, j]  = l_k^T H(s_i, p_j)   (an n-vector),
-    right[k, i, j] = H(s_i, p_j) r_k     (an n-vector).
-    """
-
-    H: np.ndarray  # (2r, q, n, n)
-    config: SamplingConfig
-
-    @property
-    def left(self):
-        """(r, 2r, q, n), computed afresh on every access."""
-        return np.tensordot(self.config.left_dirs, self.H, axes=(1, 2))
-
-    @property
-    def right(self):
-        """(r, 2r, q, n), computed afresh on every access."""
-        return np.tensordot(self.config.right_dirs, self.H, axes=(1, 3))
+    left: np.ndarray
+    right: np.ndarray
+    scalar: np.ndarray
+    sketches: np.ndarray
 
 
 def probe_samples(problem, rule, config, domain):
     """Approximate H at every sample point and parameter by boundary
-    quadrature.
+    quadrature, and contract it into a ProbedSampleSet.
 
     For each parameter, T is evaluated at all N nodes as one stack
     (problem.eval_nodes) and inverted with one batched dense inverse; H at
-    the 2r sample points is the weighted sum of those inverses.  Raises
-    ValueError for a sample point that is not strictly outside the domain,
-    and SingularMatrixError naming the first node where T is singular.
+    the 2r sample points, (2r, n, n), is the weighted sum of those inverses.
+    It is contracted into that parameter's share of every field and dropped
+    before the next parameter, so memory grows with r q n, not r q n^2.
+    Raises ValueError for a sample point that is not strictly outside the
+    domain or for non-finite samples, and SingularMatrixError naming the
+    first node where T is singular.
     """
     s = config.sample_points
     n = problem.dim
     _check_outside(domain, s)
     C = rule.weights[None, :] / (s[:, None] - rule.nodes[None, :])  # (2r, N)
-    H = np.empty((len(s), config.q, n, n), dtype=complex)
+    lbar = config.left_dirs.mean(axis=0)
+    rbar = config.right_dirs.mean(axis=0)
+    M = _sketch_weights(config)
+    b, c = np.empty((2, config.r, config.q, n), dtype=complex)
+    D = np.empty((len(s), config.q), dtype=complex)
+    G = np.empty((len(s), config.q, len(M)), dtype=complex)
     for j, pj in enumerate(config.parameter_points):
         Tinv = _invert_nodes(problem, rule.nodes, pj)
-        H[:, j] = (C @ Tinv.reshape(len(rule), n * n)).reshape(-1, n, n)
-    if not np.all(np.isfinite(H)):
-        raise ValueError("probed samples contain non-finite entries")
-    return ProbedSampleSet(H=H, config=config)
+        H = (C @ Tinv.reshape(len(rule), n * n)).reshape(-1, n, n)
+        if not np.all(np.isfinite(H)):
+            raise ValueError("probed samples contain non-finite entries")
+        b[:, j] = np.einsum("ka,kab->kb", config.left_dirs, H[0::2])
+        c[:, j] = np.einsum("kab,kb->ka", H[1::2], config.right_dirs)
+        D[:, j] = lbar @ H @ rbar
+        G[:, j] = np.tensordot(H, M, axes=([1, 2], [1, 2]))
+    return ProbedSampleSet(left=b, right=c, scalar=D, sketches=G)
 
 
-def tangential_samples(config, H):
-    """Rows l_k^T H(theta_k, p) and columns H(sigma_k, p) r_k, (r, q', n)
-    each, of pole-part samples H (2r, q', n, n) at any q' parameters."""
-    b = np.einsum("ka,kjab->kjb", config.left_dirs, H[config.left_indices])
-    c = np.einsum("kjab,kb->kja", H[config.right_indices], config.right_dirs)
-    return b, c
+def _sketch_weights(config):
+    """The n-by-n matrices (2 * _LIFT_SKETCHES, n, n) whose contractions
+    with H are random combinations of the left samples and of the right
+    samples, each over all directions and vector components.
+
+    A combination sum_k g_k^T (l_k^T H) of left rows is H contracted with
+    sum_k l_k g_k^T; of right columns, with sum_k g_k r_k^T.  The weights g
+    come from a child stream of config.seed, independent of the stream that
+    drew the probing directions."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed).spawn(1)[0])
+    shape = (_LIFT_SKETCHES,) + config.left_dirs.shape
+    g_left, g_right = (rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape) for _ in range(2))
+    return np.concatenate(
+        [np.einsum("ka,skb->sab", config.left_dirs, g_left),
+         np.einsum("ska,kb->sab", g_right, config.right_dirs)])
 
 
 def _invert_nodes(problem, nodes, p):

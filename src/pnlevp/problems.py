@@ -3,7 +3,7 @@
 A problem exposes ``eval(z, p)`` returning an n-by-n complex matrix,
 ``eval_nodes(z, p)`` returning the stack of T at many points (the contour
 probe inverts that stack and the residuals multiply by it), plus left/right
-linear solves against T(z, p).  The benchmark problems assemble T for an
+linear solves against T(z, p).  The built-in problems assemble T for an
 array of points with array arithmetic; their ``eval`` is the one-point case.
 The benchmark problems also carry independent eigenvalue oracles used for
 validation.
@@ -270,11 +270,12 @@ class SyntheticRationalProblem(PNlevpProblem):
     def eigenvalues_at(self, p):
         return np.array([a + b * p for a, b in self.eigen_maps], dtype=complex)
 
-    def eval(self, z, p):
-        d = np.ones(self.dim, dtype=complex)
+    def eval_nodes(self, z, p):
+        z = np.asarray(z, dtype=complex)
+        d = np.ones((len(z), self.dim), dtype=complex)
         lams = self.eigenvalues_at(p)
-        d[: len(lams)] = z - lams
-        return self.Q @ (d[:, None] * self.Z)
+        d[:, : len(lams)] = z[:, None] - lams
+        return self.Q @ (d[:, :, None] * self.Z)
 
     def exact_H(self, z, p):
         """Pole part of T(z, p)^{-1}: sum_j u_j w_j^T / (z - lam_j(p))."""

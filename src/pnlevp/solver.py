@@ -1,19 +1,20 @@
 """Offline/online solver for parametric nonlinear eigenvalue problems.
 
 The offline phase runs one stage per module.  contour samples the pole part
-H itself by contour quadrature, N dense n-by-n inverses of T per parameter,
-and contracts it once into the tangential data
-b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k.  From those,
-loewner's rank consistency check fixes the eigenvalue count m.  paaa fits
-one set of bivariate barycentric nodes and coefficients that every
-surrogate shares.  The nodes are picked greedily on the scalar
-l^T H(s, p) r (with l, r the means of the probing directions); the
-coefficients are then re-solved against a stack of that scalar and a few
-random combinations of the left and right samples, so that they fit the
-tangential data too.  Of the r directions per side, the model keeps the
-r' <= r that loewner.select_directions picks from the rank check's
-singular vectors, and stores their b_k and c_k at the p-nodes exactly:
-theta_k, sigma_k and the p-nodes are all sample points.
+H by contour quadrature, N dense n-by-n inverses of T per parameter, and
+contracts it, one parameter at a time, into all that offline reads: the
+tangential data b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k,
+the scalar l^T H r (with l, r the means of the probing directions) and a few
+random combinations of the left and right samples; H itself is never held.
+From b and c, loewner's rank consistency check fixes the eigenvalue count m.
+paaa fits one set of bivariate barycentric nodes and coefficients that
+every surrogate shares.  The nodes are picked greedily on the scalar; the
+coefficients are then re-solved against a stack of the scalar and the
+random combinations, so that they fit the tangential data too.  Of the r
+directions per side, the model keeps the r' <= r that
+loewner.select_directions picks from the rank check's singular vectors,
+and stores their b_k and c_k at the p-nodes exactly: theta_k, sigma_k and
+the p-nodes are all sample points.
 
 Online needs b_k and c_k only at these fixed theta_k and sigma_k.  The
 fitted weights are summed out there once, when a model is built or loaded,
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
-                      probe_samples, tangential_samples)
+                      probe_samples)
 from .errors import EvaluationError, ModelFormatError
 from .loewner import (TangentialData, consistency_rank_check,
                       eigenvalue_order, realize, select_directions)
@@ -45,9 +46,6 @@ from .paaa import eval_model, lift_vector  # noqa: F401
 
 FORMAT_VERSION = 2
 
-# random combinations of the left (and as many of the right) samples that
-# join the scalar in the coefficient refit
-_LIFT_SKETCHES = 2
 # scalar-probe poles with a residue below this fraction of the scalar's
 # scale are cancelled by a numerator zero (Froissart doublets)
 _RESIDUE_TOL = 1e-8
@@ -74,6 +72,10 @@ class OfflineModel:
         if np.shape(self.left_vals) != np.shape(self.right_vals):
             raise ValueError("left_vals and right_vals differ in shape")
         config = self.config
+        n, dim = np.shape(self.left_vals)[-1], config.left_dirs.shape[1]
+        if n != dim:
+            raise ValueError(f"sample vectors of length {n} do not fit "
+                             f"probing directions of length {dim}")
         object.__setattr__(self, "collapsed", collapse_lifts(
             self.scalar_model,
             np.concatenate([config.left_points, config.right_points]),
@@ -107,19 +109,15 @@ def offline(problem, domain, config, N, fit_opts=None):
 
     rule = build_trapezoid_rule(domain, N)
     samples = probe_samples(problem, rule, config, domain)
-    b, c = tangential_samples(config, samples.H)  # (r, q, n) each
+    b, c = samples.left, samples.right  # (r, q, n) each
     m, gap, bases = consistency_rank_check(config, b, c, rank_tol)
 
-    # scalar data l^T H(s_i, p_j) r with l, r the direction means
-    D = (config.left_dirs.mean(axis=0) @ samples.H
-         @ config.right_dirs.mean(axis=0))  # (2r, q)
+    D = samples.scalar  # (2r, q)
     # the pole part is rational of degree exactly m in z, so m+1 nodes
     # suffice; extra z-nodes fit quadrature noise with spurious poles
-    greedy = paaa_fit(
-        D, config.sample_points, config.parameter_points,
-        tol=tol, max_z_nodes=m + 1, min_z_nodes=m + 1,
-    )
-    stack = np.concatenate([D[:, :, None], _lift_sketches(samples)], axis=2)
+    greedy = paaa_fit(D, config.sample_points, config.parameter_points,
+                      tol=tol, max_z_nodes=m + 1, min_z_nodes=m + 1)
+    stack = np.concatenate([D[:, :, None], samples.sketches], axis=2)
     scalar_model = refit_coefficients(
         greedy, stack, config.sample_points, config.parameter_points, tol=tol,
     )
@@ -180,26 +178,6 @@ def _tangential_error(model, want):
                / np.linalg.norm(want[:, j], axis=1))
         worst = max(worst, float(np.max(err)))
     return worst
-
-
-def _lift_sketches(samples):
-    """Grid values (2r, q, 2 * _LIFT_SKETCHES) of random combinations of the
-    left samples and of the right samples, each over all directions and
-    vector components.  The weights come from a child stream of config.seed,
-    independent of the stream that drew the probing directions.
-
-    A combination sum_k g_k^T (l_k^T H) of left rows is H contracted with
-    the n-by-n matrix sum_k l_k g_k^T; of right columns, with
-    sum_k g_k r_k^T."""
-    config = samples.config
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed).spawn(1)[0])
-    shape = (_LIFT_SKETCHES,) + config.left_dirs.shape
-    g_left, g_right = (rng.standard_normal(shape)
-                       + 1j * rng.standard_normal(shape) for _ in range(2))
-    M = np.concatenate([np.einsum("ka,skb->sab", config.left_dirs, g_left),
-                        np.einsum("ska,kb->sab", g_right, config.right_dirs)])
-    return np.tensordot(samples.H, M, axes=([2, 3], [1, 2]))
 
 
 def online(model, p_hat, rank_tol=None):

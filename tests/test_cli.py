@@ -250,6 +250,20 @@ class TestOnline:
         pytest.param(lambda d: d["left_vals"].pop(),
                      "left_vals and right_vals differ in shape",
                      id="left-vals-direction"),
+        # the delay model has n = 10
+        pytest.param(lambda d: [row.pop()
+                                for row in d["sampling"]["left_dirs"]],
+                     "left and right probing directions differ in shape: "
+                     "(20, 9) and (20, 10)", id="left-dirs-component"),
+        pytest.param(lambda d: [row.pop()
+                                for row in d["sampling"]["right_dirs"]],
+                     "left and right probing directions differ in shape: "
+                     "(20, 10) and (20, 9)", id="right-dirs-component"),
+        pytest.param(lambda d: [row.pop()
+                                for key in ("left_vals", "right_vals")
+                                for rows in d[key] for row in rows],
+                     "sample vectors of length 9 do not fit probing "
+                     "directions of length 10", id="vals-component"),
         # the delay model has 5 z-nodes and 6 p-nodes
         pytest.param(lambda d: d["scalar_nodes"]["p"].pop(),
                      "coeffs of shape (5, 6) do not fit the node grid (5, 5)",

@@ -1,13 +1,15 @@
 """Tests for domains, boundary quadrature, and probed resolvent sampling."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pnlevp import benchmarks
-from pnlevp.contour import (Disk, Ellipse, build_trapezoid_rule,
-                            default_sampling, probe_samples, scale_domain)
+from pnlevp.contour import (Disk, Ellipse, _sketch_weights,
+                            build_trapezoid_rule, default_sampling,
+                            probe_samples, scale_domain)
 from pnlevp.errors import SingularMatrixError
 from pnlevp.problems import (LinearDemoProblem, PNlevpProblem,
                              SyntheticRationalProblem)
@@ -38,6 +40,21 @@ def _linear_demo_pole_part(z, p):
         ],
         dtype=complex,
     )
+
+
+def _contracted(config, H):
+    """The fields of probe_samples, (left, right, scalar, sketches), formed
+    from pole-part samples H of shape (2r, q, n, n) held in one piece."""
+    lbar = config.left_dirs.mean(axis=0)
+    rbar = config.right_dirs.mean(axis=0)
+    return (np.einsum("ka,kjab->kjb", config.left_dirs, H[0::2]),
+            np.einsum("kjab,kb->kja", H[1::2], config.right_dirs),
+            np.einsum("a,ijab,b->ij", lbar, H, rbar),
+            np.einsum("ijab,tab->ijt", H, _sketch_weights(config)))
+
+
+def _fields(samples):
+    return (samples.left, samples.right, samples.scalar, samples.sketches)
 
 
 def _probe_config(domain, points, dirs_l, dirs_r, p_points):
@@ -171,9 +188,10 @@ class TestProbeSamples:
         rule = build_trapezoid_rule(domain, 32)
         config = _probe_config(domain, [2.0, 3.0], [[1.0]], [[1.0]], [0.0])
         samples = probe_samples(prob, rule, config, domain)
-        # H(s) = 1/(s - 0): value 0.5 at s = 2
-        assert abs(samples.left[0, 0, 0, 0] - 0.5) <= 1e-9
-        assert abs(samples.right[0, 0, 0, 0] - 0.5) <= 1e-9
+        # H(s) = 1/(s - 0): value 0.5 at theta = 2, 1/3 at sigma = 3
+        assert abs(samples.left[0, 0, 0] - 0.5) <= 1e-9
+        assert abs(samples.right[0, 0, 0] - 1 / 3) <= 1e-9
+        assert np.max(np.abs(samples.scalar[:, 0] - [0.5, 1 / 3])) <= 1e-9
 
     def test_scalar_pole_outside_gives_zero(self):
         prob = ScalarShift(5.0)
@@ -181,7 +199,8 @@ class TestProbeSamples:
         rule = build_trapezoid_rule(domain, 32)
         config = _probe_config(domain, [2.0, 3.0], [[1.0]], [[1.0]], [0.0])
         samples = probe_samples(prob, rule, config, domain)
-        assert abs(samples.left[0, 0, 0, 0]) <= 1e-9
+        for got in _fields(samples):
+            assert np.max(np.abs(got)) <= 1e-9
 
     def test_linear_demo_matches_closed_form(self):
         prob = LinearDemoProblem()
@@ -194,20 +213,12 @@ class TestProbeSamples:
         rvec = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         config = _probe_config(domain, s_points, ell, rvec, [p])
         samples = probe_samples(prob, rule, config, domain)
-        assert samples.H.shape == (4, 1, 3, 3)
-        for i in range(4):
-            np.testing.assert_allclose(
-                samples.H[i, 0], _linear_demo_pole_part(s_points[i], p),
-                atol=1e-8)
-        for k in range(2):
-            for i in range(4):
-                H = _linear_demo_pole_part(s_points[i], p)
-                np.testing.assert_allclose(
-                    samples.left[k, i, 0], ell[k] @ H, atol=1e-8
-                )
-                np.testing.assert_allclose(
-                    samples.right[k, i, 0], H @ rvec[k], atol=1e-8
-                )
+        H = np.array([[_linear_demo_pole_part(s, p)] for s in s_points])
+        shapes = [(2, 1, 3), (2, 1, 3), (4, 1), (4, 1, 4)]
+        for got, want, shape in zip(_fields(samples),
+                                    _contracted(config, H), shapes):
+            assert got.shape == shape
+            np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_error_decreases_with_n_doubling(self):
         domain = Disk(0.0, 1.0)
@@ -219,19 +230,35 @@ class TestProbeSamples:
         ell = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         rvec = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         config = _probe_config(domain, s_points, ell, rvec, [0.25, 0.75])
+        H = np.array([[prob.exact_H(s, p) for p in config.parameter_points]
+                      for s in s_points])
+        want = _contracted(config, H)
         errs = []
         for N in (32, 64, 128):
             rule = build_trapezoid_rule(domain, N)
             samples = probe_samples(prob, rule, config, domain)
-            err = 0.0
-            for i, s in enumerate(s_points):
-                for j, p in enumerate(config.parameter_points):
-                    H = prob.exact_H(s, p)
-                    err = max(err, np.max(np.abs(
-                        samples.right[:, i, j].T - H @ rvec.T)))
-            errs.append(err)
+            errs.append(max(np.max(np.abs(got - w))
+                            for got, w in zip(_fields(samples), want)))
         for a, b in zip(errs, errs[1:]):
             assert b < a or b <= 1e-13
+
+    def test_memory_does_not_grow_with_q(self):
+        # H at all parameters, (2r, q, n, n), would be 6.4 MB per parameter
+        domain = Disk(0.0, 1.0)
+        prob = SyntheticRationalProblem.inside_domain(
+            domain, 3, (0.0, 1.0), seed=5, dim=100)
+        rule = build_trapezoid_rule(domain, 64)
+        peaks = []
+        for q in (10, 20):
+            config = default_sampling(domain, 20, q, (0.0, 1.0), seed=0,
+                                      dim=prob.dim)
+            tracemalloc.start()
+            try:
+                probe_samples(prob, rule, config, domain)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_probe_linearity_in_directions(self):
         domain = Disk(0.0, 1.0)

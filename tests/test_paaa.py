@@ -10,7 +10,7 @@ import pytest
 
 from pnlevp import loewner, paaa
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
-    probe_samples, tangential_samples
+    probe_samples
 from pnlevp.errors import RankConsistencyError
 from pnlevp.loewner import (TangentialData, build_loewner,
                             consistency_rank_check)
@@ -18,7 +18,6 @@ from pnlevp.paaa import (eval_model, lift_vector, node_indices, paaa_fit,
                          refit_coefficients)
 from pnlevp.problems import (LinearDemoProblem, SyntheticRationalProblem,
                              get_problem)
-from pnlevp.solver import _lift_sketches
 
 
 def _grid_eval(model, s, p):
@@ -58,9 +57,9 @@ def full_svd_calls(monkeypatch):
 
 
 def _rank_check(config, samples, rank_tol=1e-10):
-    """consistency_rank_check on the tangential samples of probed H."""
-    return consistency_rank_check(
-        config, *tangential_samples(config, samples.H), rank_tol)
+    """consistency_rank_check on the probed tangential samples."""
+    return consistency_rank_check(config, samples.left, samples.right,
+                                  rank_tol)
 
 
 def _rank_check_of(monkeypatch, L):
@@ -75,7 +74,7 @@ def _rank_check_of(monkeypatch, L):
 
 def _probed_loewner(config, samples):
     """build_loewner's L at each parameter sample, over all r directions."""
-    b, c = tangential_samples(config, samples.H)
+    b, c = samples.left, samples.right
     return [build_loewner(TangentialData(
         theta=config.left_points, sigma=config.right_points,
         left_dirs=config.left_dirs, right_dirs=config.right_dirs,
@@ -389,23 +388,21 @@ class TestLiftVector:
                                   dim=problem.dim)
         rule = build_trapezoid_rule(domain, 512)
         samples = probe_samples(problem, rule, config, domain)
-        r_mean = config.right_dirs.mean(axis=0)
-        D = samples.left.mean(axis=0) @ r_mean
-        model = paaa_fit(D, config.sample_points, config.parameter_points,
-                         min_z_nodes=3)
+        model = paaa_fit(samples.scalar, config.sample_points,
+                         config.parameter_points, min_z_nodes=3)
         assert model.converged
         zi = [int(np.argmin(np.abs(config.sample_points - x)))
               for x in model.z_nodes]
         pj = [int(np.argmin(np.abs(config.parameter_points - x)))
               for x in model.p_nodes]
-        k = 0
-        lifted = lift_vector(model, samples.left[k][np.ix_(zi, pj)])
-        scale = np.max(np.abs(samples.left[k]))
+        # the sketches are vector samples of H at every sample point
+        G = samples.sketches
+        lifted = lift_vector(model, G[np.ix_(zi, pj)])
+        scale = np.max(np.abs(G))
         for i, si in enumerate(config.sample_points):
             for j, pjv in enumerate(config.parameter_points):
                 got = eval_model(lifted, si, pjv)
-                np.testing.assert_allclose(got, samples.left[k, i, j],
-                                           atol=1e-10 * scale)
+                np.testing.assert_allclose(got, G[i, j], atol=1e-10 * scale)
 
 
 class TestRefitCoefficients:
@@ -471,10 +468,9 @@ class TestSolveCoefficients:
                                                              monkeypatch):
         config, samples = delay_probed
         s, p = config.sample_points, config.parameter_points
-        D = (config.left_dirs.mean(axis=0) @ samples.H
-             @ config.right_dirs.mean(axis=0))
+        D = samples.scalar
         greedy = paaa_fit(D, s, p, tol=1e-11, max_z_nodes=5, min_z_nodes=5)
-        G = np.concatenate([D[:, :, None], _lift_sketches(samples)], axis=2)
+        G = np.concatenate([D[:, :, None], samples.sketches], axis=2)
         G = G / np.max(np.abs(G), axis=(0, 1))
         zi = node_indices(greedy.z_nodes, s)
         pj = node_indices(greedy.p_nodes, p)

@@ -181,6 +181,18 @@ class TestSynthetic:
                 det = np.linalg.det(prob.eval(lam, p))
                 assert abs(det) <= 1e-10 * scale
 
+    def test_eval_nodes_is_the_closed_form(self):
+        # Q diag(z - lam_1(p), z - lam_2(p), 1, 1, 1) Z at each point
+        prob = SyntheticRationalProblem([(0.1, 0.2), (-0.2, -0.1)], dim=5,
+                                        seed=7)
+        z = np.array([0.3 + 0.1j, -0.2j, 1.5])
+        p = 0.4 - 0.1j
+        lams = prob.eigenvalues_at(p)
+        want = [prob.Q @ np.diag(np.r_[zt - lams, np.ones(3)]) @ prob.Z
+                for zt in z]
+        np.testing.assert_allclose(prob.eval_nodes(z, p), want, rtol=0,
+                                   atol=1e-13)
+
     def test_exact_pole_part(self):
         prob = SyntheticRationalProblem([(0.1, 0.2), (-0.2, -0.1)], dim=5, seed=7)
         p = 0.3

@@ -16,9 +16,8 @@ from scipy.linalg import lapack
 
 import pnlevp
 from pnlevp import benchmarks, contour, loewner, paaa, solver
-from pnlevp.contour import (Disk, Ellipse, ProbedSampleSet,
-                            build_trapezoid_rule, default_sampling,
-                            probe_samples, tangential_samples)
+from pnlevp.contour import (Disk, Ellipse, build_trapezoid_rule,
+                            default_sampling, probe_samples)
 from pnlevp.errors import BranchCutError, EvaluationError, ModelFormatError
 from pnlevp.paaa import BarycentricModel2D, eval_collapsed, paaa_fit
 from pnlevp.problems import (DampedStringProblem, LinearDemoProblem,
@@ -110,9 +109,6 @@ class TestOffline:
         # nor does it build per-direction vector models
         monkeypatch.setattr(paaa, "lift_vector", refuse)
         monkeypatch.setattr(solver, "lift_vector", refuse)
-        # nor does it form the (r, 2r, q, n) tangential tensors
-        monkeypatch.setattr(ProbedSampleSet, "left", property(refuse))
-        monkeypatch.setattr(ProbedSampleSet, "right", property(refuse))
         problem = get_problem("delay")
         domain = Disk(0.0, 0.075)
         config = default_sampling(domain, 20, 40, (30.0, 35.0), seed=0,
@@ -124,31 +120,6 @@ class TestOffline:
         assert model.m == 4
         np.testing.assert_array_equal(model.scalar_model.coeffs,
                                       delay[1].scalar_model.coeffs)
-
-    def test_tangential_samples_once_per_build(self, monkeypatch):
-        # every module that binds the name is wrapped, so a second
-        # contraction of H through any of them is counted
-        calls = []
-
-        def counted(fn):
-            def wrapped(*args):
-                calls.append(fn.__module__)
-                return fn(*args)
-            return wrapped
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "pnlevp" and hasattr(
-                    module, "tangential_samples"):
-                monkeypatch.setattr(module, "tangential_samples",
-                                    counted(module.tangential_samples))
-        problem = LinearDemoProblem()
-        domain = Disk(0.0, 0.6)
-        config = default_sampling(domain, 6, 6, (0.75, 1.25), seed=0,
-                                  dim=problem.dim)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            offline(problem, domain, config, 32)
-        assert calls == ["pnlevp.contour"]
 
     def test_fit_error_describes_lifts(self):
         # tangential_error measures what online reads against the probed
@@ -165,9 +136,7 @@ class TestOffline:
                             fit_opts={"tol": 1e-11})
         samples = probe_samples(problem, build_trapezoid_rule(domain, 128),
                                 config, domain)
-        want = np.concatenate([
-            samples.left[np.arange(config.r), config.left_indices],
-            samples.right[np.arange(config.r), config.right_indices]])
+        want = np.concatenate([samples.left, samples.right])
         worst = 0.0
         for j, pj in enumerate(config.parameter_points):
             got = eval_collapsed(model.collapsed, pj)
@@ -235,9 +204,7 @@ class TestCollapsedLifts:
         # theta_1..theta_r, then sigma_1..sigma_r
         points = np.concatenate([config.left_points, config.right_points])
         vals = np.concatenate([model.left_vals, model.right_vals])
-        rows = np.concatenate([
-            samples.left[np.arange(config.r), config.left_indices],
-            samples.right[np.arange(config.r), config.right_indices]])
+        rows = np.concatenate([samples.left, samples.right])
         # the stored values are the exact samples at the p-nodes
         np.testing.assert_allclose(vals, rows[:, pj], rtol=1e-14, atol=0)
         for k, z in enumerate(points):
@@ -674,18 +641,24 @@ class TestPersistence:
         np.testing.assert_array_equal(a.W, b.W)
 
 
-def test_benchmark_tracer_binds_every_wrapped_name():
-    # pnlbench/spans.py wraps package functions by name; a name it wraps
-    # that the package no longer has fails here
+def _benchmark_spans():
+    """pnlbench/spans.py, loaded as a module."""
     import importlib.util
-
-    from pnlevp import benchmarks, cli, loewner, problems
 
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pnlbench",
                         "spans.py")
     spec = importlib.util.spec_from_file_location("pnlbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_binds_every_wrapped_name():
+    # pnlbench/spans.py wraps package functions by name; a name it wraps
+    # that the package no longer has fails here
+    from pnlevp import benchmarks, cli, loewner, problems
+
+    spans = _benchmark_spans()
     owners = (solver, cli, benchmarks, loewner, problems.PNlevpProblem)
     before = [dict(vars(owner)) for owner in owners]
     tracer = spans.Tracer()
@@ -694,6 +667,28 @@ def test_benchmark_tracer_binds_every_wrapped_name():
     finally:
         tracer.restore()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_benchmark_tracer_reads_what_the_probe_returns():
+    # the traced sample size is that of b and c, (r, q, n) each, and
+    # reading it builds nothing larger
+    spans = _benchmark_spans()
+    problem = LinearDemoProblem()
+    domain = Disk(0.0, 0.6)
+    r, q = 6, 6
+    config = default_sampling(domain, r, q, (0.75, 1.25), seed=0,
+                              dim=problem.dim)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            solver.offline(problem, domain, config, 32)
+    finally:
+        tracer.restore()
+    sample_mb = spans.layer_metrics(tracer)["contour.sample_mb"]["value"]
+    assert 0 < sample_mb <= 2 * r * q * problem.dim * 16 / 2**20
+    assert spans.nesting_errors(tracer.spans) == []
 
 
 def test_every_exported_name_resolves():
@@ -718,16 +713,16 @@ def _build_with_samples(bench, monkeypatch, **changes):
     seen = []
 
     def recorded(*args):
-        seen.append(contour.tangential_samples(*args))
+        seen.append(contour.probe_samples(*args))
         return seen[-1]
 
-    monkeypatch.setattr(solver, "tangential_samples", recorded)
+    monkeypatch.setattr(solver, "probe_samples", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         model = offline(problem, bench.domain, config, bench.N,
                         fit_opts=dict(bench.fit_opts))
     monkeypatch.undo()
-    return model, config, seen[-1]
+    return model, config, (seen[-1].left, seen[-1].right)
 
 
 def _all_directions(model, config, samples):
@@ -858,7 +853,8 @@ class TestDirectionSelection:
         for j, p in enumerate(config.parameter_points):
             for pole, u, w in zip((0.3 + 0.2 * p, -0.4j - 0.1 * p), U, W):
                 H[:, j] += np.outer(u, w)[None] / (s - pole)[:, None, None]
-        b, c = tangential_samples(config, H)
+        b = np.einsum("ka,kjab->kjb", config.left_dirs, H[0::2])
+        c = np.einsum("kjab,kb->kja", H[1::2], config.right_dirs)
         m, _, bases = loewner.consistency_rank_check(config, b, c)
         rows, cols = loewner.select_directions(config, m, b, c, bases, 1e-10)
         assert m == 2 and len(rows) == len(cols) == 2 * m + 8
@@ -872,7 +868,7 @@ class TestDirectionSelection:
                                   dim=problem.dim)
         samples = probe_samples(problem, build_trapezoid_rule(domain, 128),
                                 config, domain)
-        b, c = tangential_samples(config, samples.H)
+        b, c = samples.left, samples.right
         gaps = []
         for j in range(config.q):
             L, _ = loewner.build_loewner(loewner.TangentialData(
