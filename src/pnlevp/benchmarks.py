@@ -16,9 +16,14 @@ import numpy as np
 
 from .contour import Disk, Ellipse, default_sampling
 from .problems import get_problem
-from .solver import offline, online, residuals, write_atomic
+from .solver import (offline, online, residuals, stacked_residuals,
+                     write_atomic)
 
 _DEFAULT_SEED = 0
+# bytes of the T stack of one residual chunk of a sweep: large enough that
+# the per-call cost of eval_nodes is spread over dozens of answers, small
+# enough that a long sweep holds no stack of its own size
+_RESIDUAL_STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -124,19 +129,36 @@ def build_offline(bench):
 def sweep(problem, model, p_values):
     """Online sweep: eigenvalue trajectories and max residual per parameter.
 
-    Rows keep the solver's stable eigenvalue ordering so trajectory columns
-    are plottable; missing eigenvalues (rank truncation) are padded with NaN.
+    Each parameter is answered by one online call.  Rows keep the solver's
+    stable eigenvalue ordering so trajectory columns are plottable; missing
+    eigenvalues (rank truncation) are padded with NaN, and a row without
+    eigenvalues keeps a NaN residual.  The residuals are computed for a
+    chunk of answers at a time, by one stacked_residuals call whose T stack
+    holds about _RESIDUAL_STACK_BYTES, and each row takes the max of its
+    own; with problem None there are none.
     """
     p_values = np.asarray(p_values, dtype=complex)
     m = model.m
     eigenvalues = np.full((len(p_values), m), np.nan + 0j, dtype=complex)
     max_res = np.full(len(p_values), np.nan)
+    n = model.config.left_dirs.shape[1]
+    chunk_points = max(1, _RESIDUAL_STACK_BYTES // (16 * n * n))
+    # answers whose residuals are pending: their rows, solutions and the
+    # offsets of their eigenvalues in the chunk's stack
+    rows, chunk, starts, points = [], [], [], 0
     for k, p_hat in enumerate(p_values):
         sol = online(model, p_hat)
         lam = sol.eigenvalues[:m]
         eigenvalues[k, : len(lam)] = lam
         if len(sol.eigenvalues) and problem is not None:
-            max_res[k] = max(residuals(problem, sol))
+            rows.append(k)
+            chunk.append(sol)
+            starts.append(points)
+            points += len(sol.eigenvalues)
+        if chunk and (points >= chunk_points or k == len(p_values) - 1):
+            max_res[rows] = np.maximum.reduceat(
+                stacked_residuals(problem, chunk), starts)
+            rows, chunk, starts, points = [], [], [], 0
     return {"p": p_values, "eigenvalues": eigenvalues, "max_residuals": max_res}
 
 

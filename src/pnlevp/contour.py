@@ -217,7 +217,8 @@ def probe_samples(problem, rule, config, domain):
     s = config.sample_points
     n = problem.dim
     _check_outside(domain, s)
-    C = rule.weights[None, :] / (s[:, None] - rule.nodes[None, :])  # (2r, N)
+    C = np.subtract.outer(s, rule.nodes)  # (2r, N), divided in place
+    np.divide(rule.weights, C, out=C)
     lbar = config.left_dirs.mean(axis=0)
     rbar = config.right_dirs.mean(axis=0)
     M = _sketch_weights(config)

@@ -3,8 +3,11 @@
 A problem exposes ``eval(z, p)`` returning an n-by-n complex matrix,
 ``eval_nodes(z, p)`` returning the stack of T at many points (the contour
 probe inverts that stack and the residuals multiply by it), plus left/right
-linear solves against T(z, p).  The built-in problems assemble T for an
-array of points with array arithmetic; their ``eval`` is the one-point case.
+linear solves against T(z, p).  ``eval_nodes`` takes p as one parameter for
+every point (the probe) or as a 1-D array of one parameter per point (the
+residuals of a sweep, many answers in one stack).  The built-in problems
+assemble T for an array of points with array arithmetic; their ``eval`` is
+the one-point case.
 The benchmark problems also carry independent eigenvalue oracles used for
 validation.
 """
@@ -23,11 +26,12 @@ class PNlevpProblem:
     Subclasses set ``dim`` and implement ``eval``, ``eval_nodes`` or both.
     Everything that needs T at several points (the contour probe, the
     residuals) asks for it once, through ``eval_nodes``, whose default
-    stacks ``eval``; a problem that can assemble T for an array of points
-    overrides it, and then ``eval`` defaults to its one-point case.  Solves
-    default to dense LU with partial pivoting of the evaluated matrix;
-    problems are immutable after construction, so eval/solve are safe to
-    call concurrently.
+    pairs ``eval(z_t, p_t)`` point by point; a problem that can assemble T
+    for an array of points overrides it, accepting p as a scalar or as one
+    parameter per point, and then ``eval`` defaults to its one-point case.
+    Solves default to dense LU with partial pivoting of the evaluated
+    matrix; problems are immutable after construction, so eval/solve are
+    safe to call concurrently.
     """
 
     dim = None
@@ -40,8 +44,11 @@ class PNlevpProblem:
         return self.eval_nodes(np.array([z], dtype=complex), p)[0]
 
     def eval_nodes(self, z, p):
-        """T(z_t, p) for every point z_t of the 1-D array z, (len(z), n, n)."""
-        return np.array([self.eval(zt, p) for zt in z], dtype=complex)
+        """T(z_t, p_t) for every point z_t of the 1-D array z, (len(z), n, n);
+        p is one parameter for all points or a 1-D array of len(z)."""
+        p = np.broadcast_to(p, np.shape(z))
+        return np.array([self.eval(zt, pt) for zt, pt in zip(z, p)],
+                        dtype=complex)
 
     def solve_right(self, z, p, B):
         """Solve T(z, p) X = B."""
@@ -85,9 +92,11 @@ class LinearDemoProblem(PNlevpProblem):
 
     def eval_nodes(self, z, p):
         z = np.asarray(z, dtype=complex)
-        A = np.array(
-            [[0.0, 1.0, 0.0], [1.0 - p, 0.0, 0.0], [0.0, 1.0, p]], dtype=complex
-        )
+        p = np.broadcast_to(p, z.shape)
+        A = np.zeros((len(z), 3, 3), dtype=complex)
+        A[:, 0, 1] = A[:, 2, 1] = 1.0
+        A[:, 1, 0] = 1.0 - p
+        A[:, 2, 2] = p
         return z[:, None, None] * np.eye(3, dtype=complex) - A
 
     def true_eigenvalues(self, p, domain=None, margin=1.0):
@@ -159,15 +168,18 @@ class DampedStringProblem(PNlevpProblem):
         return self.branch_sign * 1j * np.sqrt(-z) * np.sqrt(z + 2 * p)
 
     def _check_cut(self, z, p):
-        """Raise BranchCutError for the first point of z on the cut."""
+        """Raise BranchCutError for the first point of z on the cut of its
+        own parameter."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         x = z.real
+        cut = -2 * np.real(np.broadcast_to(p, z.shape))
         on_cut = (np.abs(z.imag) <= _CUT_TOL) & (
-            (x >= -_CUT_TOL) | (x <= -2 * np.real(p) + _CUT_TOL))
+            (x >= -_CUT_TOL) | (x <= cut + _CUT_TOL))
         if np.any(on_cut):
+            t = np.argmax(on_cut)
             raise BranchCutError(
-                f"z={z[np.argmax(on_cut)]} lies on the branch cut of the damped "
-                f"string problem (real axis outside ({-2 * np.real(p)}, 0))"
+                f"z={z[t]} lies on the branch cut of the damped string "
+                f"problem (real axis outside ({cut[t]}, 0))"
             )
 
     def eval_nodes(self, z, p):
@@ -268,13 +280,15 @@ class SyntheticRationalProblem(PNlevpProblem):
         return cls(maps, dim=dim, seed=seed)
 
     def eigenvalues_at(self, p):
+        """lam_j(p) for each map j: (m,) for a scalar p, (m,) + p.shape for
+        an array."""
         return np.array([a + b * p for a, b in self.eigen_maps], dtype=complex)
 
     def eval_nodes(self, z, p):
         z = np.asarray(z, dtype=complex)
         d = np.ones((len(z), self.dim), dtype=complex)
-        lams = self.eigenvalues_at(p)
-        d[:, : len(lams)] = z[:, None] - lams
+        lams = self.eigenvalues_at(np.broadcast_to(p, z.shape))
+        d[:, : len(lams)] = z[:, None] - lams.T
         return self.Q @ (d[:, :, None] * self.Z)
 
     def exact_H(self, z, p):

@@ -213,23 +213,38 @@ def online(model, p_hat, rank_tol=None):
 
 def residuals(problem, solution):
     """Per-eigenpair relative residuals ||T(lam_j, p) v_j|| / ||v_j||, as a
-    list of floats.
+    list of floats: the one-answer case of stacked_residuals.
 
-    T is asked for once, at all eigenvalues, through problem.eval_nodes, and
-    multiplied by the eigenvectors as one stack.  Raises ValueError for a
-    solution without eigenpairs or with a zero eigenvector, and whatever
-    eval_nodes raises, e.g. BranchCutError for an eigenvalue on a cut.
+    Raises ValueError for a solution without eigenpairs, and whatever
+    stacked_residuals raises.
     """
-    lams = solution.eigenvalues
-    if len(lams) == 0:
+    if len(solution.eigenvalues) == 0:
         raise ValueError("solution has no eigenpairs")
-    V = solution.V
+    return stacked_residuals(problem, [solution]).tolist()
+
+
+def stacked_residuals(problem, solutions):
+    """The relative residuals of all eigenpairs of all solutions, in order,
+    as one array.
+
+    T is asked for once, at every eigenvalue with its own answer's
+    parameter, through problem.eval_nodes, multiplied by the eigenvectors
+    as one stack and normed once.  Raises ValueError for a zero
+    eigenvector, and whatever eval_nodes raises, e.g. BranchCutError for an
+    eigenvalue on a cut.
+    """
+    lams = np.concatenate([sol.eigenvalues for sol in solutions])
+    p = np.repeat([sol.p_hat for sol in solutions],
+                  [len(sol.eigenvalues) for sol in solutions])
+    V = np.concatenate([sol.V for sol in solutions], axis=1)
     nv = np.linalg.norm(V, axis=0)
     if np.any(nv == 0.0):
-        raise ValueError(f"eigenvector {np.argmax(nv == 0.0)} is zero")
-    T = problem.eval_nodes(lams, solution.p_hat)
-    TV = (T @ V.T[:, :, None])[:, :, 0]  # row j is T(lam_j, p) v_j
-    return (np.linalg.norm(TV, axis=1) / nv).tolist()
+        j = np.argmax(nv == 0.0)
+        raise ValueError(
+            f"the eigenvector of eigenvalue {lams[j]} at p = {p[j]} is zero")
+    T = problem.eval_nodes(lams, p)
+    TV = (T @ V.T[:, :, None])[:, :, 0]  # row j is T(lam_j, p_j) v_j
+    return np.linalg.norm(TV, axis=1) / nv
 
 
 def scalar_probe_eigenvalues(model, p_hat):

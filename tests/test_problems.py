@@ -252,6 +252,37 @@ class TestInterface:
             np.testing.assert_array_equal(
                 batch, np.array([prob.eval(zt, 0.4) for zt in z]))
 
+    @pytest.mark.parametrize("name", ["linear-demo", "delay", "damped-string",
+                                      "synthetic"])
+    def test_eval_nodes_takes_one_parameter_per_point(self, name):
+        prob = get_problem(name)
+        rng = np.random.default_rng(4)
+        # off the real axis, so off the damped string's cuts
+        z = -3.0 + rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        p = 3.0 + rng.random(9) + 0.1j * rng.standard_normal(9)
+        batch = prob.eval_nodes(z, p)
+        assert batch.shape == (9, prob.dim, prob.dim)
+        for t in range(len(z)):
+            np.testing.assert_array_equal(
+                batch[t], prob.eval_nodes(z[t:t + 1], p[t])[0])
+
+    def test_default_eval_nodes_pairs_points_and_parameters(self):
+        seen = []
+
+        class Custom(PNlevpProblem):
+            dim = 2
+
+            def eval(self, z, p):
+                seen.append((z, p))
+                return (z - p) * np.eye(2, dtype=complex)
+
+        z = np.array([0.1, 0.2j, 0.3 - 0.1j])
+        p = np.array([1.0, 2.0, 3.0])
+        batch = Custom().eval_nodes(z, p)
+        assert seen == list(zip(z, p))
+        np.testing.assert_array_equal(
+            batch, (z - p)[:, None, None] * np.eye(2))
+
     def test_eval_deterministic(self):
         for prob in (LinearDemoProblem(), DelayProblem(),
                      DampedStringProblem()):

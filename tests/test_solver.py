@@ -6,8 +6,10 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +53,15 @@ def delay():
         warnings.simplefilter("ignore", UserWarning)
         model = offline(problem, domain, config, 128, fit_opts={"tol": 1e-11})
     return problem, model
+
+
+@pytest.fixture(scope="module")
+def damped_string1():
+    """Offline model of the pinned damped-string-1 set-up."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return benchmarks.build_offline(
+            benchmarks.get_benchmark("damped-string-1"))
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +433,25 @@ class TestResiduals:
         with pytest.raises(BranchCutError, match=r"z=\(0\.5\+0j\)"):
             residuals(problem, sol)
 
+    def test_sweep_names_the_cut_of_its_own_parameter(self, monkeypatch):
+        # -6.5 is on the cut (-inf, -2p] of p = 3.0, not of p = 3.5; the
+        # message gives the cut of p = 3.0, not the whole parameter stack
+        problem = DampedStringProblem()
+        lams = {3.5: [-1.0 + 0.5j, -6.5 + 0j], 3.0: [-6.5 + 0j]}
+
+        def answer(model, p_hat):
+            lam = np.array(lams[p_hat.real], dtype=complex)
+            V = np.ones((4, len(lam)), dtype=complex)
+            return EigenSolution(p_hat=p_hat, eigenvalues=lam, V=V, W=V,
+                                 in_domain=np.ones(len(lam), dtype=bool))
+
+        monkeypatch.setattr(benchmarks, "online", answer)
+        model = SimpleNamespace(m=2, config=SimpleNamespace(
+            left_dirs=np.ones((1, 4))))
+        with pytest.raises(BranchCutError,
+                           match=r"z=\(-6\.5\+0j\) .* outside \(-6\.0, 0\)\)$"):
+            benchmarks.sweep(problem, model, [3.5, 3.0])
+
     def test_exact_eigenpair_zero(self):
         problem = LinearDemoProblem()
         v = np.array([1.0, 0.5, -2.0], dtype=complex)
@@ -458,8 +488,118 @@ class TestResiduals:
             V=np.zeros((3, 1)), W=np.zeros((3, 1)),
             in_domain=np.array([True]),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"eigenvalue \(0\.5\+0j\) at "
+                                             r"p = 0\.75 is zero"):
             residuals(problem, sol)
+
+
+def _one_by_one_max_residuals(problem, model, p_values):
+    """The sweep's residual column computed answer by answer, from the
+    answers the sweep reads (benchmarks.online)."""
+    out = []
+    for p_hat in p_values:
+        sol = benchmarks.online(model, p_hat)
+        out.append(max(residuals(problem, sol)) if len(sol.eigenvalues)
+                   else np.nan)
+    return np.array(out)
+
+
+def _eval_nodes_calls(problem, monkeypatch):
+    """Sizes of the stacks that problem.eval_nodes is asked for."""
+    sizes = []
+    eval_nodes = problem.eval_nodes
+
+    def counted(z, p):
+        sizes.append(len(z))
+        return eval_nodes(z, p)
+
+    monkeypatch.setattr(problem, "eval_nodes", counted)
+    return sizes
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name, n_test", [("delay", 300),
+                                              ("damped_string1", 200)])
+    def test_residuals_bit_identical_to_one_by_one(self, name, n_test,
+                                                   request, monkeypatch):
+        problem, model = request.getfixturevalue(name)
+        p_values = np.linspace(*model.config.parameter_points[[0, -1]].real,
+                               n_test)
+        want = _one_by_one_max_residuals(problem, model, p_values)
+        # chunks of about 30 eigenvalues, so the sweep crosses boundaries
+        n = problem.dim
+        monkeypatch.setattr(benchmarks, "_RESIDUAL_STACK_BYTES",
+                            30 * 16 * n * n)
+        sizes = _eval_nodes_calls(problem, monkeypatch)
+        data = benchmarks.sweep(problem, model, p_values)
+        assert len(sizes) > 2
+        np.testing.assert_array_equal(data["max_residuals"], want)
+        for k in (0, n_test // 2, n_test - 1):
+            sol = online(model, p_values[k])
+            np.testing.assert_array_equal(
+                data["eigenvalues"][k, :len(sol.eigenvalues)],
+                sol.eigenvalues[:model.m])
+
+    def test_one_eval_nodes_call_per_chunk(self, delay, monkeypatch):
+        problem, model = delay
+        p_values = np.linspace(30.0, 35.0, 500)
+        sizes = _eval_nodes_calls(problem, monkeypatch)
+        data = benchmarks.sweep(problem, model, p_values)
+        chunk_points = benchmarks._RESIDUAL_STACK_BYTES // (16 * problem.dim
+                                                            ** 2)
+        answered = np.count_nonzero(np.isfinite(data["eigenvalues"]))
+        assert sum(sizes) == answered
+        # every chunk but the last reaches the bound by less than an answer
+        assert all(chunk_points <= k < chunk_points + model.m
+                   for k in sizes[:-1])
+        assert len(sizes) <= len(p_values) // 10
+
+    def test_row_without_eigenvalues_keeps_nan(self, delay, monkeypatch):
+        problem, model = delay
+        p_values = np.linspace(30.0, 35.0, 100)
+        empty = {7, 50, 99}
+
+        def answer(model, p_hat):
+            sol = online(model, p_hat)
+            if int(np.argmin(np.abs(p_values - p_hat))) in empty:
+                sol = replace(sol, eigenvalues=sol.eigenvalues[:0],
+                              V=sol.V[:, :0])
+            return sol
+
+        monkeypatch.setattr(benchmarks, "online", answer)
+        want = _one_by_one_max_residuals(problem, model, p_values)
+        data = benchmarks.sweep(problem, model, p_values)
+        assert np.isnan(data["max_residuals"][sorted(empty)]).all()
+        assert np.isnan(data["eigenvalues"][sorted(empty)]).all()
+        np.testing.assert_array_equal(data["max_residuals"], want)
+
+    def test_problem_with_only_eval_sweeps(self, linear1):
+        problem, model = linear1
+
+        class OnlyEval(PNlevpProblem):
+            dim = 3
+
+            def eval(self, z, p):
+                return problem.eval(z, p)
+
+        p_values = np.linspace(0.75, 1.25, 40)
+        data = benchmarks.sweep(OnlyEval(), model, p_values)
+        np.testing.assert_array_equal(
+            data["max_residuals"],
+            benchmarks.sweep(problem, model, p_values)["max_residuals"])
+        assert np.isfinite(data["max_residuals"]).all()
+
+    def test_memory_bounded_by_chunk(self, delay):
+        # the T stack of all 2,000 answers at once is 12.8 MB
+        problem, model = delay
+        p_values = np.linspace(30.0, 35.0, 2000)
+        tracemalloc.start()
+        try:
+            benchmarks.sweep(problem, model, p_values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
 
 class TestScalarProbe:
