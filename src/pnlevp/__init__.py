@@ -15,7 +15,7 @@ from .errors import (BranchCutError, EvaluationError, ModelFormatError,
                      SingularMatrixError, UnsupportedProblemError)
 from .loewner import (EigenRealization, TangentialData,
                       consistency_rank_check, realize)
-from .paaa import BarycentricModel2D, eval_model, paaa_fit
+from .paaa import BarycentricModel2D, paaa_fit
 from .problems import (DampedStringProblem, DelayProblem, LinearDemoProblem,
                        PNlevpProblem, SyntheticRationalProblem, get_problem)
 from .solver import (EigenSolution, OfflineModel, load_model, offline, online,
@@ -31,8 +31,8 @@ __all__ = [
     "RankConsistencyError", "RealizationError", "SamplingConfig",
     "SingularMatrixError", "SyntheticRationalProblem", "TangentialData",
     "UnsupportedProblemError", "build_trapezoid_rule",
-    "consistency_rank_check", "default_sampling", "eval_model",
-    "get_problem", "load_model", "offline", "online",
-    "paaa_fit", "probe_samples", "realize", "residuals", "save_model",
-    "scalar_probe_eigenvalues", "scale_domain",
+    "consistency_rank_check", "default_sampling", "get_problem",
+    "load_model", "offline", "online", "paaa_fit", "probe_samples",
+    "realize", "residuals", "save_model", "scalar_probe_eigenvalues",
+    "scale_domain",
 ]

@@ -39,7 +39,6 @@ class Benchmark:
     seed: int = _DEFAULT_SEED
     fit_opts: dict = field(default_factory=dict)
     n_test: int = 200
-    description: str = ""
 
 
 BENCHMARKS = {
@@ -49,7 +48,6 @@ BENCHMARKS = {
         domain=Disk(0.0, 0.6),
         p_range=(0.75, 1.25),
         r=20, q=40, N=512,
-        description="3x3 linear problem, two eigenvalues, defective at p=1",
     ),
     "linear-2": Benchmark(
         name="linear-2",
@@ -57,7 +55,6 @@ BENCHMARKS = {
         domain=Disk(0.5j, 0.25),
         p_range=(1.25, 1.5),
         r=20, q=40, N=512,
-        description="3x3 linear problem, single branch +sqrt(1-p) in the domain",
     ),
     "delay": Benchmark(
         name="delay",
@@ -66,7 +63,6 @@ BENCHMARKS = {
         p_range=(30.0, 35.0),
         r=20, q=40, N=128,
         fit_opts={"tol": 1e-11},
-        description="10x10 diagonal delay problem, stability vs. delay",
     ),
     "damped-string-1": Benchmark(
         name="damped-string-1",
@@ -76,7 +72,6 @@ BENCHMARKS = {
         r=250, q=25, N=1000,
         sampling_domain=Ellipse(-3.0, 3.0, 11.0),
         fit_opts={"tol": 1e-11},
-        description="damped string, eigenvalue pair coalescing near p=3.71",
     ),
     "damped-string-2": Benchmark(
         name="damped-string-2",
@@ -86,7 +81,6 @@ BENCHMARKS = {
         r=250, q=25, N=2000,
         sampling_domain=Ellipse(-2.0, 2.0, 16.0),
         fit_opts={"tol": 1e-11},
-        description="damped string, spectral abscissa minimized near p=4.71",
     ),
 }
 
@@ -180,11 +174,6 @@ def sweep_table(sweep_data):
     return buf.getvalue()
 
 
-def write_sweep(sweep_data, path):
-    """Write sweep_table(sweep_data) to path (atomic replace)."""
-    write_atomic(path, sweep_table(sweep_data))
-
-
 def run_benchmark(name, out_dir=None):
     """Run one pinned experiment end-to-end and evaluate its checks."""
     bench = get_benchmark(name)
@@ -196,7 +185,8 @@ def run_benchmark(name, out_dir=None):
     elapsed = time.perf_counter() - t0
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_sweep(sweep_data, os.path.join(out_dir, f"{name}-sweep.dat"))
+        write_atomic(os.path.join(out_dir, f"{name}-sweep.dat"),
+                     sweep_table(sweep_data))
     return BenchmarkResult(
         name=name,
         passed=all(ok for _, ok, _ in checks),

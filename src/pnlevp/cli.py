@@ -145,6 +145,9 @@ def _parse_range(text):
     if not sep:
         raise ValueError(f"expected MIN:MAX, got {text!r}")
     lo, hi = float(lo), float(hi)
+    for bound in (lo, hi):
+        if not np.isfinite(bound):
+            raise ValueError(f"parameter range bound {bound} is not finite")
     if not lo < hi:
         raise ValueError("parameter range must satisfy MIN < MAX")
     return lo, hi
@@ -214,10 +217,10 @@ def cmd_online(args):
 
 
 def cmd_sweep(args):
-    model = load_model(args.model)
     lo, hi = _parse_range(args.p)
     if args.n_test < 1:
         raise ValueError("--n-test must be positive")
+    model = load_model(args.model)
     problem = _problem_if_available(model)
     data = bench_mod.sweep(problem, model, np.linspace(lo, hi, args.n_test))
     if args.json:
@@ -228,12 +231,10 @@ def cmd_sweep(args):
         }
         if problem is not None:
             doc["max_residuals"] = list(data["max_residuals"])
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.out is not None:
-        bench_mod.write_sweep(data, args.out)
-        print(f"sweep written to {args.out}", file=sys.stderr)
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        sys.stdout.write(bench_mod.sweep_table(data))
+        text = bench_mod.sweep_table(data)
+    _emit(text, args.out)
     return EXIT_OK
 
 

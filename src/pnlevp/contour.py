@@ -11,8 +11,9 @@ contour method, Beyn, LAA 2012).  Offline reads H only through contractions
 with the probing directions, so the probe forms H at one parameter at a
 time, contracts it into all of them and drops it: the tangential data
 b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k, each direction
-at its own sample point, the scalar l^T H r of the direction means, and a
-few random combinations of the tangential samples.
+at its own sample point, and the refit stack that the barycentric fit reads:
+the scalar l^T H r of the direction means, followed by a few random
+combinations of the tangential samples.
 """
 
 from dataclasses import dataclass
@@ -159,11 +160,13 @@ def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
     if not (np.isfinite(inflation) and inflation > 1.0):
         raise ValueError(f"inflation factor {inflation} must be a finite "
                          "number exceeding 1")
+    p0, p1 = p_range
+    if not (np.isfinite(p0) and np.isfinite(p1)):
+        raise ValueError(f"parameter range bounds {p0}, {p1} must be finite")
     boundary = sampling_domain if sampling_domain is not None else scale_domain(domain, inflation)
     t = 2 * np.pi * np.arange(2 * r) / (2 * r)
     s = boundary.gamma(t)
     _check_outside(domain, s)
-    p0, p1 = p_range
     p = np.linspace(complex(p0), complex(p1), q)
     rng = np.random.default_rng(seed)
     left = rng.standard_normal((r, dim)) + 1j * rng.standard_normal((r, dim))
@@ -190,15 +193,15 @@ def _check_outside(domain, points):
 class ProbedSampleSet:
     """What offline reads of the pole part H(s_i, p_j), which is not kept:
     left[k, j] = l_k^T H(theta_k, p_j) and right[k, j] = H(sigma_k, p_j) r_k,
-    (r, q, n) each; scalar[i, j] = lbar^T H(s_i, p_j) rbar, (2r, q), with
-    lbar, rbar the means of the probing directions; and sketches[i, j, t],
-    (2r, q, 2 * _LIFT_SKETCHES), the sum of H(s_i, p_j) times the t-th
-    matrix of _sketch_weights(config), entry by entry."""
+    (r, q, n) each; and the refit stack, (2r, q, 1 + 2 * _LIFT_SKETCHES),
+    whose column stack[i, j, 0] = lbar^T H(s_i, p_j) rbar is the scalar,
+    with lbar, rbar the means of the probing directions, and whose column
+    stack[i, j, 1 + t] is the sum of H(s_i, p_j) times the t-th matrix of
+    _sketch_weights(config), entry by entry."""
 
     left: np.ndarray
     right: np.ndarray
-    scalar: np.ndarray
-    sketches: np.ndarray
+    stack: np.ndarray
 
 
 def probe_samples(problem, rule, config, domain):
@@ -223,8 +226,7 @@ def probe_samples(problem, rule, config, domain):
     rbar = config.right_dirs.mean(axis=0)
     M = _sketch_weights(config)
     b, c = np.empty((2, config.r, config.q, n), dtype=complex)
-    D = np.empty((len(s), config.q), dtype=complex)
-    G = np.empty((len(s), config.q, len(M)), dtype=complex)
+    stack = np.empty((len(s), config.q, 1 + len(M)), dtype=complex)
     for j, pj in enumerate(config.parameter_points):
         Tinv = _invert_nodes(problem, rule.nodes, pj)
         H = (C @ Tinv.reshape(len(rule), n * n)).reshape(-1, n, n)
@@ -232,9 +234,9 @@ def probe_samples(problem, rule, config, domain):
             raise ValueError("probed samples contain non-finite entries")
         b[:, j] = np.einsum("ka,kab->kb", config.left_dirs, H[0::2])
         c[:, j] = np.einsum("kab,kb->ka", H[1::2], config.right_dirs)
-        D[:, j] = lbar @ H @ rbar
-        G[:, j] = np.tensordot(H, M, axes=([1, 2], [1, 2]))
-    return ProbedSampleSet(left=b, right=c, scalar=D, sketches=G)
+        stack[:, j, 0] = lbar @ H @ rbar
+        stack[:, j, 1:] = np.tensordot(H, M, axes=([1, 2], [1, 2]))
+    return ProbedSampleSet(left=b, right=c, stack=stack)
 
 
 def _sketch_weights(config):

@@ -287,7 +287,8 @@ def consistency_rank_check(config, b, c, rank_tol=1e-10):
     vectors, for the count, the gap and the basis (_svd_rank).  The gap is
     the certified bound, or the full-SVD value on a fallback.  One DEBUG
     record on the "pnlevp.loewner" logger holds the ranks, the smallest gap
-    and the fallback count.
+    and the fallback count, and says so when every rank is r: the domain may
+    then hold more than r eigenvalues.
     """
     D = config.left_points[:, None] - config.right_points[None, :]
     ranks, gaps, bases, fallbacks = [], [], [], 0
@@ -301,9 +302,13 @@ def consistency_rank_check(config, b, c, rank_tol=1e-10):
         ranks.append(rank)
         gaps.append(float(gap))
         bases.append(basis)
+    filled = (f"; the rank fills all r = {len(b)} directions, so the "
+              "domain may hold more than r eigenvalues: raise r"
+              if set(ranks) == {len(b)} else "")
     _log.debug(
         "rank check: ranks %s, min sigma_m/sigma_m+1 %.3e, "
-        "full-SVD fallbacks %d of %d", ranks, min(gaps), fallbacks, len(gaps))
+        "full-SVD fallbacks %d of %d%s", ranks, min(gaps), fallbacks,
+        len(gaps), filled)
     if len(set(ranks)) != 1:
         raise RankConsistencyError(
             "eigenvalue count inside the domain varies across parameter "

@@ -11,13 +11,14 @@ model class and one evaluator serve both.  Every sum runs over the Cauchy
 matrices 1/(z - xi_i) and 1/(p - pi_j) of _cauchy, in which a point within
 1e-14 of a node takes that node's indicator row: the sums keep only that
 node's terms, the 1-D barycentric limit on its line, and a node pair gives
-its node value.  Nodes are picked greedily at the worst-error grid point;
-the unit-norm coefficients a_ij minimize the linearized residual over the
-grid in a least-squares sense, its rows filled and QR-reduced a block at a
-time so that the whole row matrix is never held.  Once the nodes are fixed,
-refit_coefficients re-solves the coefficients against a stack of grid
-functions sharing those nodes (the set-valued AAA idea), so one set of
-coefficients serves every function in the stack.  collapse_lifts turns
+its node value.  Nodes are picked greedily at the worst-error grid point,
+up to a budget or to a given number of z-nodes; the unit-norm coefficients
+a_ij minimize the linearized residual over the grid in a least-squares
+sense, its rows filled and QR-reduced a block at a time so that the whole
+row matrix is never held.  Once the nodes are fixed, refit_coefficients
+re-solves the coefficients against a stack of grid functions sharing those
+nodes (the set-valued AAA idea), so one set of coefficients serves every
+function in the stack, such as the probe's refit stack.  collapse_lifts turns
 those coefficients and the exact samples at the p-nodes into the p-only
 barycentric forms that online evaluates.
 """
@@ -41,7 +42,6 @@ class BarycentricModel2D:
     p_nodes: np.ndarray     # (mp,)
     coeffs: np.ndarray      # (mz, mp), unit Frobenius norm
     node_values: np.ndarray  # (mz, mp) or (mz, mp, n)
-    converged: bool = True
     max_error: float = 0.0
     error_history: tuple = field(default=())
 
@@ -59,17 +59,20 @@ class BarycentricModel2D:
         return eval_model(self, z, p)
 
 
-def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
-             min_z_nodes=1):
+def paaa_fit(grid_values, s_points, p_points, tol=1e-12, z_nodes=None):
     """Greedy bivariate barycentric fit of a full data grid.
 
     grid_values[i, j] holds D(s_i, p_j).  Each iteration adds the worst-error
     grid coordinates as new nodes (at most one per axis) and re-solves the
-    linearized least-squares problem for the coefficients.  Terminates when
-    the max relative grid error drops below tol and at least min_z_nodes
-    z-nodes are present, or when the node budgets are exhausted (then the
-    best model seen is returned with converged=False).  The p-node budget
-    is max(2, len(p_points) // 2).
+    linearized least-squares problem for the coefficients.  z_nodes = k
+    asks for exactly k z-nodes (ValueError outside [1, len(s_points)]);
+    None lets the greedy stop anywhere up to max(1, len(s_points) // 2).
+    The p-node budget is max(2, len(p_points) // 2).  Terminates when the
+    max relative grid error drops to tol with the z-node count met, or when
+    the node budgets are exhausted; then the model of least error among
+    those with the z-node count met is returned.  Its max_error tells which
+    (above tol), and error_history holds the error of every iteration.
+    All-zero data gives the one-node zero model.
     """
     D = np.asarray(grid_values, dtype=complex)
     s = np.asarray(s_points, dtype=complex)
@@ -78,12 +81,13 @@ def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
         raise ValueError("grid_values must have shape (len(s_points), len(p_points))")
     if len(np.unique(s)) != len(s) or len(np.unique(p)) != len(p):
         raise ValueError("sample and parameter points must be distinct")
-    if max_z_nodes is None:
-        max_z_nodes = max(min_z_nodes, len(s) // 2)
-    max_z_nodes = min(max_z_nodes, len(s))
+    if z_nodes is None:
+        min_z_nodes, max_z_nodes = 1, max(1, len(s) // 2)
+    elif not 1 <= z_nodes <= len(s):
+        raise ValueError(f"z_nodes = {z_nodes} is outside [1, {len(s)}]")
+    else:
+        min_z_nodes = max_z_nodes = z_nodes
     max_p_nodes = min(max(2, len(p) // 2), len(p))
-    if min_z_nodes > max_z_nodes:
-        raise ValueError("min_z_nodes exceeds the z-node budget")
     scale = np.max(np.abs(D))
     if scale == 0.0:
         model = BarycentricModel2D(
@@ -107,11 +111,10 @@ def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
         E = np.abs(_eval_grid(model, s, p)[0] - D) / scale
         err = float(np.max(E))
         history.append(err)
-        if best is None or err < best[0]:
+        if len(zi) >= min_z_nodes and (best is None or err < best[0]):
             best = (err, model)
         if err <= tol and len(zi) >= min_z_nodes:
-            return replace(model, converged=True, max_error=err,
-                           error_history=tuple(history))
+            return replace(model, max_error=err, error_history=tuple(history))
         if err <= tol:
             # tolerance met early: keep adding z-nodes until the pole-count
             # constraint (min_z_nodes) is satisfied
@@ -137,8 +140,7 @@ def paaa_fit(grid_values, s_points, p_points, tol=1e-12, max_z_nodes=None,
                 added = True
         if not added:
             err, model = best
-            return replace(model, converged=False, max_error=err,
-                           error_history=tuple(history))
+            return replace(model, max_error=err, error_history=tuple(history))
 
 
 def _worst_off(E, taken, axis):
@@ -149,15 +151,16 @@ def _worst_off(E, taken, axis):
     return int(np.unravel_index(np.argmax(E), E.shape)[axis])
 
 
-def refit_coefficients(model, grid_values, s_points, p_points, tol=1e-12):
+def refit_coefficients(model, grid_values, s_points, p_points):
     """Re-solve the coefficients of `model` for a stack of grid functions.
 
-    grid_values[i, j, k] holds the k-th function at (s_i, p_j); the nodes of
-    `model`, which must be grid points, stay as they are.  Each function is
-    divided by its own max modulus, so all of them weigh alike in the
-    linearized least-squares problem.  The returned model keeps the node
-    values of `model`; its max_error (and converged = max_error <= tol) is
-    the worst relative grid error over the stack with the new coefficients.
+    grid_values[i, j, k] holds the k-th function at (s_i, p_j), e.g. the
+    probe's refit stack; the nodes of `model`, which must be grid points,
+    stay as they are.  Each function is divided by its own max modulus, so
+    all of them weigh alike in the linearized least-squares problem.  The
+    returned model keeps the node values and error_history of `model`; its
+    max_error is the worst relative grid error over the stack with the new
+    coefficients.
     """
     G = np.asarray(grid_values, dtype=complex)
     s = np.asarray(s_points, dtype=complex)
@@ -172,7 +175,7 @@ def refit_coefficients(model, grid_values, s_points, p_points, tol=1e-12):
     alpha = _solve_coefficients(G, s, p, zi, pj)
     stacked = replace(model, coeffs=alpha, node_values=G[np.ix_(zi, pj)])
     err = float(np.max(np.abs(_eval_grid(stacked, s, p)[0] - G)))
-    return replace(model, coeffs=alpha, converged=err <= tol, max_error=err)
+    return replace(model, coeffs=alpha, max_error=err)
 
 
 def node_indices(nodes, points):

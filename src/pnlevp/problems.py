@@ -106,7 +106,7 @@ class LinearDemoProblem(PNlevpProblem):
         lams = np.array([p, root, -root], dtype=complex)
         if domain is not None:
             lams = lams[scale_domain(domain, margin).contains(lams)]
-        return _sort_eigenvalues(lams)
+        return np.sort_complex(lams)
 
 
 class DelayProblem(PNlevpProblem):
@@ -143,7 +143,7 @@ class DelayProblem(PNlevpProblem):
             roots.append(_newton_batch(f, df, seeds))
         roots = np.concatenate(roots)
         roots = roots[scale_domain(domain, margin).contains(roots)]
-        return _sort_eigenvalues(_merge_close(roots))
+        return np.sort_complex(_merge_close(roots))
 
 
 class DampedStringProblem(PNlevpProblem):
@@ -227,7 +227,7 @@ class DampedStringProblem(PNlevpProblem):
 
         roots = _newton_batch(f, df, seeds)
         roots = roots[scale_domain(domain, margin).contains(roots)]
-        return _sort_eigenvalues(_merge_close(roots))
+        return np.sort_complex(_merge_close(roots))
 
 
 class SyntheticRationalProblem(PNlevpProblem):
@@ -303,7 +303,7 @@ class SyntheticRationalProblem(PNlevpProblem):
         lams = self.eigenvalues_at(p)
         if domain is not None:
             lams = lams[scale_domain(domain, margin).contains(lams)]
-        return _sort_eigenvalues(lams)
+        return np.sort_complex(lams)
 
 
 def get_problem(name):
@@ -317,13 +317,6 @@ def get_problem(name):
     if name == "synthetic":
         return SyntheticRationalProblem([(0.1, 0.2), (-0.2, -0.1)], dim=6, seed=0)
     raise UnsupportedProblemError(f"unknown benchmark problem: {name!r}")
-
-
-def _sort_eigenvalues(lams):
-    """Ascending by real part, ties broken by imaginary part."""
-    lams = np.asarray(lams, dtype=complex)
-    order = np.lexsort((lams.imag, lams.real))
-    return lams[order]
 
 
 def _merge_close(roots, tol=1e-9):

@@ -4,17 +4,18 @@ The offline phase runs one stage per module.  contour samples the pole part
 H by contour quadrature, N dense n-by-n inverses of T per parameter, and
 contracts it, one parameter at a time, into all that offline reads: the
 tangential data b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k,
-the scalar l^T H r (with l, r the means of the probing directions) and a few
-random combinations of the left and right samples; H itself is never held.
-From b and c, loewner's rank consistency check fixes the eigenvalue count m.
-paaa fits one set of bivariate barycentric nodes and coefficients that
-every surrogate shares.  The nodes are picked greedily on the scalar; the
-coefficients are then re-solved against a stack of the scalar and the
-random combinations, so that they fit the tangential data too.  Of the r
-directions per side, the model keeps the r' <= r that
-loewner.select_directions picks from the rank check's singular vectors,
-and stores their b_k and c_k at the p-nodes exactly: theta_k, sigma_k and
-the p-nodes are all sample points.
+and the refit stack, the scalar l^T H r (with l, r the means of the probing
+directions) followed by a few random combinations of the left and right
+samples; H itself is never held.  From b and c, loewner's rank consistency
+check fixes the eigenvalue count m.  paaa fits one set of bivariate
+barycentric nodes and coefficients that every surrogate shares.  The nodes
+are picked greedily on the scalar, m + 1 of them in z; the coefficients are
+then re-solved against the whole refit stack, so that they fit the
+tangential data too.  Of the r directions per side, the model keeps the
+r' <= r that loewner.select_directions picks from the rank check's singular
+vectors, and stores their b_k and c_k at the p-nodes exactly: theta_k,
+sigma_k and the p-nodes are all sample points.  Its one convergence verdict,
+metadata["converged"], compares what online reads with b and c.
 
 Online needs b_k and c_k only at these fixed theta_k and sigma_k.  The
 fitted weights are summed out there once, when a model is built or loaded,
@@ -112,15 +113,17 @@ def offline(problem, domain, config, N, fit_opts=None):
     b, c = samples.left, samples.right  # (r, q, n) each
     m, gap, bases = consistency_rank_check(config, b, c, rank_tol)
 
-    D = samples.scalar  # (2r, q)
+    if m == config.r:
+        warnings.warn(f"the Loewner rank fills all r = {m} probing "
+                      "directions: the domain may hold more than r "
+                      "eigenvalues; raise r", stacklevel=2)
     # the pole part is rational of degree exactly m in z, so m+1 nodes
-    # suffice; extra z-nodes fit quadrature noise with spurious poles
-    greedy = paaa_fit(D, config.sample_points, config.parameter_points,
-                      tol=tol, max_z_nodes=m + 1, min_z_nodes=m + 1)
-    stack = np.concatenate([D[:, :, None], samples.sketches], axis=2)
+    # suffice; extra z-nodes fit quadrature noise with spurious poles.  The
+    # nodes are chosen on the scalar, column 0 of the refit stack
+    greedy = paaa_fit(samples.stack[:, :, 0], config.sample_points,
+                      config.parameter_points, tol=tol, z_nodes=m + 1)
     scalar_model = refit_coefficients(
-        greedy, stack, config.sample_points, config.parameter_points, tol=tol,
-    )
+        greedy, samples.stack, config.sample_points, config.parameter_points)
     rows, cols = select_directions(config, m, b, c, bases, rank_tol)
     b, c = b[rows], c[cols]
     kept = replace(config, sample_points=np.column_stack(
@@ -324,7 +327,6 @@ def save_model(model, path):
         "alpha": _c2l(model.scalar_model.coeffs),
         "scalar_values": _c2l(model.scalar_model.node_values),
         "scalar_fit": {
-            "converged": model.scalar_model.converged,
             "max_error": model.scalar_model.max_error,
             "error_history": list(model.scalar_model.error_history),
         },
@@ -394,6 +396,8 @@ def load_model(path):
         if not isinstance(metadata, dict):
             raise ModelFormatError("model metadata must be a JSON object")
         _checked_rank_tol(metadata.get("rank_tol", 1e-10), ModelFormatError)
+        # a scalar_fit.converged key of older files is ignored:
+        # metadata["converged"] is the model's one verdict
         fit = doc.get("scalar_fit", {})
         if not isinstance(fit, dict):
             raise ModelFormatError("scalar_fit must be a JSON object")
@@ -402,7 +406,6 @@ def load_model(path):
             p_nodes=_l2c(doc["scalar_nodes"]["p"]),
             coeffs=_l2c(doc["alpha"]),
             node_values=_l2c(doc["scalar_values"]),
-            converged=fit.get("converged", True),
             max_error=fit.get("max_error", 0.0),
             error_history=tuple(fit.get("error_history", ())),
         )

@@ -238,7 +238,8 @@ def test_property_paaa_exact_recovery():
                     for z in held_s])
     err = float(np.max(np.abs(got - truth)) / np.max(np.abs(truth)))
     _criterion("property: bivariate rational recovered to 1e-10 held-out",
-               model.converged and err <= 1e-10, f"held-out error {err:.3e}")
+               model.max_error <= 1e-12 and err <= 1e-10,
+               f"held-out error {err:.3e}")
 
 
 def test_property_quadrature_monotone_under_doubling():

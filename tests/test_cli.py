@@ -112,6 +112,17 @@ class TestOffline:
                 "exceeding 1" in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("p_range, bound", [
+        ("30:inf", "inf"), ("-inf:0", "-inf"), ("nan:35", "nan")])
+    def test_non_finite_range_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                      p_range, bound):
+        assert main(["offline", "--problem", "delay", "--disk", "0,0,0.075",
+                     f"--p={p_range}", "--q", "8", "--r", "3", "--N", "128",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert (f"parameter range bound {bound} is not finite"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_identical_config_and_seed_byte_identical_models(self, tmp_path):
         args = ("offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
                 "--p", "0.75:1.25", "--q", "8", "--r", "6", "--N", "128",
@@ -336,6 +347,7 @@ class TestSweep:
         proc = run_cli("sweep", "--model", str(delay_model), "--p", "30:35",
                        "--n-test", "1", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
+        assert f"output written to {out}" in proc.stderr
         data = np.loadtxt(out, ndmin=2)
         assert data.shape == (1, 1 + 2 * 4 + 1)
 
@@ -364,6 +376,18 @@ class TestSweep:
         proc = run_cli("sweep", "--model", str(delay_model), "--p", "35:30",
                        "--n-test", "3")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("p_range, bound", [
+        ("30:inf", "inf"), ("-inf:0", "-inf"), ("nan:35", "nan")])
+    def test_non_finite_range_exits_2_writing_nothing(self, delay_model,
+                                                      tmp_path, capsys,
+                                                      p_range, bound):
+        assert main(["sweep", "--model", str(delay_model), f"--p={p_range}",
+                     "--out", str(tmp_path / "sweep.dat")]) == 2
+        err = capsys.readouterr().err
+        assert f"parameter range bound {bound} is not finite" in err
+        assert "nan+" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBench:

@@ -43,8 +43,9 @@ def _linear_demo_pole_part(z, p):
 
 
 def _contracted(config, H):
-    """The fields of probe_samples, (left, right, scalar, sketches), formed
-    from pole-part samples H of shape (2r, q, n, n) held in one piece."""
+    """What probe_samples returns, (left, right, scalar, sketches), with the
+    scalar and sketches the columns of its stack, formed from pole-part
+    samples H of shape (2r, q, n, n) held in one piece."""
     lbar = config.left_dirs.mean(axis=0)
     rbar = config.right_dirs.mean(axis=0)
     return (np.einsum("ka,kjab->kjb", config.left_dirs, H[0::2]),
@@ -54,7 +55,9 @@ def _contracted(config, H):
 
 
 def _fields(samples):
-    return (samples.left, samples.right, samples.scalar, samples.sketches)
+    """left, right, and the scalar and sketch columns of the stack."""
+    return (samples.left, samples.right, samples.stack[..., 0],
+            samples.stack[..., 1:])
 
 
 def _probe_config(domain, points, dirs_l, dirs_r, p_points):
@@ -191,7 +194,7 @@ class TestProbeSamples:
         # H(s) = 1/(s - 0): value 0.5 at theta = 2, 1/3 at sigma = 3
         assert abs(samples.left[0, 0, 0] - 0.5) <= 1e-9
         assert abs(samples.right[0, 0, 0] - 1 / 3) <= 1e-9
-        assert np.max(np.abs(samples.scalar[:, 0] - [0.5, 1 / 3])) <= 1e-9
+        assert np.max(np.abs(samples.stack[:, 0, 0] - [0.5, 1 / 3])) <= 1e-9
 
     def test_scalar_pole_outside_gives_zero(self):
         prob = ScalarShift(5.0)
@@ -214,6 +217,7 @@ class TestProbeSamples:
         config = _probe_config(domain, s_points, ell, rvec, [p])
         samples = probe_samples(prob, rule, config, domain)
         H = np.array([[_linear_demo_pole_part(s, p)] for s in s_points])
+        assert samples.stack.shape == (4, 1, 5)
         shapes = [(2, 1, 3), (2, 1, 3), (4, 1), (4, 1, 4)]
         for got, want, shape in zip(_fields(samples),
                                     _contracted(config, H), shapes):
@@ -336,6 +340,13 @@ class TestDefaultSampling:
         config = default_sampling(Disk(0.0, 1.0), 2, 1, (30.0, 30.0), seed=0,
                                   dim=2)
         np.testing.assert_array_equal(config.parameter_points, [30.0 + 0j])
+
+    @pytest.mark.parametrize("p_range", [
+        (30.0, np.inf), (-np.inf, 0.0), (np.nan, 35.0),
+        (0.0, complex(1, np.inf))])
+    def test_non_finite_parameter_range_rejected(self, p_range):
+        with pytest.raises(ValueError, match="must be finite"):
+            default_sampling(Disk(0.0, 1.0), 2, 4, p_range, seed=0, dim=2)
 
     def test_seed_determinism(self):
         a = default_sampling(Disk(0.0, 1.0), 5, 4, (0.0, 1.0), seed=7, dim=3)

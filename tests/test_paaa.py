@@ -256,7 +256,7 @@ class TestPaaaFit:
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
         model = paaa_fit(D, s, p)
-        assert model.converged
+        assert model.max_error <= 1e-12
         assert len(model.z_nodes) == 2
         assert len(model.p_nodes) == 2
         held_s = np.linspace(1.05, 1.95, 7)
@@ -281,7 +281,7 @@ class TestPaaaFit:
         p = np.linspace(0.75, 1.25, 40)
         D = s[:, None] / (s[:, None] ** 2 + p[None, :] - 1.0)
         model = paaa_fit(D, s, p)
-        assert model.converged
+        assert model.max_error <= 1e-12
         assert len(model.z_nodes) == 3
         E = np.abs(_grid_eval(model, s, p) - D)
         assert np.max(E) <= 1e-12 * np.max(np.abs(D))
@@ -290,9 +290,9 @@ class TestPaaaFit:
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p, min_z_nodes=4)
-        assert len(model.z_nodes) >= 4
-        assert model.converged
+        model = paaa_fit(D, s, p, z_nodes=4)
+        assert len(model.z_nodes) == 4
+        assert model.max_error <= 1e-12
 
     def test_exact_recovery_bivariate_rational(self):
         # z-degree 2 and p-degree 1 denominators, poles away from the grids
@@ -304,7 +304,7 @@ class TestPaaaFit:
 
         D = f(s[:, None], p[None, :])
         model = paaa_fit(D, s, p)
-        assert model.converged
+        assert model.max_error <= 1e-12
         held_s = np.linspace(-0.93, 0.93, 9)
         held_p = np.linspace(0.03, 0.97, 9)
         got = _grid_eval(model, held_s, held_p)
@@ -345,11 +345,28 @@ class TestPaaaFit:
         D = np.ones((3, 3))
         with pytest.raises(ValueError):
             paaa_fit(D, s, p)
-        with pytest.raises(ValueError):
-            paaa_fit(np.ones((3, 3)), np.array([1.0, 2.0, 3.0]), p,
-                     min_z_nodes=5, max_z_nodes=2)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+                paaa_fit(np.ones((3, 3)), np.array([1.0, 2.0, 3.0]), p,
+                         z_nodes=k)
         with pytest.raises(ValueError):
             paaa_fit(np.ones((2, 3)), np.array([1.0, 2.0, 3.0]), p)
+
+    @pytest.mark.parametrize("data", ["smooth", "noise"])
+    @pytest.mark.parametrize("k", [1, 3, 6, 12])
+    def test_z_nodes_is_the_z_node_count(self, data, k):
+        # the greedy alone stops at 2 z-nodes on the smooth data and never
+        # meets tol on the noise, where a model with fewer z-nodes than k
+        # can have the least error
+        s = np.linspace(1.0, 2.0, 12)
+        p = np.linspace(4.0, 5.0, 10)
+        rng = np.random.default_rng(0)
+        D = {"smooth": 1.0 / (s[:, None] - p[None, :]),
+             "noise": rng.standard_normal((12, 10))
+             + 1j * rng.standard_normal((12, 10))}[data]
+        model = paaa_fit(D, s, p, z_nodes=k)
+        assert len(model.z_nodes) == k
+        assert model.max_error in model.error_history
 
 
 class TestLiftVector:
@@ -388,15 +405,15 @@ class TestLiftVector:
                                   dim=problem.dim)
         rule = build_trapezoid_rule(domain, 512)
         samples = probe_samples(problem, rule, config, domain)
-        model = paaa_fit(samples.scalar, config.sample_points,
-                         config.parameter_points, min_z_nodes=3)
-        assert model.converged
+        model = paaa_fit(samples.stack[:, :, 0], config.sample_points,
+                         config.parameter_points, z_nodes=3)
+        assert model.max_error <= 1e-12
         zi = [int(np.argmin(np.abs(config.sample_points - x)))
               for x in model.z_nodes]
         pj = [int(np.argmin(np.abs(config.parameter_points - x)))
               for x in model.p_nodes]
         # the sketches are vector samples of H at every sample point
-        G = samples.sketches
+        G = samples.stack[:, :, 1:]
         lifted = lift_vector(model, G[np.ix_(zi, pj)])
         scale = np.max(np.abs(G))
         for i, si in enumerate(config.sample_points):
@@ -415,7 +432,7 @@ class TestRefitCoefficients:
         p = np.linspace(4.0, 5.0, 10)
         f0 = 1.0 / (s[:, None] - p[None, :])
         f1 = f0 + 1.0 / (s[:, None] - 3.0)
-        model = paaa_fit(f0, s, p, min_z_nodes=3, max_z_nodes=3)
+        model = paaa_fit(f0, s, p, z_nodes=3)
         zi = [int(np.argmin(np.abs(s - x))) for x in model.z_nodes]
         pj = [int(np.argmin(np.abs(p - x))) for x in model.p_nodes]
         return s, p, f0, f1, model, np.ix_(zi, pj)
@@ -426,7 +443,7 @@ class TestRefitCoefficients:
         assert np.max(np.abs(_grid_eval(greedy_lift, s, p)[..., 0] - f1)) \
             > 1e-3 * np.max(np.abs(f1))
         refit = refit_coefficients(model, np.stack([f0, f1], axis=2), s, p)
-        assert refit.converged and refit.max_error <= 1e-12
+        assert refit.max_error <= 1e-12
         np.testing.assert_array_equal(refit.z_nodes, model.z_nodes)
         np.testing.assert_array_equal(refit.p_nodes, model.p_nodes)
         np.testing.assert_array_equal(refit.node_values, model.node_values)
@@ -450,7 +467,7 @@ class TestRefitCoefficients:
             f = stack[:, :, k]
             errs.append(np.max(np.abs(_grid_eval(lift, s, p)[..., 0] - f))
                         / np.max(np.abs(f)))
-        assert not refit.converged
+        assert refit.max_error > 1e-12
         assert refit.max_error == pytest.approx(max(errs), rel=1e-6)
         assert refit.error_history == model.error_history
 
@@ -468,10 +485,8 @@ class TestSolveCoefficients:
                                                              monkeypatch):
         config, samples = delay_probed
         s, p = config.sample_points, config.parameter_points
-        D = samples.scalar
-        greedy = paaa_fit(D, s, p, tol=1e-11, max_z_nodes=5, min_z_nodes=5)
-        G = np.concatenate([D[:, :, None], samples.sketches], axis=2)
-        G = G / np.max(np.abs(G), axis=(0, 1))
+        greedy = paaa_fit(samples.stack[:, :, 0], s, p, tol=1e-11, z_nodes=5)
+        G = samples.stack / np.max(np.abs(samples.stack), axis=(0, 1))
         zi = node_indices(greedy.z_nodes, s)
         pj = node_indices(greedy.p_nodes, p)
         blocks = _record_blocks(monkeypatch)

@@ -111,6 +111,25 @@ class TestOffline:
             model = offline(problem, domain, config, 32, fit_opts={"tol": 0.0})
         assert not model.metadata["converged"]
 
+    @pytest.mark.parametrize("r, fills", [(3, True), (20, False)])
+    def test_rank_filling_every_direction_warns(self, caplog, r, fills):
+        # delay has 4 eigenvalues in the disk: 3 directions see only 3
+        problem = get_problem("delay")
+        domain = Disk(0.0, 0.075)
+        config = default_sampling(domain, r, 8, (30.0, 35.0), seed=0,
+                                  dim=problem.dim)
+        with warnings.catch_warnings(record=True) as caught, \
+                caplog.at_level("DEBUG", logger="pnlevp.loewner"):
+            warnings.simplefilter("always")
+            model = offline(problem, domain, config, 128)
+        assert model.m == min(r, 4)
+        filled = [w for w in caught if issubclass(w.category, UserWarning)
+                  and "more than r eigenvalues" in str(w.message)]
+        assert len(filled) == fills
+        [record] = [rec for rec in caplog.records
+                    if rec.getMessage().startswith("rank check")]
+        assert ("more than r eigenvalues" in record.getMessage()) == fills
+
     def test_offline_works_from_H_alone(self, delay, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("offline used a directional sample path")
@@ -158,7 +177,7 @@ class TestOffline:
         assert model.metadata["max_fit_error"] == model.scalar_model.max_error
         assert error <= 10 * model.metadata["max_fit_error"]
         np.testing.assert_allclose(error, worst, rtol=1e-3)
-        assert not model.scalar_model.converged
+        assert model.scalar_model.max_error > 1e-11
         assert model.metadata["converged"] and error <= 1e-11
 
     def test_single_blas_thread_builds_same_model(self, delay):
@@ -717,6 +736,30 @@ class TestPersistence:
         save_model(replace(model, domain=domain), path)
         assert json.loads(path.read_text())["domain"] == doc
         assert load_model(path).domain == domain
+
+    def test_one_convergence_verdict_saved(self, linear1, tmp_path):
+        _, model = linear1
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "converged" not in doc["scalar_fit"]
+        assert doc["metadata"]["converged"] is True
+
+    def test_old_scalar_fit_verdict_ignored(self, delay, tmp_path):
+        # older files also carry scalar_fit.converged, the refit stack's flag
+        _, model = delay
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["scalar_fit"]["converged"] = False
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert loaded.metadata == model.metadata
+        assert loaded.scalar_model.max_error == model.scalar_model.max_error
+        assert (loaded.scalar_model.error_history
+                == model.scalar_model.error_history)
+        np.testing.assert_array_equal(online(loaded, 32.5).eigenvalues,
+                                      online(model, 32.5).eigenvalues)
 
     def test_truncated_file_rejected(self, linear1, tmp_path):
         _, model = linear1
