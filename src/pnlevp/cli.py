@@ -22,8 +22,8 @@ from .errors import (EvaluationError, ModelFormatError, RankConsistencyError,
                      RealizationError, SingularMatrixError,
                      UnsupportedProblemError)
 from .problems import get_problem
-from .solver import (load_model, offline, online, residuals, save_model,
-                     write_atomic)
+from .solver import (FIT_TOL, RANK_TOL, load_model, offline, online,
+                     residuals, save_model, write_atomic)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -80,9 +80,9 @@ def _build_parser():
     p_off.add_argument("--N", type=int, required=True,
                        help="number of quadrature nodes")
     p_off.add_argument("--seed", type=int, default=0)
-    p_off.add_argument("--tol", type=float, default=1e-12,
+    p_off.add_argument("--tol", type=float, default=FIT_TOL,
                        help="rational fit tolerance")
-    p_off.add_argument("--rank-tol", type=float, default=1e-10)
+    p_off.add_argument("--rank-tol", type=float, default=RANK_TOL)
     p_off.add_argument("--inflation", type=float, default=4.0 / 3.0,
                        help="sampling boundary scale factor")
     _add_domain_args(p_off, "--sampling-disk", "--sampling-ellipse",

@@ -34,7 +34,9 @@ singular triplets it found.  select_directions then picks, by pivoted QR on
 those triplets, the r' <= r directions per side that online keeps, and
 accepts them only if their pencil gives the eigenvalues of the full one at
 every p_j.  realize and the rank check count the rank by one rule (_rank):
-the singular values above rank_tol times the largest.
+the singular values above rank_tol (RANK_TOL by default) times the
+largest, of a sketch that the rank check widens until Weyl's bound
+certifies the count, or to the full width of L, which is exact.
 """
 
 import functools
@@ -60,6 +62,9 @@ _ORDER_RTOL = 1e-8
 _RANK_SKETCH = 16
 
 _log = logging.getLogger(__name__)
+
+# default relative threshold of the rank count (_rank)
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -202,7 +207,7 @@ def _gap(s, m):
     return s[m - 1] / s[m] if 0 < m < len(s) and s[m] > 0 else np.inf
 
 
-def realize(data, rank_tol=1e-10, order=None):
+def realize(data, rank_tol=RANK_TOL, order=None):
     """Recover eigenvalues and eigenvector matrices from tangential data.
 
     When the pole count is known in advance (e.g. fixed by the offline rank
@@ -272,7 +277,7 @@ def realize(data, rank_tol=1e-10, order=None):
     )
 
 
-def consistency_rank_check(config, b, c, rank_tol=1e-10):
+def consistency_rank_check(config, b, c, rank_tol=RANK_TOL):
     """Common rank m of the Loewner matrices L(p_j) of the tangential samples
     b, c (r, q, n) at the parameter samples, the smallest sigma_m /
     sigma_{m+1} over them, and per parameter the singular triplet
@@ -281,33 +286,26 @@ def consistency_rank_check(config, b, c, rank_tol=1e-10):
     The rank equals the eigenvalue count m inside the domain; the parametric
     decomposition requires it to be the same for every sampled parameter.
     Each rank counts the singular values above rank_tol times the largest
-    (_rank), but from a Gaussian sketch of the leading ones (see
-    _sketched_rank): the sketch is certified by Weyl's bound to give the
-    full-SVD count, and the full SVD runs only where it is not, once, with
-    vectors, for the count, the gap and the basis (_svd_rank).  The gap is
-    the certified bound, or the full-SVD value on a fallback.  One DEBUG
-    record on the "pnlevp.loewner" logger holds the ranks, the smallest gap
-    and the fallback count, and says so when every rank is r: the domain may
-    then hold more than r eigenvalues.
+    (_rank), from a Gaussian sketch of the leading ones (_sketched_rank):
+    narrow where Weyl's bound certifies the count, and otherwise as wide as
+    L, which is exact.  The gap is the certified bound, or the exact value
+    of a full-width sketch.  One DEBUG record on the "pnlevp.loewner"
+    logger holds the ranks, the smallest gap and the count of full-width
+    sketches, and says so when every rank is r: the domain may then hold
+    more than r eigenvalues, or quadrature noise fills the rank.
     """
     D = config.left_points[:, None] - config.right_points[None, :]
-    ranks, gaps, bases, fallbacks = [], [], [], 0
-    for j in range(b.shape[1]):
-        L = _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j], D)
-        found = _sketched_rank(L, rank_tol)
-        if found is None:
-            fallbacks += 1
-            found = _svd_rank(L, rank_tol)
-        rank, gap, basis = found
-        ranks.append(rank)
-        gaps.append(float(gap))
-        bases.append(basis)
+    ranks, gaps, bases, full = zip(*(_sketched_rank(
+        _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j], D),
+        rank_tol) for j in range(b.shape[1])))
+    ranks = list(ranks)
     filled = (f"; the rank fills all r = {len(b)} directions, so the "
-              "domain may hold more than r eigenvalues: raise r"
+              "domain may hold more than r eigenvalues: raise r, or N if "
+              "the quadrature is too coarse"
               if set(ranks) == {len(b)} else "")
     _log.debug(
         "rank check: ranks %s, min sigma_m/sigma_m+1 %.3e, "
-        "full-SVD fallbacks %d of %d%s", ranks, min(gaps), fallbacks,
+        "full-width sketches %d of %d%s", ranks, min(gaps), sum(full),
         len(gaps), filled)
     if len(set(ranks)) != 1:
         raise RankConsistencyError(
@@ -315,23 +313,14 @@ def consistency_rank_check(config, b, c, rank_tol=1e-10):
             f"samples; per-parameter Loewner ranks: {ranks}",
             ranks=ranks,
         )
-    return ranks[0], min(gaps), bases
-
-
-def _svd_rank(L, rank_tol):
-    """The rank m of L (_rank), sigma_m / sigma_{m+1} (_gap) and the
-    singular triplet (X, s, Vh) of L cut to m, all from one full SVD."""
-    U, s, Vh = np.linalg.svd(L)
-    rank = _rank(s, rank_tol)
-    return rank, _gap(s, rank), (U[:, :rank].copy(), s[:rank],
-                                 Vh[:rank].copy())
+    return ranks[0], float(min(gaps)), bases
 
 
 def _sketched_rank(L, rank_tol):
     """The rank m of L (_rank) from a sketch of the leading singular values,
-    a certified lower bound on sigma_m / sigma_{m+1} (inf when m = 0) and
-    the sketch's leading singular triplet (X, s, Vh) truncated to m; None
-    when the sketch cannot certify the count (see _svd_rank).
+    a lower bound on sigma_m / sigma_{m+1} (inf when m = 0), the sketch's
+    leading singular triplet (X, s, Vh) truncated to m, and whether the
+    sketch had to be as wide as L.
 
     X spans a Gaussian sketch of width k of L's range (the test matrix of
     _sketch, which realize sketches with too), s the singular values of
@@ -340,9 +329,10 @@ def _sketched_rank(L, rank_tol):
     for i < k, and below e beyond the sketch; so the threshold rank_tol *
     sigma_0 lies in [rank_tol s_0, rank_tol (s_0 + e)].  The count is
     certified when every s_i clears that interval by e (above its top, or
-    below its bottom) and e lies below its bottom.  A count that fills the
-    sketch doubles k; an uncertified count, or a sketch as wide as L, gives
-    None.
+    below its bottom) and e lies below its bottom; the gap is then
+    s_{m-1} / (s_m + e).  A count that fills the sketch doubles k.  An
+    uncertified count, or a k as wide as L, gives way to a sketch as wide
+    as L, whose count and gap are exact.
     """
     k = _RANK_SKETCH
     while k < min(L.shape):
@@ -357,9 +347,11 @@ def _sketched_rank(L, rank_tol):
             continue
         if np.all(above | (s + e <= lo)) and e <= lo:
             return (m, (s[m - 1] / (s[m] + e) if m else np.inf),
-                    (X[:, :m].copy(), s[:m], Vh[:m].copy()))
+                    (X[:, :m].copy(), s[:m], Vh[:m].copy()), False)
         break
-    return None
+    X, s, Vh = _dominant_left(L, _sketch(L.shape[1], min(L.shape)))
+    m = _rank(s, rank_tol)
+    return m, _gap(s, m), (X[:, :m].copy(), s[:m], Vh[:m].copy()), True
 
 
 def select_directions(config, m, b, c, bases, rank_tol):

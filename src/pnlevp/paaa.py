@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import EvaluationError
 
+# default max relative grid error of the fit
+FIT_TOL = 1e-12
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
 # rows of M filled and reduced at a time by _solve_coefficients
@@ -59,13 +61,14 @@ class BarycentricModel2D:
         return eval_model(self, z, p)
 
 
-def paaa_fit(grid_values, s_points, p_points, tol=1e-12, z_nodes=None):
+def paaa_fit(grid_values, s_points, p_points, tol=FIT_TOL, z_nodes=None):
     """Greedy bivariate barycentric fit of a full data grid.
 
     grid_values[i, j] holds D(s_i, p_j).  Each iteration adds the worst-error
     grid coordinates as new nodes (at most one per axis) and re-solves the
     linearized least-squares problem for the coefficients.  z_nodes = k
-    asks for exactly k z-nodes (ValueError outside [1, len(s_points)]);
+    asks for exactly k z-nodes (ValueError outside [1, len(s_points) - 1]:
+    a z-node at every sample point leaves the coefficients undetermined);
     None lets the greedy stop anywhere up to max(1, len(s_points) // 2).
     The p-node budget is max(2, len(p_points) // 2).  Terminates when the
     max relative grid error drops to tol with the z-node count met, or when
@@ -83,8 +86,8 @@ def paaa_fit(grid_values, s_points, p_points, tol=1e-12, z_nodes=None):
         raise ValueError("sample and parameter points must be distinct")
     if z_nodes is None:
         min_z_nodes, max_z_nodes = 1, max(1, len(s) // 2)
-    elif not 1 <= z_nodes <= len(s):
-        raise ValueError(f"z_nodes = {z_nodes} is outside [1, {len(s)}]")
+    elif not 1 <= z_nodes < len(s):
+        raise ValueError(f"z_nodes = {z_nodes} is outside [1, {len(s) - 1}]")
     else:
         min_z_nodes = max_z_nodes = z_nodes
     max_p_nodes = min(max(2, len(p) // 2), len(p))
@@ -198,12 +201,13 @@ def _solve_coefficients(D, s, p, zi, pj):
     each block is reduced to its triangular QR factor, and the stacked
     factors are reduced once more to the square factor R of M (TSQR;
     Demmel, Grigori, Hoemmen & Langou, SISC 2012), whose right singular
-    vectors are those of M.
+    vectors are those of M.  With a z-node at every sample point, M holds
+    nothing that ties one z-node's coefficients to another's: ValueError.
     """
     nz, npj = len(zi), len(pj)
-    if nz == len(s) or npj == len(p):
-        alpha = np.ones((nz, npj), dtype=complex)
-        return alpha / np.linalg.norm(alpha)
+    if nz == len(s):
+        raise ValueError(f"all {nz} sample points are z-nodes, which leaves "
+                         "the coefficients undetermined; use fewer z-nodes")
     G = D.reshape(D.shape[:2] + (-1,))
     factors = _row_factors(G, s, p, zi, pj)
     buf = np.empty((min(_BLOCK_ROWS, G.size), nz * npj), dtype=complex)

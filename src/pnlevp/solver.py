@@ -38,9 +38,9 @@ import scipy.linalg
 from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
                       probe_samples)
 from .errors import EvaluationError, ModelFormatError
-from .loewner import (TangentialData, consistency_rank_check,
+from .loewner import (RANK_TOL, TangentialData, consistency_rank_check,
                       eigenvalue_order, realize, select_directions)
-from .paaa import (BarycentricModel2D, _cauchy, collapse_lifts,
+from .paaa import (FIT_TOL, BarycentricModel2D, _cauchy, collapse_lifts,
                    eval_collapsed, node_indices, paaa_fit, refit_coefficients)
 # pnlbench/spans.py wraps these two under these names
 from .paaa import eval_model, lift_vector  # noqa: F401
@@ -98,11 +98,14 @@ class EigenSolution:
 
 def offline(problem, domain, config, N, fit_opts=None):
     """Run the offline phase and return an OfflineModel."""
-    if config.q < 2:
-        raise ValueError("parametric fitting needs at least 2 parameter samples")
+    # q >= 3 leaves a parameter sample off the p-nodes for the verdict, and
+    # r >= 2 leaves a sample point off the m + 1 <= r + 1 z-nodes
+    if config.q < 3 or config.r < 2:
+        raise ValueError(f"offline needs q >= 3 parameter samples and r >= 2 "
+                         f"directions, got q = {config.q}, r = {config.r}")
     opts = dict(fit_opts or {})
-    rank_tol = _checked_rank_tol(opts.pop("rank_tol", 1e-10))
-    tol = opts.pop("tol", 1e-12)
+    rank_tol = _checked_rank_tol(opts.pop("rank_tol", RANK_TOL))
+    tol = opts.pop("tol", FIT_TOL)
     if opts:
         raise ValueError(f"unknown fit options: {sorted(opts)}")
     if not 0 <= tol < np.inf:
@@ -116,7 +119,8 @@ def offline(problem, domain, config, N, fit_opts=None):
     if m == config.r:
         warnings.warn(f"the Loewner rank fills all r = {m} probing "
                       "directions: the domain may hold more than r "
-                      "eigenvalues; raise r", stacklevel=2)
+                      "eigenvalues: raise r, or N if the quadrature is "
+                      "too coarse", stacklevel=2)
     # the pole part is rational of degree exactly m in z, so m+1 nodes
     # suffice; extra z-nodes fit quadrature noise with spurious poles.  The
     # nodes are chosen on the scalar, column 0 of the refit stack
@@ -189,7 +193,7 @@ def online(model, p_hat, rank_tol=None):
     if not np.isfinite(p_hat):
         raise ValueError(f"parameter p = {p_hat} is not finite")
     if rank_tol is None:
-        rank_tol = model.metadata.get("rank_tol", 1e-10)
+        rank_tol = model.metadata.get("rank_tol", RANK_TOL)
     _checked_rank_tol(rank_tol)
     _warn_if_extrapolating(model, p_hat)
     config = model.config
@@ -310,7 +314,6 @@ def save_model(model, path):
     """Write the offline model to a JSON text file (atomic replace)."""
     doc = {
         "format_version": FORMAT_VERSION,
-        "problem_name": model.metadata.get("problem_name", "custom"),
         "domain": _domain_to_doc(model.domain),
         "sampling": {
             "sample_points": _c2l(model.config.sample_points),
@@ -327,7 +330,6 @@ def save_model(model, path):
         "alpha": _c2l(model.scalar_model.coeffs),
         "scalar_values": _c2l(model.scalar_model.node_values),
         "scalar_fit": {
-            "max_error": model.scalar_model.max_error,
             "error_history": list(model.scalar_model.error_history),
         },
         "left_vals": _c2l(model.left_vals),
@@ -395,9 +397,9 @@ def load_model(path):
                 f"model order m = {m!r} is not an integer in [0, {config.r}]")
         if not isinstance(metadata, dict):
             raise ModelFormatError("model metadata must be a JSON object")
-        _checked_rank_tol(metadata.get("rank_tol", 1e-10), ModelFormatError)
-        # a scalar_fit.converged key of older files is ignored:
-        # metadata["converged"] is the model's one verdict
+        _checked_rank_tol(metadata.get("rank_tol", RANK_TOL), ModelFormatError)
+        # the top-level problem_name and the scalar_fit keys converged and
+        # max_error of older files are ignored: metadata holds each fact once
         fit = doc.get("scalar_fit", {})
         if not isinstance(fit, dict):
             raise ModelFormatError("scalar_fit must be a JSON object")
@@ -406,7 +408,7 @@ def load_model(path):
             p_nodes=_l2c(doc["scalar_nodes"]["p"]),
             coeffs=_l2c(doc["alpha"]),
             node_values=_l2c(doc["scalar_values"]),
-            max_error=fit.get("max_error", 0.0),
+            max_error=metadata.get("max_fit_error", 0.0),
             error_history=tuple(fit.get("error_history", ())),
         )
         return OfflineModel(

@@ -1,0 +1,60 @@
+"""Probes and Loewner helpers that the rank-check tests of test_loewner.py
+and test_paaa.py share."""
+
+import pytest
+
+from pnlevp import loewner
+from pnlevp.contour import (Disk, build_trapezoid_rule, default_sampling,
+                            probe_samples)
+from pnlevp.loewner import TangentialData, build_loewner
+from pnlevp.problems import LinearDemoProblem, get_problem
+
+
+def _probed(problem, domain, r, q, p_range, N):
+    config = default_sampling(domain, r, q, p_range, seed=0, dim=problem.dim)
+    rule = build_trapezoid_rule(domain, N)
+    return config, probe_samples(problem, rule, config, domain)
+
+
+@pytest.fixture(scope="session")
+def linear1_probed():
+    return _probed(LinearDemoProblem(), Disk(0.0, 0.6), 20, 40, (0.75, 1.25),
+                   512)
+
+
+@pytest.fixture(scope="session")
+def delay_probed():
+    return _probed(get_problem("delay"), Disk(0.0, 0.075), 20, 40,
+                   (30.0, 35.0), 128)
+
+
+@pytest.fixture(scope="session")
+def probed_loewner():
+    """A function giving build_loewner's L at each parameter sample of a
+    probe, over all r directions."""
+    def matrices(config, samples):
+        b, c = samples.left, samples.right
+        return [build_loewner(TangentialData(
+            theta=config.left_points, sigma=config.right_points,
+            left_dirs=config.left_dirs, right_dirs=config.right_dirs,
+            left_vals=b[:, j], right_vals=c[:, j]))[0]
+            for j in range(config.q)]
+    return matrices
+
+
+@pytest.fixture
+def full_width_calls(monkeypatch):
+    """Shapes of the matrices sketched as wide as they are (the rank
+    check's exact step, where the narrow sketch cannot certify its
+    count)."""
+    calls = []
+    sketch = loewner._dominant_left
+
+    def counted(A, G):
+        if G.shape[1] == min(A.shape):
+            calls.append(A.shape)
+        return sketch(A, G)
+
+    monkeypatch.setattr(loewner, "_dominant_left", counted)
+    return calls
+

@@ -60,6 +60,16 @@ class TestOffline:
         assert "ranks" in proc.stderr
         assert not (tmp_path / "m.json").exists()
 
+    def test_two_parameter_samples_exit_2(self, tmp_path):
+        proc = run_cli(
+            "offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
+            "--p", "0.75:1.25", "--q", "2", "--r", "20", "--N", "512",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert proc.returncode == 2
+        assert "q >= 3" in proc.stderr
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_problem_exits_2(self, tmp_path):
         proc = run_cli(
             "offline", "--problem", "nope", "--disk", "0,0,1",

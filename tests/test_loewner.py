@@ -1,5 +1,7 @@
-"""Tests for Loewner matrix assembly and eigenvalue realization."""
+"""Tests for Loewner matrix assembly, the rank consistency check and
+eigenvalue realization."""
 
+import logging
 import tracemalloc
 
 from dataclasses import replace
@@ -9,10 +11,13 @@ import pytest
 import scipy.linalg
 from scipy.linalg import lapack
 
-from pnlevp.contour import Disk, default_sampling
-from pnlevp.errors import RealizationError
+from pnlevp import loewner
+from pnlevp.contour import (Disk, build_trapezoid_rule, default_sampling,
+                            probe_samples)
+from pnlevp.errors import RankConsistencyError, RealizationError
 from pnlevp.loewner import (_OVERSAMPLING, TangentialData, _sketch,
-                            build_loewner, eigenvalue_order, realize)
+                            build_loewner, consistency_rank_check,
+                            eigenvalue_order, realize)
 from pnlevp.problems import SyntheticRationalProblem
 from pnlevp.solver import offline, online
 
@@ -529,3 +534,76 @@ class TestEigenvalueOrder:
         assert eigenvalue_order(np.array([], dtype=complex)).size == 0
         assert eigenvalue_order(np.array([1.0 + 1j])).tolist() == [0]
 
+
+def _rank_check(config, samples):
+    """consistency_rank_check on the probed tangential samples."""
+    return consistency_rank_check(config, samples.left, samples.right)
+
+
+class TestConsistencyRankCheck:
+    def test_linear_demo_m2(self, linear1_probed):
+        config, samples = linear1_probed
+        assert _rank_check(config, samples)[0] == 2
+
+    def test_delay_m4(self, delay_probed):
+        config, samples = delay_probed
+        assert _rank_check(config, samples)[0] == 4
+
+    def test_crossing_pole_raises(self):
+        # one eigenvalue moves from inside the disk to outside across P
+        domain = Disk(0.0, 1.0)
+        problem = SyntheticRationalProblem([(0.2, 0.0), (-0.5, 2.0)], dim=4,
+                                           seed=3)
+        config = default_sampling(domain, 4, 2, (0.0, 1.0), seed=1,
+                                  dim=problem.dim, inflation=2.0)
+        rule = build_trapezoid_rule(domain, 128)
+        samples = probe_samples(problem, rule, config, domain)
+        with pytest.raises(RankConsistencyError) as info:
+            _rank_check(config, samples)
+        assert info.value.ranks == [2, 1]
+
+    def test_debug_record(self, linear1_probed, caplog):
+        config, samples = linear1_probed
+        with caplog.at_level(logging.DEBUG, logger="pnlevp.loewner"):
+            assert _rank_check(config, samples)[0] == 2
+        records = [r for r in caplog.records if r.name == "pnlevp.loewner"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert f"ranks {[2] * config.q}" in message
+        assert f"full-width sketches 0 of {config.q}" in message
+
+    @pytest.mark.parametrize("full_width", [False, True])
+    def test_info_holds_gap_and_bases(self, linear1_probed, full_width,
+                                      probed_loewner, full_width_calls,
+                                      monkeypatch):
+        config, samples = linear1_probed
+        if full_width:
+            # no narrow sketch: every L(p_j) is sketched as wide as it is
+            monkeypatch.setattr(loewner, "_RANK_SKETCH", config.r)
+        m, rank_gap, bases = _rank_check(config, samples)
+        assert m == 2 and len(bases) == config.q
+        assert len(full_width_calls) == (config.q if full_width else 0)
+        gaps = []
+        for L, (X, s, Vh) in zip(probed_loewner(config, samples), bases):
+            full = np.linalg.svd(L, compute_uv=False)
+            gaps.append(full[m - 1] / full[m])
+            assert X.shape == (config.r, m) and Vh.shape == (m, config.r)
+            np.testing.assert_allclose(s, full[:m], rtol=1e-12)
+            np.testing.assert_allclose(X.conj().T @ X, np.eye(m), atol=1e-14)
+            np.testing.assert_allclose(X @ (s[:, None] * Vh), L,
+                                       atol=1e-10 * full[0])
+        if full_width:
+            # sigma_m is at rounding level here, so the exact gap is the one
+            # of realize's own full-width sketch (realize without an order),
+            # not a second SVD's
+            want = []
+            for j in range(config.q):
+                data = TangentialData(
+                    theta=config.left_points, sigma=config.right_points,
+                    left_dirs=config.left_dirs, right_dirs=config.right_dirs,
+                    left_vals=samples.left[:, j],
+                    right_vals=samples.right[:, j])
+                want.append(realize(data).diagnostics["rank_gap"])
+            assert rank_gap == min(want)
+        else:
+            assert 1.0 < rank_gap <= min(gaps)

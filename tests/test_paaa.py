@@ -1,7 +1,6 @@
-"""Tests for bivariate barycentric fitting and for the Loewner rank
-consistency check that precedes it."""
+"""Tests for bivariate barycentric fitting and for the sketched rank count
+of the Loewner rank consistency check that precedes it."""
 
-import logging
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,55 +10,14 @@ import pytest
 from pnlevp import loewner, paaa
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
     probe_samples
-from pnlevp.errors import RankConsistencyError
-from pnlevp.loewner import (TangentialData, build_loewner,
-                            consistency_rank_check)
+from pnlevp.loewner import consistency_rank_check
 from pnlevp.paaa import (eval_model, lift_vector, node_indices, paaa_fit,
                          refit_coefficients)
-from pnlevp.problems import (LinearDemoProblem, SyntheticRationalProblem,
-                             get_problem)
+from pnlevp.problems import LinearDemoProblem
 
 
 def _grid_eval(model, s, p):
     return np.array([[eval_model(model, z, w) for w in p] for z in s])
-
-
-def _probed(problem, domain, r, q, p_range, N):
-    config = default_sampling(domain, r, q, p_range, seed=0, dim=problem.dim)
-    rule = build_trapezoid_rule(domain, N)
-    return config, probe_samples(problem, rule, config, domain)
-
-
-@pytest.fixture(scope="module")
-def linear1_probed():
-    return _probed(LinearDemoProblem(), Disk(0.0, 0.6), 20, 40, (0.75, 1.25),
-                   512)
-
-
-@pytest.fixture(scope="module")
-def delay_probed():
-    return _probed(get_problem("delay"), Disk(0.0, 0.075), 20, 40,
-                   (30.0, 35.0), 128)
-
-
-@pytest.fixture
-def full_svd_calls(monkeypatch):
-    """Shapes of the full SVDs the rank check runs (its fallback)."""
-    calls = []
-    svd_rank = loewner._svd_rank
-
-    def counted(L, rank_tol):
-        calls.append(L.shape)
-        return svd_rank(L, rank_tol)
-
-    monkeypatch.setattr(loewner, "_svd_rank", counted)
-    return calls
-
-
-def _rank_check(config, samples, rank_tol=1e-10):
-    """consistency_rank_check on the probed tangential samples."""
-    return consistency_rank_check(config, samples.left, samples.right,
-                                  rank_tol)
 
 
 def _rank_check_of(monkeypatch, L):
@@ -70,15 +28,6 @@ def _rank_check_of(monkeypatch, L):
                              left_dirs=None, right_dirs=None)
     one = np.zeros((r, 1, 1))
     return consistency_rank_check(config, one, one, 1e-10)
-
-
-def _probed_loewner(config, samples):
-    """build_loewner's L at each parameter sample, over all r directions."""
-    b, c = samples.left, samples.right
-    return [build_loewner(TangentialData(
-        theta=config.left_points, sigma=config.right_points,
-        left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-        left_vals=b[:, j], right_vals=c[:, j]))[0] for j in range(config.q)]
 
 
 def _svd_count(L, rank_tol=1e-10):
@@ -113,66 +62,10 @@ def _planted(singular_values, seed=0):
     return (U * singular_values) @ V.conj().T
 
 
-class TestConsistencyRankCheck:
-    def test_linear_demo_m2(self, linear1_probed):
-        config, samples = linear1_probed
-        assert _rank_check(config, samples)[0] == 2
-
-    def test_delay_m4(self, delay_probed):
-        config, samples = delay_probed
-        assert _rank_check(config, samples)[0] == 4
-
-    def test_crossing_pole_raises(self):
-        # one eigenvalue moves from inside the disk to outside across P
-        domain = Disk(0.0, 1.0)
-        problem = SyntheticRationalProblem([(0.2, 0.0), (-0.5, 2.0)], dim=4,
-                                           seed=3)
-        config = default_sampling(domain, 4, 2, (0.0, 1.0), seed=1,
-                                  dim=problem.dim, inflation=2.0)
-        rule = build_trapezoid_rule(domain, 128)
-        samples = probe_samples(problem, rule, config, domain)
-        with pytest.raises(RankConsistencyError) as info:
-            _rank_check(config, samples)
-        assert info.value.ranks == [2, 1]
-
-    def test_debug_record(self, linear1_probed, caplog):
-        config, samples = linear1_probed
-        with caplog.at_level(logging.DEBUG, logger="pnlevp.loewner"):
-            assert _rank_check(config, samples)[0] == 2
-        records = [r for r in caplog.records if r.name == "pnlevp.loewner"]
-        assert len(records) == 1
-        message = records[0].getMessage()
-        assert f"ranks {[2] * config.q}" in message
-        assert f"full-SVD fallbacks 0 of {config.q}" in message
-
-
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_info_holds_gap_and_bases(self, linear1_probed, fallback,
-                                      monkeypatch):
-        config, samples = linear1_probed
-        if fallback:
-            monkeypatch.setattr(loewner, "_sketched_rank", lambda L, tol: None)
-        m, rank_gap, bases = _rank_check(config, samples)
-        assert m == 2 and len(bases) == config.q
-        gaps = []
-        for L, (X, s, Vh) in zip(_probed_loewner(config, samples), bases):
-            full = np.linalg.svd(L, compute_uv=False)
-            gaps.append(full[m - 1] / full[m])
-            assert X.shape == (config.r, m) and Vh.shape == (m, config.r)
-            np.testing.assert_allclose(s, full[:m], rtol=1e-12)
-            np.testing.assert_allclose(X.conj().T @ X, np.eye(m), atol=1e-14)
-            np.testing.assert_allclose(X @ (s[:, None] * Vh), L,
-                                       atol=1e-10 * full[0])
-        if fallback:
-            assert rank_gap == pytest.approx(min(gaps), rel=1e-10)
-        else:
-            assert 1.0 < rank_gap <= min(gaps)
-
-
 class TestSketchedRank:
     @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
     def test_parameter_loewner_is_build_loewner(self, probed, request,
-                                                monkeypatch):
+                                                probed_loewner, monkeypatch):
         # the L that the rank check hands to _sketched_rank, bit for bit
         config, samples = request.getfixturevalue(probed)
         seen = []
@@ -183,21 +76,22 @@ class TestSketchedRank:
             return sketched(L, rank_tol)
 
         monkeypatch.setattr(loewner, "_sketched_rank", recorded)
-        _rank_check(config, samples)
-        want = _probed_loewner(config, samples)
+        consistency_rank_check(config, samples.left, samples.right)
+        want = probed_loewner(config, samples)
         assert len(seen) == len(want) == config.q
         for L, L_want in zip(seen, want):
             np.testing.assert_array_equal(L, L_want)
 
     @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
-    def test_probed_loewner_matrices(self, probed, request, full_svd_calls):
+    def test_probed_loewner_matrices(self, probed, request, probed_loewner,
+                                     full_width_calls):
         config, samples = request.getfixturevalue(probed)
-        for L in _probed_loewner(config, samples):
-            rank, gap, _ = loewner._sketched_rank(L, 1e-10)
-            assert rank == _svd_count(L)
+        for L in probed_loewner(config, samples):
+            rank, gap, _, full = loewner._sketched_rank(L, 1e-10)
+            assert rank == _svd_count(L) and not full
             s = np.linalg.svd(L, compute_uv=False)
             assert 1.0 < gap <= s[rank - 1] / s[rank]
-        assert full_svd_calls == []
+        assert full_width_calls == []
 
     @pytest.mark.parametrize("singular_values, rank", [
         # clean gap
@@ -210,7 +104,7 @@ class TestSketchedRank:
         # the zero matrix
         (np.zeros(60), 0),
     ])
-    def test_planted_spectra(self, singular_values, rank, full_svd_calls,
+    def test_planted_spectra(self, singular_values, rank, full_width_calls,
                              monkeypatch):
         widths = []
         sketch = loewner._dominant_left
@@ -223,30 +117,30 @@ class TestSketchedRank:
         L = _planted(singular_values)
         assert _svd_count(L) == rank
         assert loewner._sketched_rank(L, 1e-10)[0] == rank
-        assert full_svd_calls == []
+        assert full_width_calls == []
         assert widths[-1] > rank
 
-    def test_slow_tail_falls_back(self, full_svd_calls, monkeypatch):
+    def test_slow_tail_falls_back(self, full_width_calls, monkeypatch):
         # the tail lies below the threshold, but beyond any sketch its
-        # energy exceeds it, so the sketch cannot certify the count
+        # energy exceeds it, so the sketch cannot certify the count, and a
+        # sketch as wide as L counts it exactly
         L = _planted(np.r_[1.0, 0.1, 0.1, 0.1, 5e-11 * 0.99 ** np.arange(56)])
-        assert loewner._sketched_rank(L, 1e-10) is None
         m, rank_gap, bases = _rank_check_of(monkeypatch, L)
         assert m == 4
-        assert full_svd_calls == [L.shape]
+        assert full_width_calls == [L.shape]
         s = np.linalg.svd(L, compute_uv=False)
         # s[4] ~ 5e-11 s[0] carries only about 1e-16 / 5e-11 relative accuracy
         assert rank_gap == pytest.approx(s[3] / s[4], rel=1e-5)
         X, sx, Vh = bases[0]
         np.testing.assert_allclose(X @ (sx[:, None] * Vh), L, atol=1e-10)
 
-    def test_sketch_as_wide_as_matrix_falls_back(self, full_svd_calls,
+    def test_sketch_as_wide_as_matrix_falls_back(self, full_width_calls,
                                                  monkeypatch):
         L = _planted(np.logspace(0, -5, 20))
-        assert loewner._sketched_rank(L, 1e-10) is None
+        assert loewner._sketched_rank(L, 1e-10)[::3] == (20, True)
         m, rank_gap, _ = _rank_check_of(monkeypatch, L)
         assert m == 20
-        assert full_svd_calls == [L.shape]
+        assert full_width_calls == [L.shape] * 2
         assert rank_gap == np.inf
 
 
@@ -345,8 +239,9 @@ class TestPaaaFit:
         D = np.ones((3, 3))
         with pytest.raises(ValueError):
             paaa_fit(D, s, p)
-        for k in (0, 4):
-            with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+        # 3 z-nodes on 3 sample points would leave the coefficients unsolved
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=r"outside \[1, 2\]"):
                 paaa_fit(np.ones((3, 3)), np.array([1.0, 2.0, 3.0]), p,
                          z_nodes=k)
         with pytest.raises(ValueError):
@@ -357,16 +252,43 @@ class TestPaaaFit:
     def test_z_nodes_is_the_z_node_count(self, data, k):
         # the greedy alone stops at 2 z-nodes on the smooth data and never
         # meets tol on the noise, where a model with fewer z-nodes than k
-        # can have the least error
+        # can have the least error; a z-node at each of the 12 sample
+        # points leaves no solvable fit
         s = np.linspace(1.0, 2.0, 12)
         p = np.linspace(4.0, 5.0, 10)
         rng = np.random.default_rng(0)
         D = {"smooth": 1.0 / (s[:, None] - p[None, :]),
              "noise": rng.standard_normal((12, 10))
              + 1j * rng.standard_normal((12, 10))}[data]
+        if k == len(s):
+            with pytest.raises(ValueError, match=r"outside \[1, 11\]"):
+                paaa_fit(D, s, p, z_nodes=k)
+            return
         model = paaa_fit(D, s, p, z_nodes=k)
         assert len(model.z_nodes) == k
         assert model.max_error in model.error_history
+
+
+    def test_two_parameter_points_are_solved(self):
+        # both parameter points are p-nodes, and the coefficients still come
+        # from the least-squares solve: the grid is fit, not just counted
+        s = 0.8 * np.exp(2j * np.pi * np.arange(40) / 40)
+        p = np.array([0.75, 1.25])
+        D = s[:, None] / (s[:, None] ** 2 + p[None, :] - 1.0)
+        model = paaa_fit(D, s, p)
+        assert len(model.p_nodes) == 2
+        assert model.max_error <= 1e-12
+        E = np.abs(_grid_eval(model, s, p) - D)
+        assert np.max(E) <= 1e-12 * np.max(np.abs(D))
+
+    def test_every_sample_point_a_z_node_rejected(self):
+        s = np.linspace(1.0, 2.0, 4)
+        p = np.linspace(4.0, 5.0, 6)
+        D = 1.0 / (s[:, None] - p[None, :])
+        with pytest.raises(ValueError, match="all 4 sample points are z-nodes"):
+            paaa._solve_coefficients(D, s, p, [0, 1, 2, 3], [0, 5])
+        with pytest.raises(ValueError, match="all 1 sample points"):
+            paaa_fit(D[:1], s[:1], p)
 
 
 class TestLiftVector:

@@ -94,6 +94,18 @@ class TestOffline:
         with pytest.raises(ValueError):
             offline(problem, domain, config, 32)
 
+    @pytest.mark.parametrize("r, q", [(4, 2), (1, 4)])
+    def test_too_few_parameters_or_directions_rejected(self, r, q):
+        # q = 2 makes both parameter samples p-nodes, so the verdict would
+        # see no held-out parameter; r = 1 makes both sample points z-nodes
+        problem = LinearDemoProblem()
+        domain = Disk(0.0, 0.6)
+        config = default_sampling(domain, r, q, (0.75, 1.25), seed=0,
+                                  dim=problem.dim)
+        with pytest.raises(ValueError, match=f"q >= 3 .* r >= 2 .* got "
+                                             f"q = {q}, r = {r}"):
+            offline(problem, domain, config, 64)
+
     def test_unknown_fit_option_rejected(self):
         problem = LinearDemoProblem()
         domain = Disk(0.0, 0.6)
@@ -760,6 +772,25 @@ class TestPersistence:
                 == model.scalar_model.error_history)
         np.testing.assert_array_equal(online(loaded, 32.5).eigenvalues,
                                       online(model, 32.5).eigenvalues)
+
+    def test_one_record_per_fact(self, delay, tmp_path):
+        # the problem name and the fit error live only in metadata; older
+        # files that also hold them at the top level and in scalar_fit load
+        _, model = delay
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "problem_name" not in doc
+        assert set(doc["scalar_fit"]) == {"error_history"}
+        assert (load_model(path).scalar_model.max_error
+                == model.metadata["max_fit_error"]
+                == model.scalar_model.max_error)
+        doc["problem_name"] = "delay"
+        doc["scalar_fit"]["max_error"] = 1.0
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert loaded.metadata == model.metadata
+        assert loaded.scalar_model.max_error == model.scalar_model.max_error
 
     def test_truncated_file_rejected(self, linear1, tmp_path):
         _, model = linear1
