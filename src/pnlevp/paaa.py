@@ -70,11 +70,13 @@ def paaa_fit(grid_values, s_points, p_points, tol=FIT_TOL, z_nodes=None):
     asks for exactly k z-nodes (ValueError outside [1, len(s_points) - 1]:
     a z-node at every sample point leaves the coefficients undetermined);
     None lets the greedy stop anywhere up to max(1, len(s_points) // 2).
-    The p-node budget is max(2, len(p_points) // 2).  Terminates when the
-    max relative grid error drops to tol with the z-node count met, or when
-    the node budgets are exhausted; then the model of least error among
-    those with the z-node count met is returned.  Its max_error tells which
-    (above tol), and error_history holds the error of every iteration.
+    It needs at least 3 parameter points (ValueError otherwise): the p-node
+    budget is max(2, len(p_points) // 2), so a point off the p-nodes ties
+    the values between them.  Terminates when the max relative grid error
+    drops to tol with the z-node count met, or when the node budgets are
+    exhausted; then the model of least error among those with the z-node
+    count met is returned.  Its max_error tells which (above tol), and
+    error_history holds the error of every iteration.
     All-zero data gives the one-node zero model.
     """
     D = np.asarray(grid_values, dtype=complex)
@@ -84,13 +86,16 @@ def paaa_fit(grid_values, s_points, p_points, tol=FIT_TOL, z_nodes=None):
         raise ValueError("grid_values must have shape (len(s_points), len(p_points))")
     if len(np.unique(s)) != len(s) or len(np.unique(p)) != len(p):
         raise ValueError("sample and parameter points must be distinct")
+    if len(p) < 3:
+        raise ValueError(f"paaa_fit needs at least 3 parameter points, "
+                         f"got {len(p)}")
     if z_nodes is None:
         min_z_nodes, max_z_nodes = 1, max(1, len(s) // 2)
     elif not 1 <= z_nodes < len(s):
         raise ValueError(f"z_nodes = {z_nodes} is outside [1, {len(s) - 1}]")
     else:
         min_z_nodes = max_z_nodes = z_nodes
-    max_p_nodes = min(max(2, len(p) // 2), len(p))
+    max_p_nodes = max(2, len(p) // 2)
     scale = np.max(np.abs(D))
     if scale == 0.0:
         model = BarycentricModel2D(

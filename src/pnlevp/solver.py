@@ -25,7 +25,9 @@ costs one contraction over the p-nodes, the Loewner assembly and a sketched
 rank truncation: O(r'^2 m + r' m_p n), independent of the quadrature size.
 """
 
+import base64
 import json
+import math
 import numbers
 import os
 import secrets
@@ -45,7 +47,7 @@ from .paaa import (FIT_TOL, BarycentricModel2D, _cauchy, collapse_lifts,
 # pnlbench/spans.py wraps these two under these names
 from .paaa import eval_model, lift_vector  # noqa: F401
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # scalar-probe poles with a residue below this fraction of the scalar's
 # scale are cancelled by a numerator zero (Froissart doublets)
@@ -308,32 +310,39 @@ def _warn_if_extrapolating(model, p_hat):
 
 
 # ---------------------------------------------------------------------------
-# model persistence (JSON, complex numbers as [re, im] pairs)
+# model persistence (JSON, arrays as base64 of their complex128 bytes)
 
 def save_model(model, path):
-    """Write the offline model to a JSON text file (atomic replace)."""
+    """Write the offline model to a JSON text file (atomic replace).
+
+    The file is one JSON document of format version FORMAT_VERSION.  Each
+    array is stored as {"shape": [...], "c16": ...}, the base64 of its
+    little-endian complex128 bytes in C order, so a model loads bit for
+    bit.  The domain, the sampling seed, m, the fit's error history and
+    metadata stay plain JSON.
+    """
     doc = {
         "format_version": FORMAT_VERSION,
         "domain": _domain_to_doc(model.domain),
         "sampling": {
-            "sample_points": _c2l(model.config.sample_points),
-            "parameter_points": _c2l(model.config.parameter_points),
-            "left_dirs": _c2l(model.config.left_dirs),
-            "right_dirs": _c2l(model.config.right_dirs),
+            "sample_points": _array_to_doc(model.config.sample_points),
+            "parameter_points": _array_to_doc(model.config.parameter_points),
+            "left_dirs": _array_to_doc(model.config.left_dirs),
+            "right_dirs": _array_to_doc(model.config.right_dirs),
             "seed": model.config.seed,
         },
         "m": model.m,
         "scalar_nodes": {
-            "z": _c2l(model.scalar_model.z_nodes),
-            "p": _c2l(model.scalar_model.p_nodes),
+            "z": _array_to_doc(model.scalar_model.z_nodes),
+            "p": _array_to_doc(model.scalar_model.p_nodes),
         },
-        "alpha": _c2l(model.scalar_model.coeffs),
-        "scalar_values": _c2l(model.scalar_model.node_values),
+        "alpha": _array_to_doc(model.scalar_model.coeffs),
+        "scalar_values": _array_to_doc(model.scalar_model.node_values),
         "scalar_fit": {
             "error_history": list(model.scalar_model.error_history),
         },
-        "left_vals": _c2l(model.left_vals),
-        "right_vals": _c2l(model.right_vals),
+        "left_vals": _array_to_doc(model.left_vals),
+        "right_vals": _array_to_doc(model.right_vals),
         "metadata": model.metadata,
     }
     write_atomic(path, json.dumps(doc))
@@ -366,7 +375,14 @@ def write_atomic(path, text):
 
 
 def load_model(path):
-    """Read an offline model written by save_model."""
+    """Read an offline model written by save_model.
+
+    Raises ModelFormatError for a file that is not such a model: a file of
+    another format version (versions 1 and 2 must be rebuilt), a blob that
+    is not base64 or does not hold 16 bytes per entry of its shape, a
+    non-finite entry, or arrays whose shapes do not fit the node grid and
+    the probing directions.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -375,7 +391,8 @@ def load_model(path):
     try:
         version = doc["format_version"]
         if version != FORMAT_VERSION:
-            # version 1 stored lifts, not the exact samples at the p-nodes
+            # version 1 stored lifts, not the exact samples at the p-nodes;
+            # version 2 stored the same arrays as [re, im] decimal pairs
             raise ModelFormatError(
                 f"unsupported model format version {version!r}; rebuild "
                 f"the model with this offline (format {FORMAT_VERSION})")
@@ -385,10 +402,10 @@ def load_model(path):
         if type(seed) is not int or seed < 0:
             raise ModelFormatError(f"sampling seed {seed!r} is not an int >= 0")
         config = SamplingConfig(
-            sample_points=_l2c(sampling["sample_points"]),
-            parameter_points=_l2c(sampling["parameter_points"]),
-            left_dirs=_l2c(sampling["left_dirs"]),
-            right_dirs=_l2c(sampling["right_dirs"]),
+            sample_points=_array_from_doc(sampling["sample_points"]),
+            parameter_points=_array_from_doc(sampling["parameter_points"]),
+            left_dirs=_array_from_doc(sampling["left_dirs"]),
+            right_dirs=_array_from_doc(sampling["right_dirs"]),
             seed=seed,
         )
         m, metadata = doc["m"], doc["metadata"]
@@ -404,18 +421,18 @@ def load_model(path):
         if not isinstance(fit, dict):
             raise ModelFormatError("scalar_fit must be a JSON object")
         scalar_model = BarycentricModel2D(
-            z_nodes=_l2c(doc["scalar_nodes"]["z"]),
-            p_nodes=_l2c(doc["scalar_nodes"]["p"]),
-            coeffs=_l2c(doc["alpha"]),
-            node_values=_l2c(doc["scalar_values"]),
+            z_nodes=_array_from_doc(doc["scalar_nodes"]["z"]),
+            p_nodes=_array_from_doc(doc["scalar_nodes"]["p"]),
+            coeffs=_array_from_doc(doc["alpha"]),
+            node_values=_array_from_doc(doc["scalar_values"]),
             max_error=metadata.get("max_fit_error", 0.0),
             error_history=tuple(fit.get("error_history", ())),
         )
         return OfflineModel(
             domain=domain, config=config, m=m,
             scalar_model=scalar_model,
-            left_vals=_l2c(doc["left_vals"]),
-            right_vals=_l2c(doc["right_vals"]),
+            left_vals=_array_from_doc(doc["left_vals"]),
+            right_vals=_array_from_doc(doc["right_vals"]),
             metadata=metadata,
         )
     except ModelFormatError:
@@ -442,16 +459,29 @@ def _domain_from_doc(doc):
     raise ModelFormatError(f"unknown domain type {doc['type']!r}")
 
 
-def _c2l(a):
-    """Complex ndarray -> nested lists of [re, im] pairs."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+def _array_to_doc(a):
+    """Complex ndarray -> {"shape": [...], "c16": base64 of its
+    little-endian complex128 bytes}."""
+    a = np.asarray(a, dtype="<c16")
+    return {"shape": list(a.shape),
+            "c16": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _l2c(lst):
-    a = np.asarray(lst, dtype=float)
-    if a.shape[-1] != 2:
-        raise ModelFormatError("complex entries must be [re, im] pairs")
+def _array_from_doc(doc):
+    """The complex ndarray written by _array_to_doc, as an owned, writeable
+    copy.  Raises ValueError for a shape that is not a list of ints >= 0 or
+    a blob that is not base64 of 16 bytes per entry; ModelFormatError for a
+    non-finite entry."""
+    shape = doc["shape"]
+    if (not isinstance(shape, list)
+            or not all(type(k) is int and k >= 0 for k in shape)):
+        raise ValueError(f"array shape {shape!r} is not a list of ints >= 0")
+    raw = base64.b64decode(doc["c16"], validate=True)
+    nbytes = 16 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise ValueError(f"array of shape {tuple(shape)} needs {nbytes} "
+                         f"bytes, got {len(raw)}")
+    a = np.frombuffer(raw, dtype="<c16").reshape(shape).astype(complex)
     if not np.isfinite(a).all():
         raise ModelFormatError("model arrays must hold finite numbers")
-    return a[..., 0] + 1j * a[..., 1]
+    return a

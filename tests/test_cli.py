@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (run as subprocesses)."""
 
+import base64
 import json
 import logging
 import os
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from pnlevp.cli import main
-from pnlevp.solver import FORMAT_VERSION
+from pnlevp.errors import ModelFormatError
+from pnlevp.solver import FORMAT_VERSION, load_model
 
 CLI = [sys.executable, "-c",
        "import sys; from pnlevp.cli import main; sys.exit(main())"]
@@ -19,6 +21,24 @@ CLI = [sys.executable, "-c",
 
 def run_cli(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True)
+
+
+def decode_array(node):
+    """A writeable copy of the array a model file stores as
+    {"shape": [...], "c16": base64 of its little-endian complex128 bytes}."""
+    a = np.frombuffer(base64.b64decode(node["c16"]), dtype="<c16")
+    return a.reshape(node["shape"]).copy()
+
+
+def edit_array(doc, *keys, edit):
+    """Replace the array stored at doc[keys[0]][keys[1]]... with
+    edit(array): decode, edit, encode."""
+    *outer, key = keys
+    for k in outer:
+        doc = doc[k]
+    a = np.asarray(edit(decode_array(doc[key])), dtype="<c16")
+    doc[key] = {"shape": list(a.shape),
+                "c16": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +53,12 @@ def delay_model(tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     assert "m = 4" in proc.stderr
     return path
+
+
+def _theta_is_sigma(points):
+    """Sample points whose first sigma equals the first theta."""
+    points[1] = points[0]
+    return points
 
 
 class TestOffline:
@@ -228,12 +254,68 @@ class TestOnline:
         assert proc.returncode == 1
         assert "unsupported model format version 1" in proc.stderr
 
+    def test_version_2_model_exits_1(self, delay_model, tmp_path):
+        # a version-2 file stores each array as [re, im] decimal pairs
+        def decimal_pairs(node):
+            if not isinstance(node, dict):
+                return node
+            if set(node) == {"shape", "c16"}:
+                a = decode_array(node)
+                return np.stack([a.real, a.imag], axis=-1).tolist()
+            return {k: decimal_pairs(v) for k, v in node.items()}
+
+        doc = decimal_pairs(json.loads(delay_model.read_text()))
+        doc["format_version"] = 2
+        path = tmp_path / "v2.model"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("online", "--model", str(path), "--p", "32")
+        assert proc.returncode == 1
+        assert "unsupported model format version 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda a: a.update(c16="@" + a["c16"][1:]),
+                     "base64", id="not-base64"),
+        pytest.param(lambda a: a.update(c16=base64.b64encode(
+                         base64.b64decode(a["c16"])[:-1]).decode("ascii")),
+                     "array of shape (20, 6, 10) needs 19200 bytes, got "
+                     "19199", id="short-blob"),
+        pytest.param(lambda a: a.update(shape=[20, 6, 11]),
+                     "array of shape (20, 6, 11) needs 21120 bytes, got "
+                     "19200", id="blob-shape-mismatch"),
+        pytest.param(lambda a: a.pop("c16"), "'c16'", id="missing-c16"),
+        pytest.param(lambda a: a.update(shape=[-1, 6, 10]),
+                     "array shape [-1, 6, 10] is not a list of ints >= 0",
+                     id="negative-shape"),
+        pytest.param(lambda a: a.update(shape=[20.0, 6, 10]),
+                     "array shape [20.0, 6, 10] is not a list of ints >= 0",
+                     id="float-shape"),
+        pytest.param(lambda a: a.update(shape=1200),
+                     "array shape 1200 is not a list of ints >= 0",
+                     id="int-shape"),
+    ])
+    def test_malformed_array_exits_1(self, delay_model, tmp_path, capsys,
+                                     edit, message):
+        doc = json.loads(delay_model.read_text())
+        edit(doc["left_vals"])
+        path = tmp_path / "array.model"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="malformed model file"):
+            load_model(path)
+        assert main(["online", "--model", str(path), "--p", "32"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: malformed model file ")
+        assert message in err and out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_model_value_exits_1(self, delay_model, tmp_path,
                                             value):
-        # json writes NaN and Infinity literals, which it also reads
+        def poison(a):
+            a[0, 0, 0] = complex(float(value), a[0, 0, 0].imag)
+            return a
+
         doc = json.loads(delay_model.read_text())
-        doc["left_vals"][0][0][0][0] = float(value)
+        edit_array(doc, "left_vals", edit=poison)
         path = tmp_path / "non-finite.model"
         path.write_text(json.dumps(doc))
         proc = run_cli("online", "--model", str(path), "--p", "32")
@@ -265,53 +347,59 @@ class TestOnline:
         assert message in err and out == ""
 
     @pytest.mark.parametrize("edit, message", [
-        pytest.param(lambda d: d["sampling"]["left_dirs"].pop(),
+        pytest.param(lambda d: edit_array(d, "sampling", "left_dirs",
+                                          edit=lambda a: a[:-1]),
                      "need r left and r right probing directions",
                      id="left-dirs-row"),
-        pytest.param(lambda d: d["left_vals"].pop(),
+        pytest.param(lambda d: edit_array(d, "left_vals",
+                                          edit=lambda a: a[:-1]),
                      "left_vals and right_vals differ in shape",
                      id="left-vals-direction"),
         # the delay model has n = 10
-        pytest.param(lambda d: [row.pop()
-                                for row in d["sampling"]["left_dirs"]],
+        pytest.param(lambda d: edit_array(d, "sampling", "left_dirs",
+                                          edit=lambda a: a[:, :-1]),
                      "left and right probing directions differ in shape: "
                      "(20, 9) and (20, 10)", id="left-dirs-component"),
-        pytest.param(lambda d: [row.pop()
-                                for row in d["sampling"]["right_dirs"]],
+        pytest.param(lambda d: edit_array(d, "sampling", "right_dirs",
+                                          edit=lambda a: a[:, :-1]),
                      "left and right probing directions differ in shape: "
                      "(20, 10) and (20, 9)", id="right-dirs-component"),
-        pytest.param(lambda d: [row.pop()
-                                for key in ("left_vals", "right_vals")
-                                for rows in d[key] for row in rows],
+        pytest.param(lambda d: [edit_array(d, key, edit=lambda a: a[..., :-1])
+                                for key in ("left_vals", "right_vals")],
                      "sample vectors of length 9 do not fit probing "
                      "directions of length 10", id="vals-component"),
         # the delay model has 5 z-nodes and 6 p-nodes
-        pytest.param(lambda d: d["scalar_nodes"]["p"].pop(),
+        pytest.param(lambda d: edit_array(d, "scalar_nodes", "p",
+                                          edit=lambda a: a[:-1]),
                      "coeffs of shape (5, 6) do not fit the node grid (5, 5)",
                      id="p-node"),
-        pytest.param(lambda d: d["scalar_nodes"]["z"].pop(),
+        pytest.param(lambda d: edit_array(d, "scalar_nodes", "z",
+                                          edit=lambda a: a[:-1]),
                      "coeffs of shape (5, 6) do not fit the node grid (4, 6)",
                      id="z-node"),
-        pytest.param(lambda d: d.update(alpha=d["alpha"][0]),
+        pytest.param(lambda d: edit_array(d, "alpha", edit=lambda a: a[0]),
                      "coeffs of shape (6,) do not fit the node grid (5, 6)",
                      id="1-d-alpha"),
-        pytest.param(lambda d: d["alpha"].pop(),
+        pytest.param(lambda d: edit_array(d, "alpha", edit=lambda a: a[:-1]),
                      "coeffs of shape (4, 6) do not fit the node grid (5, 6)",
                      id="alpha-row"),
-        pytest.param(lambda d: d["scalar_values"].pop(),
+        pytest.param(lambda d: edit_array(d, "scalar_values",
+                                          edit=lambda a: a[:-1]),
                      "node_values of shape (4, 6) do not fit the node grid "
                      "(5, 6)", id="scalar-values-row"),
-        pytest.param(lambda d: [row.pop() for row in d["scalar_values"]],
+        pytest.param(lambda d: edit_array(d, "scalar_values",
+                                          edit=lambda a: a[:, :-1]),
                      "node_values of shape (5, 5) do not fit the node grid "
                      "(5, 6)", id="scalar-values-column"),
         pytest.param(lambda d: d["domain"].update(radius=-0.075),
                      "ellipse semi-axes must be positive",
                      id="negative-radius"),
-        pytest.param(lambda d: d["sampling"]["sample_points"].pop(),
+        pytest.param(lambda d: edit_array(d, "sampling", "sample_points",
+                                          edit=lambda a: a[:-1]),
                      "need an even, positive number of sample points",
                      id="odd-sample-points"),
-        pytest.param(lambda d: d["sampling"]["sample_points"].__setitem__(
-                         1, d["sampling"]["sample_points"][0]),
+        pytest.param(lambda d: edit_array(d, "sampling", "sample_points",
+                                          edit=_theta_is_sigma),
                      "left and right sample points must be pairwise distinct",
                      id="theta-is-sigma"),
         pytest.param(lambda d: d.update(scalar_fit=[]),

@@ -269,17 +269,25 @@ class TestPaaaFit:
         assert model.max_error in model.error_history
 
 
-    def test_two_parameter_points_are_solved(self):
-        # both parameter points are p-nodes, and the coefficients still come
-        # from the least-squares solve: the grid is fit, not just counted
+    def test_fewer_than_three_parameter_points_rejected(self):
+        # the linear-demo scalar z/(z^2 + p - 1): on two points, both
+        # p-nodes, a fit of the grid to 5e-14 was off by 1.5 relative at
+        # p = 1.0, since nothing tied the values between the nodes
         s = 0.8 * np.exp(2j * np.pi * np.arange(40) / 40)
-        p = np.array([0.75, 1.25])
-        D = s[:, None] / (s[:, None] ** 2 + p[None, :] - 1.0)
-        model = paaa_fit(D, s, p)
-        assert len(model.p_nodes) == 2
-        assert model.max_error <= 1e-12
-        E = np.abs(_grid_eval(model, s, p) - D)
-        assert np.max(E) <= 1e-12 * np.max(np.abs(D))
+
+        def f(p):
+            return s[:, None] / (s[:, None] ** 2 + p[None, :] - 1.0)
+
+        for p in (np.array([0.75, 1.25]), np.array([1.0])):
+            with pytest.raises(ValueError, match="needs at least 3 parameter "
+                               f"points, got {len(p)}"):
+                paaa_fit(f(p), s, p)
+        # a third point, off the p-nodes, ties them
+        model = paaa_fit(f(np.array([0.75, 1.0, 1.25])), s,
+                         np.array([0.75, 1.0, 1.25]))
+        held_p = np.array([0.8, 0.9, 1.1, 1.2])
+        np.testing.assert_allclose(_grid_eval(model, s, held_p), f(held_p),
+                                   rtol=1e-12)
 
     def test_every_sample_point_a_z_node_rejected(self):
         s = np.linspace(1.0, 2.0, 4)

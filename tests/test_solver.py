@@ -801,8 +801,9 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
-    # version 1 stored per-direction lifts, not the exact samples
-    @pytest.mark.parametrize("version", [1, 99])
+    # version 1 stored per-direction lifts, not the exact samples; version 2
+    # stored the arrays as [re, im] decimal pairs
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_version_mismatch_rejected(self, linear1, tmp_path, version):
         _, model = linear1
         path = tmp_path / "model.json"
@@ -812,6 +813,36 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="format version"):
             load_model(path)
+
+    def test_round_trip_is_byte_exact(self, delay, tmp_path):
+        # -0.0, a subnormal and +-1e308 go into the scalar's node values,
+        # which the collapsed tensor does not read (1e308 would overflow it)
+        _, model = delay
+        values = model.scalar_model.node_values.copy()
+        values.flat[:3] = [complex(-0.0, 5e-324), complex(1e308, -1e308),
+                           complex(-5e-324, -0.0)]
+        model = replace(model, scalar_model=replace(model.scalar_model,
+                                                    node_values=values))
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        for name, get in _STORED_ARRAYS.items():
+            want, got = np.ascontiguousarray(get(model)), get(loaded)
+            assert got.dtype == np.complex128 and got.flags.writeable, name
+            np.testing.assert_array_equal(got.view(np.uint8),
+                                          want.view(np.uint8), err_msg=name)
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_arrays_stored_in_binary(self, delay, tmp_path):
+        # base64 takes 21.3 bytes per complex entry; [re, im] decimal pairs
+        # took about 40
+        _, model = delay
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        entries = sum(get(model).size for get in _STORED_ARRAYS.values())
+        metadata = len(json.dumps(json.loads(path.read_text())["metadata"]))
+        assert path.stat().st_size - metadata <= 22 * entries
 
     def test_loaded_model_answers_bit_identical(self, delay, tmp_path):
         _, model = delay
@@ -853,6 +884,21 @@ class TestPersistence:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         np.testing.assert_array_equal(a.V, b.V)
         np.testing.assert_array_equal(a.W, b.W)
+
+
+# every array a model file stores
+_STORED_ARRAYS = {
+    "sample_points": lambda m: m.config.sample_points,
+    "parameter_points": lambda m: m.config.parameter_points,
+    "left_dirs": lambda m: m.config.left_dirs,
+    "right_dirs": lambda m: m.config.right_dirs,
+    "z_nodes": lambda m: m.scalar_model.z_nodes,
+    "p_nodes": lambda m: m.scalar_model.p_nodes,
+    "coeffs": lambda m: m.scalar_model.coeffs,
+    "node_values": lambda m: m.scalar_model.node_values,
+    "left_vals": lambda m: m.left_vals,
+    "right_vals": lambda m: m.right_vals,
+}
 
 
 def _benchmark_spans():
