@@ -13,8 +13,7 @@ from .contour import (Disk, Ellipse, QuadratureRule, SamplingConfig,
 from .errors import (BranchCutError, EvaluationError, ModelFormatError,
                      PnlevpError, RankConsistencyError, RealizationError,
                      SingularMatrixError, UnsupportedProblemError)
-from .loewner import (EigenRealization, TangentialData,
-                      consistency_rank_check, realize)
+from .loewner import consistency_rank_check, realize
 from .paaa import BarycentricModel2D, paaa_fit
 from .problems import (DampedStringProblem, DelayProblem, LinearDemoProblem,
                        PNlevpProblem, SyntheticRationalProblem, get_problem)
@@ -25,11 +24,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BarycentricModel2D", "BranchCutError", "DampedStringProblem",
-    "DelayProblem", "Disk", "EigenRealization", "EigenSolution", "Ellipse",
+    "DelayProblem", "Disk", "EigenSolution", "Ellipse",
     "EvaluationError", "LinearDemoProblem", "ModelFormatError",
     "OfflineModel", "PNlevpProblem", "PnlevpError", "QuadratureRule",
     "RankConsistencyError", "RealizationError", "SamplingConfig",
-    "SingularMatrixError", "SyntheticRationalProblem", "TangentialData",
+    "SingularMatrixError", "SyntheticRationalProblem",
     "UnsupportedProblemError", "build_trapezoid_rule",
     "consistency_rank_check", "default_sampling", "get_problem",
     "load_model", "offline", "online", "paaa_fit", "probe_samples",

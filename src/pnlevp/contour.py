@@ -16,7 +16,7 @@ the scalar l^T H r of the direction means, followed by a few random
 combinations of the tangential samples.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,21 +49,20 @@ class Ellipse:
     def contains(self, z):
         """Strict interior test of a point or an array of points; points
         within 1e-14 of the boundary are outside."""
+        return self._margin(z) > _BOUNDARY_TOL
+
+    def _margin(self, z):
+        """(1 - rho) min(semi-axes), rho the normalized radial coordinate of
+        z: a conservative signed distance to the boundary, positive inside."""
         w = z - self.center
         rho = np.hypot(w.real / self.semi_real, w.imag / self.semi_imag)
-        return (1.0 - rho) * min(self.semi_real, self.semi_imag) > _BOUNDARY_TOL
+        return (1.0 - rho) * min(self.semi_real, self.semi_imag)
 
     def gamma(self, t):
         return self.center + self.semi_real * np.cos(t) + 1j * self.semi_imag * np.sin(t)
 
     def dgamma(self, t):
         return -self.semi_real * np.sin(t) + 1j * self.semi_imag * np.cos(t)
-
-    def boundary_distance(self, z):
-        # conservative estimate via the normalized radial coordinate
-        w = z - self.center
-        rho = np.hypot(w.real / self.semi_real, w.imag / self.semi_imag)
-        return abs(1.0 - rho) * min(self.semi_real, self.semi_imag)
 
 
 def Disk(center, radius):
@@ -149,6 +148,17 @@ class SamplingConfig:
         """sigma_i = s_{2i} (interlaced even positions, 1-based)."""
         return self.sample_points[1::2]
 
+    def subset(self, rows, cols):
+        """The config of the left directions `rows` and the right directions
+        `cols`, as many of each, with their points interlaced again; the
+        parameter points and the seed stay."""
+        if len(rows) != len(cols):
+            raise ValueError(f"need as many rows as columns, got {len(rows)} "
+                             f"and {len(cols)}")
+        return replace(self, sample_points=np.column_stack(
+            [self.left_points[rows], self.right_points[cols]]).ravel(),
+            left_dirs=self.left_dirs[rows], right_dirs=self.right_dirs[cols])
+
 
 def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
                      sampling_domain=None):
@@ -183,7 +193,7 @@ def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
 def _check_outside(domain, points):
     """Raise ValueError for the first point that is not strictly outside the
     closed domain (inside, or within 1e-10 of its boundary)."""
-    bad = domain.contains(points) | (domain.boundary_distance(points) <= 1e-10)
+    bad = domain._margin(points) >= -1e-10
     if np.any(bad):
         raise ValueError(f"sample point {points[np.argmax(bad)]} is not "
                          "strictly outside the domain")

@@ -13,9 +13,13 @@ the dominant singular triplet L ~ X diag(s) V^H of rank m alone carries the
 pencil, and the generalized eigenvalue problem (X^H Ls V, X^H L V) yields
 the eigenvalues in the target domain; the eigenvector matrices follow from
 the block data.  The triplet comes from a Gaussian sketch of L's range
-(a randomized range finder, Halko, Martinsson & Tropp, SIAM Rev. 2011), of
-width m + 8 when the order m is known and as wide as L otherwise, which is
-exact.
+(a randomized range finder, Halko, Martinsson & Tropp, SIAM Rev. 2011) of
+width m + 8 for the order m (as wide as L, which is exact, for m + 8 >= r).
+
+realize, consistency_rank_check, select_directions and build_loewner read
+the sample points theta_i, sigma_j and the probing directions l_i, r_j from
+one SamplingConfig, which holds them interlaced and checks that no theta_i
+equals a sigma_j; a subset of the directions is SamplingConfig.subset.
 
 The shifted matrix is never formed.  With Sigma = diag(sigma), B the rows
 b_i and R the rows r_j, Ls = L Sigma + B R^T, so the projected pencil is
@@ -42,7 +46,6 @@ certifies the count, or to the full width of L, which is exact.
 import functools
 import itertools
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -67,54 +70,21 @@ _log = logging.getLogger(__name__)
 RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TangentialData:
-    """Left/right sample points, probing directions, and tangential values."""
-
-    theta: np.ndarray       # (r,)
-    sigma: np.ndarray       # (r,)
-    left_dirs: np.ndarray   # (r, n)
-    right_dirs: np.ndarray  # (r, n)
-    left_vals: np.ndarray   # (r, n), rows b_i = H^T(theta_i) l_i
-    right_vals: np.ndarray  # (r, n), rows c_j = H(sigma_j) r_j
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=complex)
-        sigma = np.asarray(self.sigma, dtype=complex)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "sigma", sigma)
-        # exact equality, as |theta_i - sigma_j| == 0 is for finite points
-        # (0.0 and -0.0 compare and hash equal)
-        if not set(theta.tolist()).isdisjoint(sigma.tolist()):
-            raise ValueError(
-                "left and right sample points must be pairwise distinct"
-            )
-
-
-@dataclass(frozen=True)
-class EigenRealization:
-    eigenvalues: np.ndarray  # (m,) in eigenvalue_order
-    V: np.ndarray            # (n, m) right eigenvectors
-    W: np.ndarray            # (n, m) left eigenvectors
-    singular_values: np.ndarray  # leading (sketched) singular values of L
-    rank: int
-    diagnostics: dict = field(default_factory=dict)
-
-
 def _loewner(left_vals, right_dirs, left_dirs, right_vals, D):
     """The Loewner matrix L_ij = (b_i^T r_j - l_i^T c_j) / D_ij of rows b_i,
     r_j, l_i, c_j, for D_ij = theta_i - sigma_j."""
     return (left_vals @ right_dirs.T - left_dirs @ right_vals.T) / D
 
 
-def build_loewner(data):
-    """Loewner and shifted Loewner matrices from tangential data."""
-    D = data.theta[:, None] - data.sigma[None, :]
-    L = _loewner(data.left_vals, data.right_dirs, data.left_dirs,
-                 data.right_vals, D)
-    P = data.left_vals @ data.right_dirs.T   # P_ij = b_i^T r_j
-    Q = data.left_dirs @ data.right_vals.T   # Q_ij = l_i^T c_j
-    Ls = (data.theta[:, None] * P - data.sigma[None, :] * Q) / D
+def build_loewner(config, B, C):
+    """Loewner and shifted Loewner matrices of the rows b_i of B and c_j of
+    C, (r, n) each, at the points and directions of config."""
+    theta, sigma = config.left_points, config.right_points
+    D = theta[:, None] - sigma[None, :]
+    L = _loewner(B, config.right_dirs, config.left_dirs, C, D)
+    P = B @ config.right_dirs.T   # P_ij = b_i^T r_j
+    Q = config.left_dirs @ C.T    # Q_ij = l_i^T c_j
+    Ls = (theta[:, None] * P - sigma[None, :] * Q) / D
     return L, Ls
 
 
@@ -207,48 +177,39 @@ def _gap(s, m):
     return s[m - 1] / s[m] if 0 < m < len(s) and s[m] > 0 else np.inf
 
 
-def realize(data, rank_tol=RANK_TOL, order=None):
-    """Recover eigenvalues and eigenvector matrices from tangential data.
+def realize(config, B, C, order, rank_tol=RANK_TOL):
+    """Eigenvalues, their right and left eigenvectors as the columns of V
+    and W, and diagnostics of the pencil of the tangential samples: the rows
+    b_i = H^T(theta_i) l_i of B and c_j = H(sigma_j) r_j of C, (r, n) each,
+    at the points and directions of config.
 
-    When the pole count is known in advance (e.g. fixed by the offline rank
-    consistency check), pass it as `order` to truncate the pencil there even
-    if noise in the data raises the numerical rank above it.  The singular
-    triplet of L then comes from a sketch of width order + 8, and
-    `singular_values` holds only the sketched values.  Without an order the
-    sketch is as wide as L, which is exact.
+    The pencil is truncated at rank m <= order, even if noise in the data
+    raises the numerical rank above it; order = r truncates only by rank.
+    Only L is formed, and it is sketched once, min(order + 8, r) wide:
+    m counts the sketched singular values above rank_tol times the largest,
+    and the pencil is projected onto the leading m singular vectors (see
+    _pencil_eig).  Of the m eigenvalues the finite ones are kept, in
+    eigenvalue_order.
 
-    Only L is formed, and it is sketched once: the rank m counts the
-    singular values above rank_tol times the largest, and the pencil is
-    projected onto the leading m singular vectors (see _pencil_eig).
-    `diagnostics["rank_gap"]` is s_m / s_{m+1} of L from the sketched values
-    (inf when the sketch holds no value past m).  Non-finite tangential
-    values, a numerically singular s_m and a failed LAPACK routine raise
-    RealizationError.
+    diagnostics holds "order"; "singular_values", the sketched ones of L;
+    "rank", m; and for m > 0 "rank_gap", s_m / s_{m+1} of the sketched
+    values (inf when the sketch holds no value past m), and
+    "discarded_infinite", the count of non-finite eigenvalues dropped.
+    Non-finite tangential values, a numerically singular s_m and a failed
+    LAPACK routine raise RealizationError.
     """
-    sigma, B, C = data.sigma, data.left_vals, data.right_vals
     if not (np.isfinite(B).all() and np.isfinite(C).all()):
         raise RealizationError("tangential data hold a non-finite value")
-    Rd = data.right_dirs
-    L = _loewner(B, Rd, data.left_dirs, C, data.theta[:, None] - sigma[None, :])
-    k = min(L.shape)
-    if order is not None:
-        k = min(k, order + _OVERSAMPLING)
-    X, s, Vh = _dominant_left(L, _sketch(L.shape[1], k))
-    m = _rank(s, rank_tol)
-    diagnostics = {}
-    if order is not None:
-        m = min(m, order)
-        diagnostics["order"] = order
+    sigma, Rd = config.right_points, config.right_dirs
+    L = _loewner(B, Rd, config.left_dirs, C,
+                 config.left_points[:, None] - sigma[None, :])
+    X, s, Vh = _dominant_left(
+        L, _sketch(L.shape[1], min(*L.shape, order + _OVERSAMPLING)))
+    m = min(_rank(s, rank_tol), order)
+    diagnostics = {"order": order, "singular_values": s, "rank": m}
     if m == 0:
-        n = B.shape[1]
-        return EigenRealization(
-            eigenvalues=np.array([], dtype=complex),
-            V=np.zeros((n, 0), dtype=complex),
-            W=np.zeros((n, 0), dtype=complex),
-            singular_values=s,
-            rank=0,
-            diagnostics=diagnostics,
-        )
+        V, W = np.zeros((2, B.shape[1], 0), dtype=complex)
+        return np.array([], dtype=complex), V, W, diagnostics
     diagnostics["rank_gap"] = float(_gap(s, m))
     if not s[m - 1] > 1e-14 * s[0]:
         raise RealizationError(
@@ -267,14 +228,9 @@ def realize(data, rank_tol=RANK_TOL, order=None):
     keep = np.flatnonzero(np.isfinite(lam))
     diagnostics["discarded_infinite"] = m - len(keep)
     keep = keep[eigenvalue_order(lam[keep])]
-    return EigenRealization(
-        eigenvalues=lam[keep],
-        V=(C.T @ Vh.conj().T) @ S[:, keep],  # columns c_j
-        W=Wstar[keep].conj().T,
-        singular_values=s,
-        rank=m,
-        diagnostics=diagnostics,
-    )
+    return (lam[keep],
+            (C.T @ Vh.conj().T) @ S[:, keep],  # columns c_j
+            Wstar[keep].conj().T, diagnostics)
 
 
 def consistency_rank_check(config, b, c, rank_tol=RANK_TOL):
@@ -366,8 +322,7 @@ def select_directions(config, m, b, c, bases, rank_tol):
     every = np.arange(r)
     if m == 0 or 2 * k >= r:
         return every, every
-    theta, sigma = config.left_points, config.right_points
-    Ld, Rd = config.left_dirs, config.right_dirs
+    sigma, Rd = config.right_points, config.right_dirs
     reference = [_pencil_eig(X, s, Vh, sigma, b[:, j], Rd)[0]
                  for j, (X, s, Vh) in enumerate(bases)]
     orders = (_pivot_order(np.vstack([X.T for X, _, _ in bases])),
@@ -377,9 +332,9 @@ def select_directions(config, m, b, c, bases, rank_tol):
         rows += itertools.islice(orders[0], k - len(rows))
         cols += itertools.islice(orders[1], k - len(cols))
         I, J = np.sort(rows), np.sort(cols)
-        if all(_subset_matches(TangentialData(
-                theta[I], sigma[J], Ld[I], Rd[J], b[I, j], c[J, j]),
-                m, want, rank_tol) for j, want in enumerate(reference)):
+        kept = config.subset(I, J)
+        if all(_subset_matches(kept, b[I, j], c[J, j], m, want, rank_tol)
+               for j, want in enumerate(reference)):
             return I, J
         k *= 2
     return every, every
@@ -401,11 +356,11 @@ def _pivot_order(A):
             A -= np.outer(q, np.einsum("i,ij->j", q.conj(), A))
 
 
-def _subset_matches(data, m, want, rank_tol):
-    """Whether realize(data) gives len(want) == m eigenvalues that match
-    want both ways within rank_tol * max|want|."""
+def _subset_matches(config, B, C, m, want, rank_tol):
+    """Whether realize(config, B, C, m) gives len(want) == m eigenvalues
+    that match want both ways within rank_tol * max|want|."""
     try:
-        got = realize(data, rank_tol, order=m).eigenvalues
+        got = realize(config, B, C, m, rank_tol)[0]
     except RealizationError:
         return False
     if len(got) != len(want):

@@ -344,10 +344,10 @@ def collapse_lifts(scalar, points, vals):
                           numer=denom[:, :, None] * vals, denom=denom)
 
 
-def eval_collapsed(collapsed, p, return_min_denominator=False):
-    """Values (k, n) of all collapsed lifts at parameter p; a p on a node
-    takes that node's column.  With return_min_denominator, also the
-    smallest |denominator| over the k lifts."""
+def eval_collapsed(collapsed, p):
+    """Values (k, n) of all collapsed lifts at parameter p, a p on a node
+    taking that node's column, and the smallest |denominator| over the k
+    lifts."""
     cp = _cauchy(p, collapsed.p_nodes)[0][0]
     num = np.einsum("kjn,j->kn", collapsed.numer, cp)
     den = np.einsum("kj,j->k", collapsed.denom, cp)
@@ -357,9 +357,7 @@ def eval_collapsed(collapsed, p, return_min_denominator=False):
             f"barycentric denominator underflow at p={p}; the evaluation "
             "point hits a spurious pole"
         )
-    if return_min_denominator:
-        return num / den[:, None], smallest
-    return num / den[:, None]
+    return num / den[:, None], smallest
 
 
 def _cauchy(x, nodes):

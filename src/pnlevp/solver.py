@@ -32,7 +32,7 @@ import numbers
 import os
 import secrets
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -40,8 +40,8 @@ import scipy.linalg
 from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
                       probe_samples)
 from .errors import EvaluationError, ModelFormatError
-from .loewner import (RANK_TOL, TangentialData, consistency_rank_check,
-                      eigenvalue_order, realize, select_directions)
+from .loewner import (RANK_TOL, consistency_rank_check, eigenvalue_order,
+                      realize, select_directions)
 from .paaa import (FIT_TOL, BarycentricModel2D, _cauchy, collapse_lifts,
                    eval_collapsed, node_indices, paaa_fit, refit_coefficients)
 # pnlbench/spans.py wraps these two under these names
@@ -132,9 +132,7 @@ def offline(problem, domain, config, N, fit_opts=None):
         greedy, samples.stack, config.sample_points, config.parameter_points)
     rows, cols = select_directions(config, m, b, c, bases, rank_tol)
     b, c = b[rows], c[cols]
-    kept = replace(config, sample_points=np.column_stack(
-        [config.left_points[rows], config.right_points[cols]]).ravel(),
-        left_dirs=config.left_dirs[rows], right_dirs=config.right_dirs[cols])
+    kept = config.subset(rows, cols)
     pj = node_indices(scalar_model.p_nodes, config.parameter_points)
     metadata = {
         "problem_name": getattr(problem, "name", "custom"),
@@ -182,8 +180,8 @@ def _tangential_error(model, want):
     then right columns."""
     worst = 0.0
     for j, p in enumerate(model.config.parameter_points):
-        err = (np.linalg.norm(eval_collapsed(model.collapsed, p) - want[:, j],
-                              axis=1)
+        err = (np.linalg.norm(eval_collapsed(model.collapsed, p)[0]
+                              - want[:, j], axis=1)
                / np.linalg.norm(want[:, j], axis=1))
         worst = max(worst, float(np.max(err)))
     return worst
@@ -191,33 +189,29 @@ def _tangential_error(model, want):
 
 def online(model, p_hat, rank_tol=None):
     """Extract eigenvalues and eigenvectors at an arbitrary parameter."""
-    p_hat = complex(p_hat)
-    if not np.isfinite(p_hat):
-        raise ValueError(f"parameter p = {p_hat} is not finite")
+    p_hat = _checked_parameter(p_hat)
     if rank_tol is None:
         rank_tol = model.metadata.get("rank_tol", RANK_TOL)
     _checked_rank_tol(rank_tol)
     _warn_if_extrapolating(model, p_hat)
-    config = model.config
-    vals, min_denominator = eval_collapsed(model.collapsed, p_hat,
-                                           return_min_denominator=True)
-    data = TangentialData(
-        theta=config.left_points, sigma=config.right_points,
-        left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-        left_vals=vals[:config.r], right_vals=vals[config.r:],
-    )
-    realization = realize(data, rank_tol, order=model.m)
-    diagnostics = dict(realization.diagnostics)
-    diagnostics["singular_values"] = realization.singular_values
+    vals, min_denominator = eval_collapsed(model.collapsed, p_hat)
+    r = model.config.r
+    eigenvalues, V, W, diagnostics = realize(
+        model.config, vals[:r], vals[r:], model.m, rank_tol)
     diagnostics["min_denominator"] = min_denominator
     return EigenSolution(
-        p_hat=p_hat,
-        eigenvalues=realization.eigenvalues,
-        V=realization.V,
-        W=realization.W,
-        in_domain=model.domain.contains(realization.eigenvalues),
+        p_hat=p_hat, eigenvalues=eigenvalues, V=V, W=W,
+        in_domain=model.domain.contains(eigenvalues),
         diagnostics=diagnostics,
     )
+
+
+def _checked_parameter(p_hat):
+    """p_hat as a complex number, unless it is not finite: then ValueError."""
+    p_hat = complex(p_hat)
+    if not np.isfinite(p_hat):
+        raise ValueError(f"parameter p = {p_hat} is not finite")
+    return p_hat
 
 
 def residuals(problem, solution):
@@ -266,10 +260,12 @@ def scalar_probe_eigenvalues(model, p_hat):
     are cancelled by a numerator zero (Froissart doublets) and are dropped;
     the arrowhead pencil returns such poles, e.g. when an eigenvalue is
     semi-simple and the scalar has fewer distinct poles than z-nodes - 1.
-    Eigenvalue multiplicity is not visible along this path.
+    Eigenvalue multiplicity is not visible along this path.  A non-finite
+    p_hat raises ValueError, as in online.
     """
+    p_hat = _checked_parameter(p_hat)
     scalar = model.scalar_model if isinstance(model, OfflineModel) else model
-    cp = _cauchy(complex(p_hat), scalar.p_nodes)[0][0]
+    cp = _cauchy(p_hat, scalar.p_nodes)[0][0]
     beta = scalar.coeffs @ cp
     gamma = (scalar.coeffs * scalar.node_values) @ cp
     if np.max(np.abs(beta)) == 0.0:

@@ -6,7 +6,7 @@ import pytest
 from pnlevp import loewner
 from pnlevp.contour import (Disk, build_trapezoid_rule, default_sampling,
                             probe_samples)
-from pnlevp.loewner import TangentialData, build_loewner
+from pnlevp.loewner import build_loewner
 from pnlevp.problems import LinearDemoProblem, get_problem
 
 
@@ -34,11 +34,8 @@ def probed_loewner():
     probe, over all r directions."""
     def matrices(config, samples):
         b, c = samples.left, samples.right
-        return [build_loewner(TangentialData(
-            theta=config.left_points, sigma=config.right_points,
-            left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-            left_vals=b[:, j], right_vals=c[:, j]))[0]
-            for j in range(config.q)]
+        return [build_loewner(config, b[:, j], c[:, j])[0]
+                for j in range(config.q)]
     return matrices
 
 

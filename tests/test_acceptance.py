@@ -18,11 +18,12 @@ from pnlevp.benchmarks import (build_offline, get_benchmark, run_benchmark,
                                sweep)
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
     probe_samples
-from pnlevp.loewner import TangentialData, build_loewner, realize
+from pnlevp.loewner import build_loewner, realize
 from pnlevp.paaa import eval_model, paaa_fit
 from pnlevp.problems import SyntheticRationalProblem
 from pnlevp.solver import load_model, offline, online, save_model
 from test_contour import _contracted, _fields
+from test_loewner import _pencil_config
 
 _CACHE = {}
 
@@ -175,21 +176,19 @@ def test_damped_string2_abscissa_minimizer():
 def test_property_loewner_shift_identities():
     rng = np.random.default_rng(0)
     r, n = 6, 5
-    data = TangentialData(
-        theta=rng.standard_normal(r) + 2.0,
-        sigma=rng.standard_normal(r) - 2.0,
-        left_dirs=rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)),
-        right_dirs=rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)),
-        left_vals=rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)),
-        right_vals=rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)),
-    )
-    L, Ls = build_loewner(data)
-    P = data.left_vals @ data.right_dirs.T
-    Q = data.left_dirs @ data.right_vals.T
+    config = _pencil_config(
+        rng.standard_normal(r) + 2.0, rng.standard_normal(r) - 2.0,
+        rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)),
+        rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
+    B = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    C = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    L, Ls = build_loewner(config, B, C)
+    P = B @ config.right_dirs.T
+    Q = config.left_dirs @ C.T
     scale = max(np.max(np.abs(P)), np.max(np.abs(Q)))
     err = max(
-        np.max(np.abs(Ls - data.sigma[None, :] * L - P)),
-        np.max(np.abs(Ls - data.theta[:, None] * L - Q)),
+        np.max(np.abs(Ls - config.right_points[None, :] * L - P)),
+        np.max(np.abs(Ls - config.left_points[:, None] * L - Q)),
     )
     _criterion("property: Loewner shift identities to 1e-13",
                err <= 1e-13 * scale, f"max identity error {err:.3e}")
@@ -212,13 +211,12 @@ def test_property_exact_recovery_realization():
         p = 0.5
         b = np.array([prob.exact_H(t, p).T @ l for t, l in zip(theta, ld)])
         c = np.array([prob.exact_H(s, p) @ v for s, v in zip(sigma, rd)])
-        out = realize(TangentialData(theta=theta, sigma=sigma, left_dirs=ld,
-                                     right_dirs=rd, left_vals=b,
-                                     right_vals=c))
+        lam, _, _, diagnostics = realize(
+            _pencil_config(theta, sigma, ld, rd), b, c, r)
         truth = np.sort_complex(prob.eigenvalues_at(p))
-        assert out.rank == m
+        assert diagnostics["rank"] == m
         worst = max(worst, float(np.max(np.abs(
-            np.sort_complex(out.eigenvalues) - truth))))
+            np.sort_complex(lam) - truth))))
     _criterion("property: realization recovers synthetic poles (m<=5) to 1e-9",
                worst <= 1e-9, f"max pole error {worst:.3e}")
 

@@ -336,6 +336,29 @@ class TestDefaultSampling:
         np.testing.assert_array_equal(config.right_points, s[1::2])
         assert set(config.left_points) | set(config.right_points) == set(s)
 
+    def test_subset_interlaces_kept_points(self):
+        config = default_sampling(Disk(0.0, 1.0), 5, 3, (0.0, 1.0), seed=7,
+                                  dim=2)
+        rows, cols = np.array([0, 3]), np.array([1, 4])
+        kept = config.subset(rows, cols)
+        assert kept.r == 2
+        np.testing.assert_array_equal(
+            kept.sample_points,
+            [config.left_points[0], config.right_points[1],
+             config.left_points[3], config.right_points[4]])
+        np.testing.assert_array_equal(kept.left_dirs, config.left_dirs[rows])
+        np.testing.assert_array_equal(kept.right_dirs,
+                                      config.right_dirs[cols])
+        np.testing.assert_array_equal(kept.parameter_points,
+                                      config.parameter_points)
+        assert kept.seed == config.seed == 7
+
+    def test_subset_refuses_unequal_counts(self):
+        config = default_sampling(Disk(0.0, 1.0), 4, 3, (0.0, 1.0), seed=0,
+                                  dim=2)
+        with pytest.raises(ValueError, match="as many rows as columns"):
+            config.subset([0, 1], [2])
+
     def test_degenerate_parameter_range(self):
         config = default_sampling(Disk(0.0, 1.0), 2, 1, (30.0, 30.0), seed=0,
                                   dim=2)
@@ -363,7 +386,7 @@ class TestDefaultSampling:
         )
         ell = Ellipse(-3.0, 3.0, 11.0)
         for s in config.sample_points:
-            assert ell.boundary_distance(s) <= 1e-12
+            assert abs(ell._margin(s)) <= 1e-12
 
     def test_first_point_inside_is_named(self):
         # the third of 8 points on this ellipse, near 0.5i, is the first one
@@ -374,6 +397,22 @@ class TestDefaultSampling:
                 f"sample point {s[2]} is not strictly outside")):
             default_sampling(Disk(0.0, 1.0), 4, 3, (0.0, 1.0), seed=0, dim=2,
                              sampling_domain=crossing)
+
+    @pytest.mark.parametrize("outside, refused", [(0.5e-10, True),
+                                                  (2e-10, False)])
+    def test_points_within_1e_10_of_the_boundary_refused(self, outside,
+                                                         refused):
+        # a point within 1e-10 outside the closed domain is not strictly
+        # outside it
+        ring = Disk(0.0, 1.0 + outside)
+        if refused:
+            with pytest.raises(ValueError, match="not strictly outside"):
+                default_sampling(Disk(0.0, 1.0), 4, 3, (0.0, 1.0), seed=0,
+                                 dim=2, sampling_domain=ring)
+        else:
+            config = default_sampling(Disk(0.0, 1.0), 4, 3, (0.0, 1.0),
+                                      seed=0, dim=2, sampling_domain=ring)
+            assert config.r == 4
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

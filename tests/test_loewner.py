@@ -4,26 +4,40 @@ eigenvalue realization."""
 import logging
 import tracemalloc
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import lapack
 
 from pnlevp import loewner
-from pnlevp.contour import (Disk, build_trapezoid_rule, default_sampling,
-                            probe_samples)
+from pnlevp.contour import (Disk, SamplingConfig, build_trapezoid_rule,
+                            default_sampling, probe_samples)
 from pnlevp.errors import RankConsistencyError, RealizationError
-from pnlevp.loewner import (_OVERSAMPLING, TangentialData, _sketch,
-                            build_loewner, consistency_rank_check,
-                            eigenvalue_order, realize)
+from pnlevp.loewner import (_OVERSAMPLING, _sketch, build_loewner,
+                            consistency_rank_check, eigenvalue_order, realize)
 from pnlevp.problems import SyntheticRationalProblem
 from pnlevp.solver import offline, online
 
 
+def _pencil_config(theta, sigma, left_dirs, right_dirs):
+    """SamplingConfig of the left points theta, the right points sigma and
+    the probing directions, at the one parameter point 0."""
+    return SamplingConfig(
+        sample_points=np.column_stack([theta, sigma]).ravel(),
+        parameter_points=[0.0], left_dirs=np.asarray(left_dirs),
+        right_dirs=np.asarray(right_dirs))
+
+
+def _scalar_reciprocal():
+    """H(z) = 1/z sampled at theta=2, sigma=3 with unit directions, as
+    (config, B, C)."""
+    return (_pencil_config([2.0], [3.0], [[1.0]], [[1.0]]),
+            np.array([[0.5]]), np.array([[1.0 / 3.0]]))
+
+
 def _pole_data(poles, residues, theta, sigma, left_dirs, right_dirs):
-    """Exact tangential samples of H(z) = sum_j u_j w_j^T / (z - mu_j)."""
+    """Exact tangential samples of H(z) = sum_j u_j w_j^T / (z - mu_j), as
+    (config, B, C), and H."""
     n = left_dirs.shape[1]
 
     def H(z):
@@ -34,12 +48,7 @@ def _pole_data(poles, residues, theta, sigma, left_dirs, right_dirs):
 
     b = np.array([H(t).T @ l for t, l in zip(theta, left_dirs)])
     c = np.array([H(s) @ r for s, r in zip(sigma, right_dirs)])
-    return TangentialData(
-        theta=np.asarray(theta, dtype=complex),
-        sigma=np.asarray(sigma, dtype=complex),
-        left_dirs=left_dirs, right_dirs=right_dirs,
-        left_vals=b, right_vals=c,
-    ), H
+    return (_pencil_config(theta, sigma, left_dirs, right_dirs), b, c), H
 
 
 def _random_dirs(rng, r, n):
@@ -48,74 +57,52 @@ def _random_dirs(rng, r, n):
 
 class TestBuildLoewner:
     def test_scalar_reciprocal(self):
-        # H(z) = 1/z sampled at theta=2, sigma=3 with unit directions
-        data = TangentialData(
-            theta=np.array([2.0]), sigma=np.array([3.0]),
-            left_dirs=np.array([[1.0]]), right_dirs=np.array([[1.0]]),
-            left_vals=np.array([[0.5]]), right_vals=np.array([[1.0 / 3.0]]),
-        )
-        L, Ls = build_loewner(data)
+        L, Ls = build_loewner(*_scalar_reciprocal())
         np.testing.assert_allclose(L, [[-1.0 / 6.0]], atol=1e-15)
         np.testing.assert_allclose(Ls, [[0.0]], atol=1e-15)
 
     def test_zero_data(self):
         rng = np.random.default_rng(0)
-        data = TangentialData(
-            theta=np.array([1.0, 2.0]), sigma=np.array([3.0, 4.0]),
-            left_dirs=_random_dirs(rng, 2, 3),
-            right_dirs=_random_dirs(rng, 2, 3),
-            left_vals=np.zeros((2, 3), dtype=complex),
-            right_vals=np.zeros((2, 3), dtype=complex),
-        )
-        L, Ls = build_loewner(data)
+        config = _pencil_config([1.0, 2.0], [3.0, 4.0],
+                                _random_dirs(rng, 2, 3),
+                                _random_dirs(rng, 2, 3))
+        zero = np.zeros((2, 3), dtype=complex)
+        L, Ls = build_loewner(config, zero, zero)
         np.testing.assert_array_equal(L, 0.0)
         np.testing.assert_array_equal(Ls, 0.0)
 
     def test_shift_identities(self):
         rng = np.random.default_rng(1)
         r, n = 5, 4
-        data = TangentialData(
-            theta=rng.standard_normal(r) + 2.0,
-            sigma=rng.standard_normal(r) - 2.0,
-            left_dirs=_random_dirs(rng, r, n),
-            right_dirs=_random_dirs(rng, r, n),
-            left_vals=_random_dirs(rng, r, n),
-            right_vals=_random_dirs(rng, r, n),
-        )
-        L, Ls = build_loewner(data)
-        P = data.left_vals @ data.right_dirs.T
-        Q = data.left_dirs @ data.right_vals.T
+        config = _pencil_config(
+            rng.standard_normal(r) + 2.0, rng.standard_normal(r) - 2.0,
+            _random_dirs(rng, r, n), _random_dirs(rng, r, n))
+        B, C = _random_dirs(rng, r, n), _random_dirs(rng, r, n)
+        L, Ls = build_loewner(config, B, C)
+        P = B @ config.right_dirs.T
+        Q = config.left_dirs @ C.T
         scale = max(np.max(np.abs(P)), np.max(np.abs(Q)))
-        np.testing.assert_allclose(Ls - data.sigma[None, :] * L, P,
+        np.testing.assert_allclose(Ls - config.right_points[None, :] * L, P,
                                    atol=1e-13 * scale)
-        np.testing.assert_allclose(Ls - data.theta[:, None] * L, Q,
+        np.testing.assert_allclose(Ls - config.left_points[:, None] * L, Q,
                                    atol=1e-13 * scale)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
-            TangentialData(
-                theta=np.array([1.0, 2.0]), sigma=np.array([2.0, 3.0]),
-                left_dirs=np.ones((2, 1)), right_dirs=np.ones((2, 1)),
-                left_vals=np.ones((2, 1)), right_vals=np.ones((2, 1)),
-            )
+            _pencil_config([1.0, 2.0], [2.0, 3.0], np.ones((2, 1)),
+                           np.ones((2, 1)))
 
     def test_signed_zero_tie_rejected(self):
         # |0.0 - (-0.0)| == 0: a tie, whatever the sign of the zero
         with pytest.raises(ValueError, match="pairwise distinct"):
-            TangentialData(
-                theta=np.array([0.0, 1.0]), sigma=np.array([-0.0, 3.0]),
-                left_dirs=np.ones((2, 1)), right_dirs=np.ones((2, 1)),
-                left_vals=np.ones((2, 1)), right_vals=np.ones((2, 1)),
-            )
+            _pencil_config([0.0, 1.0], [-0.0, 3.0], np.ones((2, 1)),
+                           np.ones((2, 1)))
 
     def test_near_tie_accepted(self):
         near = np.nextafter(2.0, 3.0)
-        data = TangentialData(
-            theta=np.array([1.0, 2.0]), sigma=np.array([near, 3.0 + 1j]),
-            left_dirs=np.ones((2, 1)), right_dirs=np.ones((2, 1)),
-            left_vals=np.ones((2, 1)), right_vals=np.ones((2, 1)),
-        )
-        assert data.sigma[0] == near
+        config = _pencil_config([1.0, 2.0], [near, 3.0 + 1j],
+                                np.ones((2, 1)), np.ones((2, 1)))
+        assert config.right_points[0] == near
 
 
 class TestNumericalRank:
@@ -131,21 +118,16 @@ class TestNumericalRank:
             left_dirs=_random_dirs(rng, r, n),
             right_dirs=_random_dirs(rng, r, n),
         )
-        L, _ = build_loewner(data)
+        L, _ = build_loewner(*data)
         s = np.linalg.svd(L, compute_uv=False)
         assert np.count_nonzero(s > 1e-10 * s[0]) == 2
 
 
 class TestRealize:
     def test_scalar_reciprocal_eigenvalue(self):
-        data = TangentialData(
-            theta=np.array([2.0]), sigma=np.array([3.0]),
-            left_dirs=np.array([[1.0]]), right_dirs=np.array([[1.0]]),
-            left_vals=np.array([[0.5]]), right_vals=np.array([[1.0 / 3.0]]),
-        )
-        out = realize(data)
-        assert out.rank == 1
-        assert abs(out.eigenvalues[0]) <= 1e-14
+        lam, _, _, diagnostics = realize(*_scalar_reciprocal(), 1)
+        assert diagnostics["rank"] == 1
+        assert abs(lam[0]) <= 1e-14
 
     def test_two_pole_recovery_with_residues(self):
         rng = np.random.default_rng(3)
@@ -160,15 +142,15 @@ class TestRealize:
             left_dirs=_random_dirs(rng, r, n),
             right_dirs=_random_dirs(rng, r, n),
         )
-        out = realize(data)
-        assert out.rank == 2
-        np.testing.assert_allclose(sorted(out.eigenvalues.real),
-                                   sorted(poles), atol=1e-10)
-        np.testing.assert_allclose(out.eigenvalues.imag, 0.0, atol=1e-10)
+        lam, V, W, diagnostics = realize(*data, r)
+        assert diagnostics["rank"] == 2
+        np.testing.assert_allclose(sorted(lam.real), sorted(poles),
+                                   atol=1e-10)
+        np.testing.assert_allclose(lam.imag, 0.0, atol=1e-10)
         # residues of V (z I - J)^{-1} W^* must match u_j w_j^T after pairing
         for mu, (u, w) in zip(poles, residues):
-            j = int(np.argmin(np.abs(out.eigenvalues - mu)))
-            res = np.outer(out.V[:, j], out.W[:, j].conj())
+            j = int(np.argmin(np.abs(lam - mu)))
+            res = np.outer(V[:, j], W[:, j].conj())
             truth = np.outer(u, w)
             np.testing.assert_allclose(res, truth, atol=1e-8)
 
@@ -183,9 +165,9 @@ class TestRealize:
             left_dirs=_random_dirs(rng, r, n),
             right_dirs=_random_dirs(rng, r, n),
         )
-        out = realize(data)
-        assert out.rank == 1
-        s = out.singular_values
+        diagnostics = realize(*data, r)[3]
+        assert diagnostics["rank"] == 1
+        s = diagnostics["singular_values"]
         assert np.count_nonzero(s > 1e-10 * s[0]) == 1
 
     def test_exact_recovery_and_tangential_interpolation(self):
@@ -203,17 +185,15 @@ class TestRealize:
             rd = _random_dirs(rng, r, prob.dim)
             b = np.array([prob.exact_H(t, p).T @ l for t, l in zip(theta, ld)])
             c = np.array([prob.exact_H(s, p) @ v for s, v in zip(sigma, rd)])
-            data = TangentialData(theta=theta, sigma=sigma, left_dirs=ld,
-                                  right_dirs=rd, left_vals=b, right_vals=c)
-            out = realize(data)
+            lam, V, W, diagnostics = realize(
+                _pencil_config(theta, sigma, ld, rd), b, c, r)
             truth = np.sort_complex(prob.eigenvalues_at(p))
-            assert out.rank == m
-            got = np.sort_complex(out.eigenvalues)
+            assert diagnostics["rank"] == m
+            got = np.sort_complex(lam)
             np.testing.assert_allclose(got, truth, atol=1e-9)
 
             def G(z):
-                return out.V @ np.diag(1.0 / (z - out.eigenvalues)) @ \
-                    out.W.conj().T
+                return V @ np.diag(1.0 / (z - lam)) @ W.conj().T
 
             scale = np.max(np.abs(b))
             for i in range(r):
@@ -234,8 +214,8 @@ class TestRealize:
         data, _ = _pole_data(poles, residues, theta, sigma, ld, rd)
         a = 3.7 - 1.2j
         scaled, _ = _pole_data(poles, residues, theta, sigma, a * ld, a * rd)
-        e1 = np.sort_complex(realize(data).eigenvalues)
-        e2 = np.sort_complex(realize(scaled).eigenvalues)
+        e1 = np.sort_complex(realize(*data, r)[0])
+        e2 = np.sort_complex(realize(*scaled, r)[0])
         np.testing.assert_allclose(e1, e2, atol=1e-9)
 
     def test_order_truncation(self):
@@ -250,15 +230,12 @@ class TestRealize:
             left_dirs=_random_dirs(rng, r, n),
             right_dirs=_random_dirs(rng, r, n),
         )
-        noisy = TangentialData(
-            theta=data.theta, sigma=data.sigma,
-            left_dirs=data.left_dirs, right_dirs=data.right_dirs,
-            left_vals=data.left_vals + 1e-6 * _random_dirs(rng, r, n),
-            right_vals=data.right_vals + 1e-6 * _random_dirs(rng, r, n),
-        )
-        out = realize(noisy, rank_tol=1e-12, order=1)
-        assert out.rank == 1
-        assert abs(out.eigenvalues[0] - 0.1) <= 1e-4
+        config, B, C = data
+        lam, _, _, diagnostics = realize(
+            config, B + 1e-6 * _random_dirs(rng, r, n),
+            C + 1e-6 * _random_dirs(rng, r, n), 1, rank_tol=1e-12)
+        assert diagnostics["rank"] == 1
+        assert abs(lam[0] - 0.1) <= 1e-4
 
     def test_sketched_truncation_matches_exact(self):
         # r = 14 > order + 8, so the order-3 call works on a sketch of width
@@ -274,27 +251,24 @@ class TestRealize:
         rd = _random_dirs(rng, r, prob.dim)
         b = np.array([prob.exact_H(t, p).T @ l for t, l in zip(theta, ld)])
         c = np.array([prob.exact_H(s, p) @ v for s, v in zip(sigma, rd)])
-        data = TangentialData(theta=theta, sigma=sigma, left_dirs=ld,
-                              right_dirs=rd, left_vals=b, right_vals=c)
-        sketched = realize(data, order=3)
-        exact = realize(data)
-        assert sketched.rank == exact.rank == 3
-        assert len(sketched.singular_values) == 11
-        assert len(exact.singular_values) == r
+        data = (_pencil_config(theta, sigma, ld, rd), b, c)
+        sketched = realize(*data, 3)
+        exact = realize(*data, r)
+        assert sketched[3]["rank"] == exact[3]["rank"] == 3
+        assert len(sketched[3]["singular_values"]) == 11
+        assert len(exact[3]["singular_values"]) == r
         truth = np.sort_complex(prob.eigenvalues_at(p))
-        np.testing.assert_allclose(np.sort_complex(sketched.eigenvalues),
-                                   truth, atol=1e-9)
-        np.testing.assert_allclose(sketched.eigenvalues, exact.eigenvalues,
-                                   atol=1e-12)
-        again = realize(data, order=3)
-        np.testing.assert_array_equal(again.eigenvalues, sketched.eigenvalues)
-        np.testing.assert_array_equal(again.V, sketched.V)
-        np.testing.assert_array_equal(again.W, sketched.W)
+        np.testing.assert_allclose(np.sort_complex(sketched[0]), truth,
+                                   atol=1e-9)
+        np.testing.assert_allclose(sketched[0], exact[0], atol=1e-12)
+        again = realize(*data, 3)
+        for got, want in zip(again[:3], sketched[:3]):
+            np.testing.assert_array_equal(got, want)
 
 
 def _three_pole_data(r=14):
-    """Exact tangential data of a 3-pole synthetic problem at p = 0.6, as in
-    test_sketched_truncation_matches_exact."""
+    """Exact tangential data (config, B, C) of a 3-pole synthetic problem at
+    p = 0.6, as in test_sketched_truncation_matches_exact."""
     domain = Disk(0.0, 1.0)
     prob = SyntheticRationalProblem.inside_domain(domain, 3, (0.0, 1.0),
                                                   seed=13)
@@ -306,20 +280,17 @@ def _three_pole_data(r=14):
     rd = _random_dirs(rng, r, prob.dim)
     b = np.array([prob.exact_H(t, p).T @ l for t, l in zip(theta, ld)])
     c = np.array([prob.exact_H(s, p) @ v for s, v in zip(sigma, rd)])
-    return TangentialData(theta=theta, sigma=sigma, left_dirs=ld,
-                          right_dirs=rd, left_vals=b, right_vals=c)
+    return _pencil_config(theta, sigma, ld, rd), b, c
 
 
-def _explicit_realize(data, m, order=None):
+def _explicit_realize(data, m, order):
     """Eigenvalues and sketched singular values of the pencil formed
     explicitly: L and Ls from build_loewner, the leading singular pairs
     X, s, Y of L from the same Gaussian draws through NumPy's QR and SVD,
     and the eigenvalues of (X^H Ls Y, X^H L Y)."""
-    L, Ls = build_loewner(data)
-    k = min(L.shape)
-    if order is not None:
-        k = min(k, order + _OVERSAMPLING)
-    Q, _ = np.linalg.qr(L @ _sketch(L.shape[1], k))
+    L, Ls = build_loewner(*data)
+    Q, _ = np.linalg.qr(L @ _sketch(L.shape[1],
+                                    min(*L.shape, order + _OVERSAMPLING)))
     U, s, Vh = np.linalg.svd(Q.conj().T @ L, full_matrices=False)
     Xh, Y = (Q @ U[:, :m]).conj().T, Vh[:m].conj().T
     lam = scipy.linalg.eigvals(Xh @ Ls @ Y, Xh @ L @ Y)
@@ -331,7 +302,7 @@ def _two_block_realize(data, m):
     blocks [L Ls] and [L; Ls], which also serves improper (descriptor) data
     (Antoulas, Lefteriu & Ionita, SIAM 2017): X and Y are the leading m left
     singular vectors of [L Ls] and right singular vectors of [L; Ls]."""
-    L, Ls = build_loewner(data)
+    L, Ls = build_loewner(*data)
     X = np.linalg.svd(np.hstack([L, Ls]))[0][:, :m]
     Y = np.linalg.svd(np.vstack([L, Ls]))[2][:m].conj().T
     Xh = X.conj().T
@@ -347,35 +318,28 @@ class TestStructuredRealize:
     # depend on the sketch draws and on which singular vectors are kept;
     # lengths is the shape of the sketched spectrum
     @pytest.mark.parametrize("order, lengths, noise", [(3, [11], 0.0),
-                                                       (None, [14], 0.0),
+                                                       (14, [14], 0.0),
                                                        (3, [11], 1e-6)])
     def test_matches_explicit_pencil(self, order, lengths, noise):
-        data = _three_pole_data()
+        config, B, C = _three_pole_data()
         rng = np.random.default_rng(8)
-        shape = data.left_vals.shape
-        data = TangentialData(
-            theta=data.theta, sigma=data.sigma,
-            left_dirs=data.left_dirs, right_dirs=data.right_dirs,
-            left_vals=data.left_vals + noise * _random_dirs(rng, *shape),
-            right_vals=data.right_vals + noise * _random_dirs(rng, *shape),
-        )
-        out = realize(data, order=order)
-        lam, svals = _explicit_realize(data, out.rank, order)
-        assert out.rank == 3
-        assert list(out.singular_values.shape) == lengths
-        np.testing.assert_allclose(out.eigenvalues, lam,
-                                   rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(out.singular_values, svals, rtol=0.0,
-                                   atol=1e-13 * svals[0])
+        data = (config, B + noise * _random_dirs(rng, *B.shape),
+                C + noise * _random_dirs(rng, *C.shape))
+        got, _, _, diagnostics = realize(*data, order)
+        lam, svals = _explicit_realize(data, diagnostics["rank"], order)
+        assert diagnostics["rank"] == 3
+        assert list(diagnostics["singular_values"].shape) == lengths
+        np.testing.assert_allclose(got, lam, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(diagnostics["singular_values"], svals,
+                                   rtol=0.0, atol=1e-13 * svals[0])
 
-    @pytest.mark.parametrize("order", [3, None])
+    @pytest.mark.parametrize("order", [3, 14])
     def test_matches_two_block_truncation(self, order):
         # strictly proper data: L alone carries the pencil of [L Ls], [L; Ls]
         data = _three_pole_data()
-        out = realize(data, order=order)
-        assert out.rank == 3
-        np.testing.assert_allclose(out.eigenvalues,
-                                   _two_block_realize(data, 3),
+        lam, _, _, diagnostics = realize(*data, order)
+        assert diagnostics["rank"] == 3
+        np.testing.assert_allclose(lam, _two_block_realize(data, 3),
                                    rtol=1e-12, atol=0.0)
 
     def test_pole_at_zero(self):
@@ -389,42 +353,35 @@ class TestStructuredRealize:
         sigma = 1.5 * np.exp(2j * np.pi * (np.arange(r) + 0.5) / (2 * r))
         data, _ = _pole_data(poles, residues, theta, sigma,
                              _random_dirs(rng, r, n), _random_dirs(rng, r, n))
-        L, Ls = build_loewner(data)
+        L, Ls = build_loewner(*data)
         s, ss = (np.linalg.svd(M, compute_uv=False) for M in (L, Ls))
         assert np.count_nonzero(s > 1e-10 * s[0]) == 3
         assert np.count_nonzero(ss > 1e-10 * ss[0]) == 2
-        out = realize(data)
-        assert out.rank == 3
+        lam, V, W, diagnostics = realize(*data, r)
+        assert diagnostics["rank"] == 3
         for mu, (u, w) in zip(poles, residues):
-            j = int(np.argmin(np.abs(out.eigenvalues - mu)))
-            assert abs(out.eigenvalues[j] - mu) <= 1e-13
+            j = int(np.argmin(np.abs(lam - mu)))
+            assert abs(lam[j] - mu) <= 1e-13
             truth = np.outer(u, w)
             np.testing.assert_allclose(
-                np.outer(out.V[:, j], out.W[:, j].conj()), truth,
+                np.outer(V[:, j], W[:, j].conj()), truth,
                 rtol=0.0, atol=1e-13 * np.max(np.abs(truth)))
 
     def test_rank_gap(self):
         data = _three_pole_data()
+        config, B, C = data
         # the mirrored data have L^T for L, with the same singular values;
         # each reads its gap off its own sketched spectrum
-        mirror = TangentialData(
-            theta=data.sigma, sigma=data.theta,
-            left_dirs=data.right_dirs, right_dirs=data.left_dirs,
-            left_vals=data.right_vals, right_vals=data.left_vals,
-        )
+        mirror = (_pencil_config(config.right_points, config.left_points,
+                                 config.right_dirs, config.left_dirs), C, B)
         for d in (data, mirror):
-            sketched = realize(d, order=3)
-            s = sketched.singular_values
-            gap = sketched.diagnostics["rank_gap"]
+            diagnostics = realize(*d, 3)[3]
+            s = diagnostics["singular_values"]
+            gap = diagnostics["rank_gap"]
             assert gap == s[2] / s[3]
             assert gap > 1e8
         # a 1x1 pencil holds no value past m = 1
-        one = TangentialData(
-            theta=np.array([2.0]), sigma=np.array([3.0]),
-            left_dirs=np.array([[1.0]]), right_dirs=np.array([[1.0]]),
-            left_vals=np.array([[0.5]]), right_vals=np.array([[1.0 / 3.0]]),
-        )
-        assert realize(one).diagnostics["rank_gap"] == np.inf
+        assert realize(*_scalar_reciprocal(), 1)[3]["rank_gap"] == np.inf
 
     def test_memory_stays_below_four_r_by_r_matrices(self):
         rng = np.random.default_rng(17)
@@ -437,11 +394,11 @@ class TestStructuredRealize:
                              _random_dirs(rng, r, n), _random_dirs(rng, r, n))
         tracemalloc.start()
         try:
-            out = realize(data, order=4)
+            diagnostics = realize(*data, 4)[3]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.rank == 4
+        assert diagnostics["rank"] == 4
         assert peak <= 4 * r * r * 16
 
 
@@ -473,11 +430,12 @@ class TestLapackErrors:
     @pytest.mark.parametrize("side, value", [("left_vals", np.nan),
                                              ("right_vals", np.inf)])
     def test_non_finite_data_raises(self, side, value):
-        data = _two_pole_data()
-        vals = getattr(data, side).copy()
-        vals[1, 2] = value
+        data = list(_two_pole_data())
+        k = 1 if side == "left_vals" else 2
+        data[k] = data[k].copy()
+        data[k][1, 2] = value
         with pytest.raises(RealizationError, match="non-finite"):
-            realize(replace(data, **{side: vals}))
+            realize(*data, 2)
 
     @pytest.mark.parametrize("routine",
                              ["zgeqrf", "zungqr", "zgesdd", "zggev"])
@@ -495,8 +453,8 @@ class TestLapackErrors:
 
     def test_zero_beta_is_discarded(self, monkeypatch):
         data = _two_pole_data()
-        want = realize(data, order=2)
-        assert want.diagnostics["discarded_infinite"] == 0
+        want, _, _, diagnostics = realize(*data, 2)
+        assert diagnostics["discarded_infinite"] == 0
         zggev = lapack.zggev
 
         def infinite_first(*args, **kwargs):
@@ -505,10 +463,10 @@ class TestLapackErrors:
             return (alpha, beta, *rest)
 
         monkeypatch.setattr(lapack, "zggev", infinite_first)
-        got = realize(data, order=2)
-        assert got.diagnostics["discarded_infinite"] == 1
-        assert len(got.eigenvalues) == 1 and got.V.shape[1] == 1
-        assert got.eigenvalues[0] in want.eigenvalues
+        got, V, _, diagnostics = realize(*data, 2)
+        assert diagnostics["discarded_infinite"] == 1
+        assert len(got) == 1 and V.shape[1] == 1
+        assert got[0] in want
 
 
 class TestEigenvalueOrder:
@@ -594,16 +552,11 @@ class TestConsistencyRankCheck:
                                        atol=1e-10 * full[0])
         if full_width:
             # sigma_m is at rounding level here, so the exact gap is the one
-            # of realize's own full-width sketch (realize without an order),
+            # of realize's own full-width sketch (realize with order r),
             # not a second SVD's
-            want = []
-            for j in range(config.q):
-                data = TangentialData(
-                    theta=config.left_points, sigma=config.right_points,
-                    left_dirs=config.left_dirs, right_dirs=config.right_dirs,
-                    left_vals=samples.left[:, j],
-                    right_vals=samples.right[:, j])
-                want.append(realize(data).diagnostics["rank_gap"])
+            want = [realize(config, samples.left[:, j], samples.right[:, j],
+                            config.r)[3]["rank_gap"]
+                    for j in range(config.q)]
             assert rank_gap == min(want)
         else:
             assert 1.0 < rank_gap <= min(gaps)

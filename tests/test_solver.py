@@ -181,7 +181,7 @@ class TestOffline:
         want = np.concatenate([samples.left, samples.right])
         worst = 0.0
         for j, pj in enumerate(config.parameter_points):
-            got = eval_collapsed(model.collapsed, pj)
+            got = eval_collapsed(model.collapsed, pj)[0]
             worst = max(worst, np.max(
                 np.linalg.norm(got - want[:, j], axis=1)
                 / np.linalg.norm(want[:, j], axis=1)))
@@ -257,12 +257,12 @@ class TestCollapsedLifts:
             for p_hat in p_off:
                 c = d / (p_hat - scalar.p_nodes)
                 want = (c @ vals[k]) / np.sum(c)
-                got = eval_collapsed(model.collapsed, complex(p_hat))[k]
+                got = eval_collapsed(model.collapsed, complex(p_hat))[0][k]
                 assert (np.linalg.norm(got - want)
                         <= 1e-13 * np.linalg.norm(want))
         for j in range(len(scalar.p_nodes)):
             np.testing.assert_allclose(
-                eval_collapsed(model.collapsed, scalar.p_nodes[j]),
+                eval_collapsed(model.collapsed, scalar.p_nodes[j])[0],
                 rows[:, pj[j]], rtol=1e-14, atol=0)
         if name == "delay":
             assert on_line == 5
@@ -292,6 +292,23 @@ class TestOnline:
         _, model = linear1
         with pytest.raises(ValueError, match=r"parameter p = .* is not finite"):
             online(model, p_hat)
+
+    @pytest.mark.parametrize("name", ["linear1", "delay", "synthetic3"])
+    def test_rank_counts_every_eigenvalue(self, name, request):
+        # kept and discarded eigenvalues make up the truncation rank, which
+        # the model order caps
+        _, model = request.getfixturevalue(name)
+        lo, hi, mid = model.p_window
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # extrapolation
+            for p_hat in [*np.linspace(lo, hi, 7),
+                          model.scalar_model.p_nodes[1],
+                          complex(0.5 * (lo + hi), mid + 0.1 * (hi - lo)),
+                          hi + 2.0 * (hi - lo)]:
+                sol = online(model, p_hat)
+                d = sol.diagnostics
+                assert (d["rank"] == len(sol.eigenvalues)
+                        + d["discarded_infinite"] <= model.m)
 
     def test_answers_without_numpy_and_scipy_wrappers(self, delay, tmp_path,
                                                       monkeypatch):
@@ -696,6 +713,12 @@ class TestScalarProbe:
         assert len(poles) == 1
         assert abs(poles[0] - 0.1) <= 1e-8
 
+    @pytest.mark.parametrize("p_hat", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_parameter_rejected(self, delay, p_hat):
+        _, model = delay
+        with pytest.raises(ValueError, match=r"parameter p = .* is not finite"):
+            scalar_probe_eigenvalues(model, p_hat)
+
 
 class _ShiftIdentity(PNlevpProblem):
     """T(z, p) = (z - p) I: one semi-simple eigenvalue p of multiplicity 2."""
@@ -1052,9 +1075,9 @@ class TestDirectionSelection:
         tried = []
         check = loewner._subset_matches
 
-        def exact(data, m, want, rank_tol):
-            tried.append(len(data.theta))
-            return check(data, m, want, 0.0)
+        def exact(config, B, C, m, want, rank_tol):
+            tried.append(config.r)
+            return check(config, B, C, m, want, 0.0)
 
         monkeypatch.setattr(loewner, "_subset_matches", exact)
         model, config, _ = _build_with_samples(
@@ -1131,9 +1154,7 @@ class TestDirectionSelection:
         b, c = samples.left, samples.right
         gaps = []
         for j in range(config.q):
-            L, _ = loewner.build_loewner(loewner.TangentialData(
-                config.left_points, config.right_points, config.left_dirs,
-                config.right_dirs, b[:, j], c[:, j]))
+            L, _ = loewner.build_loewner(config, b[:, j], c[:, j])
             s = np.linalg.svd(L, compute_uv=False)
             gaps.append(s[model.m - 1] / s[model.m])
         # a certified lower bound on the smallest gap, and a tight one
@@ -1150,8 +1171,4 @@ class TestOnlineDiagnostics:
         want = np.min(np.abs(model.collapsed.denom @ cp))
         got = online(model, p_hat).diagnostics["min_denominator"]
         assert got == pytest.approx(want, rel=1e-14)
-        values, smallest = eval_collapsed(model.collapsed, p_hat,
-                                          return_min_denominator=True)
-        assert smallest == got
-        np.testing.assert_array_equal(
-            values, eval_collapsed(model.collapsed, p_hat))
+        assert eval_collapsed(model.collapsed, p_hat)[1] == got
