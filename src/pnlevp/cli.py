@@ -111,8 +111,9 @@ def _build_parser():
     p_be = sub.add_parser("bench", help="run a pinned benchmark experiment")
     p_be.add_argument("name", nargs="?", default=None,
                       help="benchmark name; omit to list")
-    p_be.add_argument("--out-dir", default=".",
-                      help="directory for sweep data files")
+    p_be.add_argument("--out-dir", default=None,
+                      help="directory to write the sweep data file "
+                           "NAME-sweep.dat to (default: none written)")
     p_be.set_defaults(func=cmd_bench)
     return parser
 
@@ -159,9 +160,6 @@ def cmd_offline(args):
     sampling_domain = _parse_domain(args.sampling_disk, args.sampling_ellipse,
                                     required=False)
     p_range = _parse_range(args.p)
-    for label, value in (("q", args.q), ("r", args.r), ("N", args.N)):
-        if value < 1:
-            raise ValueError(f"--{label} must be positive")
     config = default_sampling(domain, args.r, args.q, p_range, args.seed,
                               problem.dim, inflation=args.inflation,
                               sampling_domain=sampling_domain)

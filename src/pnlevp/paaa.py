@@ -11,16 +11,17 @@ model class and one evaluator serve both.  Every sum runs over the Cauchy
 matrices 1/(z - xi_i) and 1/(p - pi_j) of _cauchy, in which a point within
 1e-14 of a node takes that node's indicator row: the sums keep only that
 node's terms, the 1-D barycentric limit on its line, and a node pair gives
-its node value.  Nodes are picked greedily at the worst-error grid point,
-up to a budget or to a given number of z-nodes; the unit-norm coefficients
-a_ij minimize the linearized residual over the grid in a least-squares
-sense, its rows filled and QR-reduced a block at a time so that the whole
-row matrix is never held.  Once the nodes are fixed, refit_coefficients
-re-solves the coefficients against a stack of grid functions sharing those
-nodes (the set-valued AAA idea), so one set of coefficients serves every
-function in the stack, such as the probe's refit stack.  collapse_lifts turns
-those coefficients and the exact samples at the p-nodes into the p-only
-barycentric forms that online evaluates.
+its node value.  Nodes are picked greedily at the worst-error grid point
+until the fit has the z-node count it is given (m + 1 for a pole part of
+degree m) and meets its tolerance or its p-node budget; the unit-norm
+coefficients a_ij minimize the linearized residual over the grid in a
+least-squares sense, its rows filled and QR-reduced a block at a time so
+that the whole row matrix is never held.  Once the nodes are fixed,
+refit_coefficients re-solves the coefficients against a stack of grid
+functions sharing those nodes (the set-valued AAA idea), so one set of
+coefficients serves every function in the stack, such as the probe's refit
+stack.  collapse_lifts turns those coefficients and the exact samples at
+the p-nodes into the p-only barycentric forms that online evaluates.
 """
 from dataclasses import dataclass, field, replace
 
@@ -57,27 +58,26 @@ class BarycentricModel2D:
                              f"{np.shape(self.node_values)} do not fit the "
                              f"node grid {grid}")
 
-    def __call__(self, z, p):
-        return eval_model(self, z, p)
 
-
-def paaa_fit(grid_values, s_points, p_points, tol=FIT_TOL, z_nodes=None):
-    """Greedy bivariate barycentric fit of a full data grid.
+def paaa_fit(grid_values, s_points, p_points, z_nodes, tol=FIT_TOL):
+    """Greedy bivariate barycentric fit of a full data grid with exactly
+    z_nodes z-nodes.
 
     grid_values[i, j] holds D(s_i, p_j).  Each iteration adds the worst-error
     grid coordinates as new nodes (at most one per axis) and re-solves the
-    linearized least-squares problem for the coefficients.  z_nodes = k
-    asks for exactly k z-nodes (ValueError outside [1, len(s_points) - 1]:
-    a z-node at every sample point leaves the coefficients undetermined);
-    None lets the greedy stop anywhere up to max(1, len(s_points) // 2).
-    It needs at least 3 parameter points (ValueError otherwise): the p-node
-    budget is max(2, len(p_points) // 2), so a point off the p-nodes ties
-    the values between them.  Terminates when the max relative grid error
-    drops to tol with the z-node count met, or when the node budgets are
-    exhausted; then the model of least error among those with the z-node
-    count met is returned.  Its max_error tells which (above tol), and
-    error_history holds the error of every iteration.
-    All-zero data gives the one-node zero model.
+    linearized least-squares problem for the coefficients.  z_nodes must lie
+    in [1, len(s_points) - 1] (ValueError otherwise: a z-node at every
+    sample point leaves the coefficients undetermined).  It needs at least
+    3 parameter points (ValueError otherwise): the p-node budget is
+    max(2, len(p_points) // 2), so a point off the p-nodes ties the values
+    between them.  Terminates when the max relative grid error drops to tol
+    with z_nodes z-nodes (a fit that meets tol with fewer adds the worst
+    remaining ones), or when the z-node count and the p-node budget are both
+    reached; then the model of least error among those with z_nodes z-nodes
+    is returned.  Its max_error tells which (above tol), and error_history
+    holds the error of every iteration.  All-zero data gives the zero model
+    with the first z_nodes sample points as z-nodes, the first parameter
+    point as its one p-node and equal unit-norm coefficients.
     """
     D = np.asarray(grid_values, dtype=complex)
     s = np.asarray(s_points, dtype=complex)
@@ -89,21 +89,16 @@ def paaa_fit(grid_values, s_points, p_points, tol=FIT_TOL, z_nodes=None):
     if len(p) < 3:
         raise ValueError(f"paaa_fit needs at least 3 parameter points, "
                          f"got {len(p)}")
-    if z_nodes is None:
-        min_z_nodes, max_z_nodes = 1, max(1, len(s) // 2)
-    elif not 1 <= z_nodes < len(s):
+    if not 1 <= z_nodes < len(s):
         raise ValueError(f"z_nodes = {z_nodes} is outside [1, {len(s) - 1}]")
-    else:
-        min_z_nodes = max_z_nodes = z_nodes
     max_p_nodes = max(2, len(p) // 2)
     scale = np.max(np.abs(D))
     if scale == 0.0:
-        model = BarycentricModel2D(
-            z_nodes=s[:1], p_nodes=p[:1],
-            coeffs=np.ones((1, 1), dtype=complex),
-            node_values=np.zeros((1, 1), dtype=complex),
+        return BarycentricModel2D(
+            z_nodes=s[:z_nodes], p_nodes=p[:1],
+            coeffs=np.full((z_nodes, 1), 1 / np.sqrt(z_nodes), dtype=complex),
+            node_values=np.zeros((z_nodes, 1), dtype=complex),
         )
-        return model
 
     i0, j0 = np.unravel_index(np.argmax(np.abs(D)), D.shape)
     zi = [int(i0)]
@@ -119,18 +114,20 @@ def paaa_fit(grid_values, s_points, p_points, tol=FIT_TOL, z_nodes=None):
         E = np.abs(_eval_grid(model, s, p)[0] - D) / scale
         err = float(np.max(E))
         history.append(err)
-        if len(zi) >= min_z_nodes and (best is None or err < best[0]):
+        full = len(zi) == z_nodes
+        if full and (best is None or err < best[0]):
             best = (err, model)
-        if err <= tol and len(zi) >= min_z_nodes:
-            return replace(model, max_error=err, error_history=tuple(history))
         if err <= tol:
-            # tolerance met early: keep adding z-nodes until the pole-count
-            # constraint (min_z_nodes) is satisfied
+            if full:
+                return replace(model, max_error=err,
+                               error_history=tuple(history))
+            # tolerance met early, e.g. by the scalar of a semi-simple
+            # eigenvalue, which has fewer poles than m: keep adding z-nodes
             zi.append(_worst_off(E, zi, 0))
             continue
         i_star, j_star = np.unravel_index(np.argmax(E), E.shape)
         added = False
-        if i_star not in zi and len(zi) < max_z_nodes:
+        if i_star not in zi and len(zi) < z_nodes:
             zi.append(int(i_star))
             added = True
         if j_star not in pj and len(pj) < max_p_nodes:
@@ -140,7 +137,7 @@ def paaa_fit(grid_values, s_points, p_points, tol=FIT_TOL, z_nodes=None):
             # the worst point contributes no new node (its coordinates are
             # already nodes, or an axis is at budget); fall back to the worst
             # error restricted to coordinates that can still be added
-            if len(zi) < max_z_nodes:
+            if len(zi) < z_nodes:
                 zi.append(_worst_off(E, zi, 0))
                 added = True
             if len(pj) < max_p_nodes:

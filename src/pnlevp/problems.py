@@ -152,20 +152,17 @@ class DampedStringProblem(PNlevpProblem):
     The multivalued square root zh(z, p), zh^2 = z^2 + 2pz, is realized as
     i*sqrt(-z)*sqrt(z + 2p) with principal square roots.  This puts the
     branch cut on (-inf, -2p] U [0, inf) and keeps zh continuous on the
-    segment (-2p, 0) where the eigenvalues of interest live.
+    segment (-2p, 0) where the eigenvalues of interest live.  The other
+    branch, -zh, would negate one column of T: det T changes sign, and its
+    zeros, the eigenvalues, stay where they are.
     """
 
     dim = 4
     name = "damped-string"
 
-    def __init__(self, branch_sign=1):
-        if branch_sign not in (1, -1):
-            raise ValueError("branch_sign must be +1 or -1")
-        self.branch_sign = branch_sign
-
     def branch(self, z, p):
         z = np.asarray(z, dtype=complex)
-        return self.branch_sign * 1j * np.sqrt(-z) * np.sqrt(z + 2 * p)
+        return 1j * np.sqrt(-z) * np.sqrt(z + 2 * p)
 
     def _check_cut(self, z, p):
         """Raise BranchCutError for the first point of z on the cut of its

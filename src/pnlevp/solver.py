@@ -127,7 +127,7 @@ def offline(problem, domain, config, N, fit_opts=None):
     # suffice; extra z-nodes fit quadrature noise with spurious poles.  The
     # nodes are chosen on the scalar, column 0 of the refit stack
     greedy = paaa_fit(samples.stack[:, :, 0], config.sample_points,
-                      config.parameter_points, tol=tol, z_nodes=m + 1)
+                      config.parameter_points, m + 1, tol=tol)
     scalar_model = refit_coefficients(
         greedy, samples.stack, config.sample_points, config.parameter_points)
     rows, cols = select_directions(config, m, b, c, bases, rank_tol)
@@ -251,7 +251,8 @@ def stacked_residuals(problem, solutions):
 
 
 def scalar_probe_eigenvalues(model, p_hat):
-    """Eigenvalues-only shortcut: poles in z of the scalar surrogate at p_hat.
+    """Eigenvalues-only shortcut: poles in z of the OfflineModel's scalar
+    surrogate at p_hat.
 
     Fixing the parameter collapses the bivariate barycentric form to a 1-D
     barycentric function with effective weights beta_i = sum_j a_ij/(p-pi_j);
@@ -264,7 +265,7 @@ def scalar_probe_eigenvalues(model, p_hat):
     p_hat raises ValueError, as in online.
     """
     p_hat = _checked_parameter(p_hat)
-    scalar = model.scalar_model if isinstance(model, OfflineModel) else model
+    scalar = model.scalar_model
     cp = _cauchy(p_hat, scalar.p_nodes)[0][0]
     beta = scalar.coeffs @ cp
     gamma = (scalar.coeffs * scalar.node_values) @ cp

@@ -228,7 +228,8 @@ def test_property_paaa_exact_recovery():
     def f(z, w):
         return (z * z - 0.5 * w + 1.0) / ((z * z - 3.0) * (w + 2.0) * (w + 4.0))
 
-    model = paaa_fit(f(s[:, None], p[None, :]), s, p)
+    # two poles in z, at +-sqrt(3), so m + 1 = 3 z-nodes
+    model = paaa_fit(f(s[:, None], p[None, :]), s, p, 3)
     held_s = np.linspace(-0.95, 0.95, 11)
     held_p = np.linspace(0.04, 0.96, 11)
     truth = f(held_s[:, None], held_p[None, :])

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from pnlevp import benchmarks as bench_mod
 from pnlevp.cli import main
 from pnlevp.errors import ModelFormatError
 from pnlevp.solver import FORMAT_VERSION, load_model
@@ -157,6 +158,22 @@ class TestOffline:
                      "--out", str(tmp_path / "m.json")]) == 2
         assert (f"parameter range bound {bound} is not finite"
                 in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("q", "0", "need r >= 1 and q >= 1"),
+        ("r", "0", "need r >= 1 and q >= 1"),
+        ("N", "0", "trapezoid rule needs N >= 2 nodes"),
+        ("N", "1", "trapezoid rule needs N >= 2 nodes"),
+    ], ids=["q-0", "r-0", "N-0", "N-1"])
+    def test_non_positive_counts_exit_2_writing_nothing(self, tmp_path, capsys,
+                                                        flag, value, message):
+        counts = {"q": "4", "r": "4", "N": "16", flag: value}
+        args = [a for k, v in counts.items() for a in (f"--{k}", v)]
+        assert main(["offline", "--problem", "linear-demo",
+                     "--disk", "0,0,0.6", "--p", "0.75:1.25", *args,
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_identical_config_and_seed_byte_identical_models(self, tmp_path):
@@ -499,6 +516,32 @@ class TestBench:
         proc = run_cli("bench")
         assert proc.returncode == 0
         assert "delay" in proc.stderr
+
+    def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch):
+        # the sweep table is opt-in: a file of its name is left as it was
+        monkeypatch.chdir(tmp_path)
+        mine = tmp_path / "linear-2-sweep.dat"
+        mine.write_text("my notes\n")
+        assert main(["bench", "linear-2"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["linear-2-sweep.dat"]
+        assert mine.read_text() == "my notes\n"
+
+    def test_out_dir_gets_the_sweep_table(self, tmp_path, monkeypatch):
+        runs = []
+        run_benchmark = bench_mod.run_benchmark
+
+        def recorded(*args, **kwargs):
+            runs.append(run_benchmark(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(bench_mod, "run_benchmark", recorded)
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / "tables"
+        assert main(["bench", "linear-2", "--out-dir", str(out_dir)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["tables"]
+        assert [p.name for p in out_dir.iterdir()] == ["linear-2-sweep.dat"]
+        assert ((out_dir / "linear-2-sweep.dat").read_text()
+                == bench_mod.sweep_table(runs[0].sweep))
 
 
 class TestOutputFiles:

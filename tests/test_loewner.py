@@ -3,6 +3,7 @@ eigenvalue realization."""
 
 import logging
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -560,3 +561,113 @@ class TestConsistencyRankCheck:
             assert rank_gap == min(want)
         else:
             assert 1.0 < rank_gap <= min(gaps)
+
+
+def _planted(singular_values, seed=0):
+    """Square matrix with the given singular values and random unitary
+    singular vectors."""
+    rng = np.random.default_rng(seed)
+    n = len(singular_values)
+    U, V = (np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    return (U * singular_values) @ V.conj().T
+
+
+def _rank_check_of(monkeypatch, L):
+    """consistency_rank_check over the single Loewner matrix L."""
+    monkeypatch.setattr(loewner, "_loewner", lambda *args: L)
+    r = len(L)
+    config = SimpleNamespace(left_points=np.zeros(r), right_points=np.ones(r),
+                             left_dirs=None, right_dirs=None)
+    one = np.zeros((r, 1, 1))
+    return consistency_rank_check(config, one, one, 1e-10)
+
+
+def _svd_count(L, rank_tol=1e-10):
+    """Count of the singular values of L above rank_tol times the largest,
+    from a full SVD."""
+    s = np.linalg.svd(L, compute_uv=False)
+    return int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
+
+
+class TestSketchedRank:
+    @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
+    def test_parameter_loewner_is_build_loewner(self, probed, request,
+                                                probed_loewner, monkeypatch):
+        # the L that the rank check hands to _sketched_rank, bit for bit
+        config, samples = request.getfixturevalue(probed)
+        seen = []
+        sketched = loewner._sketched_rank
+
+        def recorded(L, rank_tol):
+            seen.append(L.copy())
+            return sketched(L, rank_tol)
+
+        monkeypatch.setattr(loewner, "_sketched_rank", recorded)
+        consistency_rank_check(config, samples.left, samples.right)
+        want = probed_loewner(config, samples)
+        assert len(seen) == len(want) == config.q
+        for L, L_want in zip(seen, want):
+            np.testing.assert_array_equal(L, L_want)
+
+    @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
+    def test_probed_loewner_matrices(self, probed, request, probed_loewner,
+                                     full_width_calls):
+        config, samples = request.getfixturevalue(probed)
+        for L in probed_loewner(config, samples):
+            rank, gap, _, full = loewner._sketched_rank(L, 1e-10)
+            assert rank == _svd_count(L) and not full
+            s = np.linalg.svd(L, compute_uv=False)
+            assert 1.0 < gap <= s[rank - 1] / s[rank]
+        assert full_width_calls == []
+
+    @pytest.mark.parametrize("singular_values, rank", [
+        # clean gap
+        (np.r_[np.logspace(0, -3, 5), np.zeros(55)], 5),
+        # a singular value 1% above, then 1% below the threshold 1e-10
+        (np.r_[np.logspace(0, -3, 5), 1.01e-10, np.zeros(54)], 6),
+        (np.r_[np.logspace(0, -3, 5), 0.99e-10, np.zeros(54)], 5),
+        # rank above the initial sketch width
+        (np.r_[np.logspace(0, -4, 24), np.zeros(36)], 24),
+        # the zero matrix
+        (np.zeros(60), 0),
+    ])
+    def test_planted_spectra(self, singular_values, rank, full_width_calls,
+                             monkeypatch):
+        widths = []
+        sketch = loewner._dominant_left
+
+        def recorded(A, G):
+            widths.append(G.shape[1])
+            return sketch(A, G)
+
+        monkeypatch.setattr(loewner, "_dominant_left", recorded)
+        L = _planted(singular_values)
+        assert _svd_count(L) == rank
+        assert loewner._sketched_rank(L, 1e-10)[0] == rank
+        assert full_width_calls == []
+        assert widths[-1] > rank
+
+    def test_slow_tail_falls_back(self, full_width_calls, monkeypatch):
+        # the tail lies below the threshold, but beyond any sketch its
+        # energy exceeds it, so the sketch cannot certify the count, and a
+        # sketch as wide as L counts it exactly
+        L = _planted(np.r_[1.0, 0.1, 0.1, 0.1, 5e-11 * 0.99 ** np.arange(56)])
+        m, rank_gap, bases = _rank_check_of(monkeypatch, L)
+        assert m == 4
+        assert full_width_calls == [L.shape]
+        s = np.linalg.svd(L, compute_uv=False)
+        # s[4] ~ 5e-11 s[0] carries only about 1e-16 / 5e-11 relative accuracy
+        assert rank_gap == pytest.approx(s[3] / s[4], rel=1e-5)
+        X, sx, Vh = bases[0]
+        np.testing.assert_allclose(X @ (sx[:, None] * Vh), L, atol=1e-10)
+
+    def test_sketch_as_wide_as_matrix_falls_back(self, full_width_calls,
+                                                 monkeypatch):
+        L = _planted(np.logspace(0, -5, 20))
+        assert loewner._sketched_rank(L, 1e-10)[::3] == (20, True)
+        m, rank_gap, _ = _rank_check_of(monkeypatch, L)
+        assert m == 20
+        assert full_width_calls == [L.shape] * 2
+        assert rank_gap == np.inf

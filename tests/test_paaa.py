@@ -1,16 +1,13 @@
-"""Tests for bivariate barycentric fitting and for the sketched rank count
-of the Loewner rank consistency check that precedes it."""
+"""Tests for bivariate barycentric fitting."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pnlevp import loewner, paaa
+from pnlevp import paaa
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
     probe_samples
-from pnlevp.loewner import consistency_rank_check
 from pnlevp.paaa import (eval_model, lift_vector, node_indices, paaa_fit,
                          refit_coefficients)
 from pnlevp.problems import LinearDemoProblem
@@ -18,23 +15,6 @@ from pnlevp.problems import LinearDemoProblem
 
 def _grid_eval(model, s, p):
     return np.array([[eval_model(model, z, w) for w in p] for z in s])
-
-
-def _rank_check_of(monkeypatch, L):
-    """consistency_rank_check over the single Loewner matrix L."""
-    monkeypatch.setattr(loewner, "_loewner", lambda *args: L)
-    r = len(L)
-    config = SimpleNamespace(left_points=np.zeros(r), right_points=np.ones(r),
-                             left_dirs=None, right_dirs=None)
-    one = np.zeros((r, 1, 1))
-    return consistency_rank_check(config, one, one, 1e-10)
-
-
-def _svd_count(L, rank_tol=1e-10):
-    """Count of the singular values of L above rank_tol times the largest,
-    from a full SVD."""
-    s = np.linalg.svd(L, compute_uv=False)
-    return int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
 
 
 def _record_blocks(monkeypatch):
@@ -51,105 +31,12 @@ def _record_blocks(monkeypatch):
     return blocks
 
 
-def _planted(singular_values, seed=0):
-    """Square matrix with the given singular values and random unitary
-    singular vectors."""
-    rng = np.random.default_rng(seed)
-    n = len(singular_values)
-    U, V = (np.linalg.qr(rng.standard_normal((n, n))
-                         + 1j * rng.standard_normal((n, n)))[0]
-            for _ in range(2))
-    return (U * singular_values) @ V.conj().T
-
-
-class TestSketchedRank:
-    @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
-    def test_parameter_loewner_is_build_loewner(self, probed, request,
-                                                probed_loewner, monkeypatch):
-        # the L that the rank check hands to _sketched_rank, bit for bit
-        config, samples = request.getfixturevalue(probed)
-        seen = []
-        sketched = loewner._sketched_rank
-
-        def recorded(L, rank_tol):
-            seen.append(L.copy())
-            return sketched(L, rank_tol)
-
-        monkeypatch.setattr(loewner, "_sketched_rank", recorded)
-        consistency_rank_check(config, samples.left, samples.right)
-        want = probed_loewner(config, samples)
-        assert len(seen) == len(want) == config.q
-        for L, L_want in zip(seen, want):
-            np.testing.assert_array_equal(L, L_want)
-
-    @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
-    def test_probed_loewner_matrices(self, probed, request, probed_loewner,
-                                     full_width_calls):
-        config, samples = request.getfixturevalue(probed)
-        for L in probed_loewner(config, samples):
-            rank, gap, _, full = loewner._sketched_rank(L, 1e-10)
-            assert rank == _svd_count(L) and not full
-            s = np.linalg.svd(L, compute_uv=False)
-            assert 1.0 < gap <= s[rank - 1] / s[rank]
-        assert full_width_calls == []
-
-    @pytest.mark.parametrize("singular_values, rank", [
-        # clean gap
-        (np.r_[np.logspace(0, -3, 5), np.zeros(55)], 5),
-        # a singular value 1% above, then 1% below the threshold 1e-10
-        (np.r_[np.logspace(0, -3, 5), 1.01e-10, np.zeros(54)], 6),
-        (np.r_[np.logspace(0, -3, 5), 0.99e-10, np.zeros(54)], 5),
-        # rank above the initial sketch width
-        (np.r_[np.logspace(0, -4, 24), np.zeros(36)], 24),
-        # the zero matrix
-        (np.zeros(60), 0),
-    ])
-    def test_planted_spectra(self, singular_values, rank, full_width_calls,
-                             monkeypatch):
-        widths = []
-        sketch = loewner._dominant_left
-
-        def recorded(A, G):
-            widths.append(G.shape[1])
-            return sketch(A, G)
-
-        monkeypatch.setattr(loewner, "_dominant_left", recorded)
-        L = _planted(singular_values)
-        assert _svd_count(L) == rank
-        assert loewner._sketched_rank(L, 1e-10)[0] == rank
-        assert full_width_calls == []
-        assert widths[-1] > rank
-
-    def test_slow_tail_falls_back(self, full_width_calls, monkeypatch):
-        # the tail lies below the threshold, but beyond any sketch its
-        # energy exceeds it, so the sketch cannot certify the count, and a
-        # sketch as wide as L counts it exactly
-        L = _planted(np.r_[1.0, 0.1, 0.1, 0.1, 5e-11 * 0.99 ** np.arange(56)])
-        m, rank_gap, bases = _rank_check_of(monkeypatch, L)
-        assert m == 4
-        assert full_width_calls == [L.shape]
-        s = np.linalg.svd(L, compute_uv=False)
-        # s[4] ~ 5e-11 s[0] carries only about 1e-16 / 5e-11 relative accuracy
-        assert rank_gap == pytest.approx(s[3] / s[4], rel=1e-5)
-        X, sx, Vh = bases[0]
-        np.testing.assert_allclose(X @ (sx[:, None] * Vh), L, atol=1e-10)
-
-    def test_sketch_as_wide_as_matrix_falls_back(self, full_width_calls,
-                                                 monkeypatch):
-        L = _planted(np.logspace(0, -5, 20))
-        assert loewner._sketched_rank(L, 1e-10)[::3] == (20, True)
-        m, rank_gap, _ = _rank_check_of(monkeypatch, L)
-        assert m == 20
-        assert full_width_calls == [L.shape] * 2
-        assert rank_gap == np.inf
-
-
 class TestPaaaFit:
     def test_reciprocal_difference_exact(self):
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 2)
         assert model.max_error <= 1e-12
         assert len(model.z_nodes) == 2
         assert len(model.p_nodes) == 2
@@ -163,7 +50,7 @@ class TestPaaaFit:
         s = np.linspace(0.0, 1.0, 6)
         p = np.linspace(2.0, 3.0, 6)
         D = np.full((6, 6), 3.5 - 1.25j)
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 1)
         assert len(model.z_nodes) == 1
         assert len(model.p_nodes) == 1
         assert abs(eval_model(model, 0.37, 2.61) - (3.5 - 1.25j)) <= 1e-13
@@ -174,7 +61,7 @@ class TestPaaaFit:
         s = 0.8 * np.exp(2j * np.pi * np.arange(40) / 40)
         p = np.linspace(0.75, 1.25, 40)
         D = s[:, None] / (s[:, None] ** 2 + p[None, :] - 1.0)
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 3)
         assert model.max_error <= 1e-12
         assert len(model.z_nodes) == 3
         E = np.abs(_grid_eval(model, s, p) - D)
@@ -197,7 +84,7 @@ class TestPaaaFit:
             return (1.0 + z * w) / ((z * z - 2.0) * (w + 3.0))
 
         D = f(s[:, None], p[None, :])
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 3)
         assert model.max_error <= 1e-12
         held_s = np.linspace(-0.93, 0.93, 9)
         held_p = np.linspace(0.03, 0.97, 9)
@@ -211,7 +98,7 @@ class TestPaaaFit:
         p = np.linspace(0.0, 1.0, 10)
         D = (s[:, None] + 2.0 * p[None, :]) / ((s[:, None] - 3.0)
                                                * (p[None, :] + 2.0))
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 2)
         hist = model.error_history
         assert len(hist) >= 2
         for a, b in zip(hist, hist[1:]):
@@ -221,14 +108,14 @@ class TestPaaaFit:
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 2)
         assert abs(np.linalg.norm(model.coeffs) - 1.0) <= 1e-14
 
     def test_interpolation_at_nodes(self):
         s = np.linspace(-1.0, 1.0, 9)
         p = np.linspace(2.0, 3.0, 9)
         D = np.sin(s)[:, None] * np.exp(1j * p)[None, :]
-        model = paaa_fit(D, s, p, tol=1e-8)
+        model = paaa_fit(D, s, p, 4, tol=1e-8)
         for a, xi in enumerate(model.z_nodes):
             for b, pi in enumerate(model.p_nodes):
                 assert eval_model(model, xi, pi) == model.node_values[a, b]
@@ -238,14 +125,26 @@ class TestPaaaFit:
         p = np.array([4.0, 5.0, 6.0])
         D = np.ones((3, 3))
         with pytest.raises(ValueError):
-            paaa_fit(D, s, p)
+            paaa_fit(D, s, p, 2)
         # 3 z-nodes on 3 sample points would leave the coefficients unsolved
         for k in (0, 3):
             with pytest.raises(ValueError, match=r"outside \[1, 2\]"):
                 paaa_fit(np.ones((3, 3)), np.array([1.0, 2.0, 3.0]), p,
                          z_nodes=k)
         with pytest.raises(ValueError):
-            paaa_fit(np.ones((2, 3)), np.array([1.0, 2.0, 3.0]), p)
+            paaa_fit(np.ones((2, 3)), np.array([1.0, 2.0, 3.0]), p, 1)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_data_keeps_the_z_node_count(self, k):
+        s = np.linspace(0.0, 1.0, 6)
+        p = np.linspace(2.0, 3.0, 6)
+        model = paaa_fit(np.zeros((6, 6)), s, p, k)
+        np.testing.assert_array_equal(model.z_nodes, s[:k])
+        np.testing.assert_array_equal(model.p_nodes, p[:1])
+        np.testing.assert_array_equal(model.node_values, 0.0)
+        np.testing.assert_allclose(model.coeffs, 1 / np.sqrt(k), rtol=1e-15)
+        assert abs(np.linalg.norm(model.coeffs) - 1.0) <= 1e-14
+        assert eval_model(model, 0.37 + 0.1j, 2.61) == 0.0
 
     @pytest.mark.parametrize("data", ["smooth", "noise"])
     @pytest.mark.parametrize("k", [1, 3, 6, 12])
@@ -281,10 +180,10 @@ class TestPaaaFit:
         for p in (np.array([0.75, 1.25]), np.array([1.0])):
             with pytest.raises(ValueError, match="needs at least 3 parameter "
                                f"points, got {len(p)}"):
-                paaa_fit(f(p), s, p)
+                paaa_fit(f(p), s, p, 3)
         # a third point, off the p-nodes, ties them
         model = paaa_fit(f(np.array([0.75, 1.0, 1.25])), s,
-                         np.array([0.75, 1.0, 1.25]))
+                         np.array([0.75, 1.0, 1.25]), 3)
         held_p = np.array([0.8, 0.9, 1.1, 1.2])
         np.testing.assert_allclose(_grid_eval(model, s, held_p), f(held_p),
                                    rtol=1e-12)
@@ -295,8 +194,9 @@ class TestPaaaFit:
         D = 1.0 / (s[:, None] - p[None, :])
         with pytest.raises(ValueError, match="all 4 sample points are z-nodes"):
             paaa._solve_coefficients(D, s, p, [0, 1, 2, 3], [0, 5])
-        with pytest.raises(ValueError, match="all 1 sample points"):
-            paaa_fit(D[:1], s[:1], p)
+        # paaa_fit refuses such a count before any solve
+        with pytest.raises(ValueError, match=r"outside \[1, 0\]"):
+            paaa_fit(D[:1], s[:1], p, 1)
 
 
 class TestLiftVector:
@@ -304,7 +204,7 @@ class TestLiftVector:
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 2)
         lifted = lift_vector(model, model.node_values[:, :, None])
         z, w = 1.37, 4.81
         got = eval_model(lifted, z, w)[0]
@@ -315,7 +215,7 @@ class TestLiftVector:
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 2)
         shape = model.node_values.shape + (3,)
         lifted = lift_vector(model, np.zeros(shape, dtype=complex))
         np.testing.assert_array_equal(eval_model(lifted, 1.4, 4.6), 0.0)
@@ -324,7 +224,7 @@ class TestLiftVector:
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 2)
         with pytest.raises(ValueError):
             lift_vector(model, np.zeros((1, 1, 3), dtype=complex))
 
@@ -507,7 +407,7 @@ class TestEvalModel:
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 2)
         xi = model.z_nodes[0]
         w_test = 4.44
         got = eval_model(model, xi, w_test)
@@ -523,7 +423,7 @@ class TestEvalModel:
         # node pairs
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
-        model = paaa_fit(1.0 / (s[:, None] - p[None, :]), s, p)
+        model = paaa_fit(1.0 / (s[:, None] - p[None, :]), s, p, 2)
         if n is not None:
             rng = np.random.default_rng(3)
             shape = model.node_values.shape + (n,)
@@ -543,5 +443,5 @@ class TestEvalModel:
         s = np.linspace(1.0, 2.0, 10)
         p = np.linspace(4.0, 5.0, 10)
         D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
+        model = paaa_fit(D, s, p, 2)
         assert abs(eval_model(model, 5.0, 2.0) - 1.0 / 3.0) <= 1e-13

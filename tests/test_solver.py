@@ -650,22 +650,25 @@ class TestSweep:
         assert peak <= 2e6
 
 
+def _reciprocal_fit_model():
+    """The fit of 1/(z - p) on a 10 x 10 grid as the scalar_model of a
+    stand-in for an OfflineModel, the one field the scalar probe reads."""
+    s = np.linspace(1.0, 2.0, 10)
+    p = np.linspace(4.0, 5.0, 10)
+    D = 1.0 / (s[:, None] - p[None, :])
+    return SimpleNamespace(scalar_model=paaa_fit(D, s, p, 2))
+
+
 class TestScalarProbe:
     def test_moving_pole(self):
-        s = np.linspace(1.0, 2.0, 10)
-        p = np.linspace(4.0, 5.0, 10)
-        D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
+        model = _reciprocal_fit_model()
         poles = scalar_probe_eigenvalues(model, 0.3)
         assert len(poles) == 1
         assert abs(poles[0] - 0.3) <= 1e-12
 
     def test_parameter_on_node(self):
-        s = np.linspace(1.0, 2.0, 10)
-        p = np.linspace(4.0, 5.0, 10)
-        D = 1.0 / (s[:, None] - p[None, :])
-        model = paaa_fit(D, s, p)
-        p_node = model.p_nodes[0]
+        model = _reciprocal_fit_model()
+        p_node = model.scalar_model.p_nodes[0]
         poles = scalar_probe_eigenvalues(model, p_node)
         assert abs(poles[0] - p_node) <= 1e-10
 
