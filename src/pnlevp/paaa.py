@@ -15,13 +15,16 @@ its node value.  Nodes are picked greedily at the worst-error grid point
 until the fit has the z-node count it is given (m + 1 for a pole part of
 degree m) and meets its tolerance or its p-node budget; the unit-norm
 coefficients a_ij minimize the linearized residual over the grid in a
-least-squares sense, its rows filled and QR-reduced a block at a time so
-that the whole row matrix is never held.  Once the nodes are fixed,
-refit_coefficients re-solves the coefficients against a stack of grid
-functions sharing those nodes (the set-valued AAA idea), so one set of
-coefficients serves every function in the stack, such as the probe's refit
-stack.  collapse_lifts turns those coefficients and the exact samples at
-the p-nodes into the p-only barycentric forms that online evaluates.
+least-squares sense.  Their row matrix is never formed: the rows of one
+parameter sample and one grid function factor exactly into a tall matrix of
+2 mz columns (mz the z-node count) times a small one, so each such pair
+contributes only the 2 mz rows of its triangular factor times the small
+one.  Once the nodes are fixed, refit_coefficients re-solves the
+coefficients against a stack of grid functions sharing those nodes (the
+set-valued AAA idea), so one set of coefficients serves every function in
+the stack, such as the probe's refit stack.  collapse_lifts turns those
+coefficients and the exact samples at the p-nodes into the p-only
+barycentric forms that online evaluates.
 """
 from dataclasses import dataclass, field, replace
 
@@ -33,8 +36,6 @@ from .errors import EvaluationError
 FIT_TOL = 1e-12
 _NODE_TOL = 1e-14
 _DENOM_FLOOR = 1e-300
-# rows of M filled and reduced at a time by _solve_coefficients
-_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -197,66 +198,44 @@ def _solve_coefficients(D, s, p, zi, pj):
 
     D is one grid function (ns, np) or a stack of them (ns, np, k); a stack
     contributes the rows of each of its functions.  The coefficients are the
-    last right singular vector of the stacked row matrix M, which has a row
-    for every grid point and so is never wide.  M itself is never formed:
-    its rows are filled in blocks of at most _BLOCK_ROWS into one buffer,
-    each block is reduced to its triangular QR factor, and the stacked
-    factors are reduced once more to the square factor R of M (TSQR;
-    Demmel, Grigori, Hoemmen & Langou, SISC 2012), whose right singular
-    vectors are those of M.  With a z-node at every sample point, M holds
-    nothing that ties one z-node's coefficients to another's: ValueError.
+    last right singular vector of the row matrix M, which has a row for
+    every grid point (s_a, p_b) of every function: at coefficient (i, j) it
+    holds (D(s_a, p_b) - D(xi_i, pi_j)) Cz[a, i] Cp[b, j], with the Cauchy
+    matrices Cz, Cp of _cauchy, so a node line gives the 1-D barycentric row
+    of its node and a node pair, interpolated exactly, a zero row.
+
+    M is never formed.  Splitting D(s_a, p_b) - D(xi_i, pi_j) at D(xi_i, p_b)
+    factors the ns rows of one parameter p_b and one function exactly as
+    A E: A = [U, Cz] (ns, 2 mz) with U[a, i] = Cz[a, i] (D(s_a, p_b) -
+    D(xi_i, p_b)), a divided difference, and E[:, (i, j)] = Cp[b, j] (e_i;
+    (D(xi_i, p_b) - D(xi_i, pi_j)) e_i) (2 mz, mz mp).  So the triangular
+    factor of M is that of the stacked R(A) E, np k 2 mz rows; each
+    function takes one batched QR of its np matrices A.  With a z-node at
+    every sample point, M holds nothing that ties one z-node's coefficients
+    to another's: ValueError.
     """
     nz, npj = len(zi), len(pj)
     if nz == len(s):
         raise ValueError(f"all {nz} sample points are z-nodes, which leaves "
                          "the coefficients undetermined; use fewer z-nodes")
     G = D.reshape(D.shape[:2] + (-1,))
-    factors = _row_factors(G, s, p, zi, pj)
-    buf = np.empty((min(_BLOCK_ROWS, G.size), nz * npj), dtype=complex)
-    R = np.vstack([
-        np.linalg.qr(_residual_rows(G, s, p, zi, pj, start,
-                                    buf[:G.size - start], factors), mode="r")
-        for start in range(0, G.size, len(buf))])
-    _, _, Vh = np.linalg.svd(np.linalg.qr(R, mode="r"))
+    Cz, Cp = _cauchy(s, s[zi])[0], _cauchy(p, p[pj])[0]
+    A = np.empty((len(p), len(s), 2 * nz), dtype=complex)
+    A[:, :, nz:] = Cz
+    blocks = []
+    for f in range(G.shape[2]):
+        g = G[:, :, f].T  # (np, ns)
+        at_z = g[:, zi]  # D(xi_i, p_b), (np, mz)
+        np.multiply(g[:, :, None] - at_z[:, None, :], Cz, out=A[:, :, :nz])
+        R = np.linalg.qr(A, mode="r")
+        # D(xi_i, p_b) - D(xi_i, pi_j), (np, mz, mp)
+        delta = at_z[:, :, None] - at_z[pj].T[None]
+        RE = R[:, :, :nz, None] + R[:, :, nz:, None] * delta[:, None]
+        RE *= Cp[:, None, None, :]
+        blocks.append(RE.reshape(-1, nz * npj))
+    _, _, Vh = np.linalg.svd(np.linalg.qr(np.vstack(blocks), mode="r"))
     alpha = Vh[-1].conj().reshape(nz, npj)
     return alpha / np.linalg.norm(alpha)
-
-
-def _row_factors(G, s, p, zi, pj):
-    """The Cauchy matrices Cz (ns, mz) and Cp (np, mp) of _cauchy and the
-    node values (mz, mp, k) from which _residual_rows builds its rows."""
-    return _cauchy(s, s[zi])[0], _cauchy(p, p[pj])[0], G[np.ix_(zi, pj)]
-
-
-def _residual_rows(G, s, p, zi, pj, start=0, out=None, factors=None):
-    """Rows start, start + 1, ... of the linearized-residual matrix M of the
-    grid functions G[:, :, f], written into out and returned (by default a
-    new array holding every row from start on).
-
-    M holds the rows of each function one after another, and a function's
-    rows run over the grid points (s_a, p_b), b fastest.  The row of point
-    (s_a, p_b) holds (D(s_a, p_b) - D(xi_i, pi_j)) times Cz[a, i] Cp[b, j]
-    at coefficient (i, j).  On a node line it is therefore the 1-D
-    barycentric row of that node, and a node pair, which is interpolated
-    exactly, gives a zero row.  factors is _row_factors(G, s, p, zi, pj),
-    formed here when not given; a caller that fills M block by block forms
-    it once.
-    """
-    nq = G.shape[1]
-    n = G.shape[0] * nq  # rows per function
-    if out is None:
-        out = np.empty((G.size - start, len(zi) * len(pj)), dtype=complex)
-    Cz, Cp, N = factors or _row_factors(G, s, p, zi, pj)
-    stop = start + len(out)
-    rows = out.reshape(len(out), len(zi), len(pj))
-    for f in range(start // n, (stop - 1) // n + 1):
-        lo, hi = max(start, f * n), min(stop, (f + 1) * n)
-        a, b = np.divmod(np.arange(lo, hi) - f * n, nq)
-        block = rows[lo - start:hi - start]
-        np.subtract(G[a, b, f][:, None, None], N[:, :, f], out=block)
-        block *= Cz[a, :, None]
-        block *= Cp[b, None, :]
-    return out
 
 
 def _eval_grid(model, s, p):

@@ -116,6 +116,12 @@ def offline(problem, domain, config, N, fit_opts=None):
     rule = build_trapezoid_rule(domain, N)
     samples = probe_samples(problem, rule, config, domain)
     b, c = samples.left, samples.right  # (r, q, n) each
+    if not np.any(samples.stack[:, :, 0]):
+        # the greedy would pick its nodes on nothing: a model constant in p
+        raise ValueError("the probed scalar (mean left direction)^T H (mean "
+                         "right direction) is 0 at every sample: the probing "
+                         "directions of one side sum to zero or H annihilates "
+                         "their mean; draw other directions")
     m, gap, bases = consistency_rank_check(config, b, c, rank_tol)
 
     if m == config.r:

@@ -131,13 +131,17 @@ def test_damped_string1_max_residual_under_probing_seed(seed):
 
 
 def test_damped_string1_max_residual_one_blas_thread():
-    # with one BLAS thread, rounding picks another null vector of the
-    # nearly rank-deficient greedy system, and with it another p-degree
-    # (9 against 10); only the residual gate is checked, margin printed
+    # the greedy system is nearly rank-deficient from 5 x 10 nodes on, so
+    # the fit must not let the BLAS thread count pick its null vector: one
+    # thread builds the degrees of the pinned run, (4, 10), and meets its
+    # residual gate, margin printed
     code = ("import json\n"
             "from pnlevp.benchmarks import run_benchmark\n"
-            "checks = run_benchmark('damped-string-1').checks\n"
-            "print(json.dumps([(l, bool(ok), d) for l, ok, d in checks]))")
+            "result = run_benchmark('damped-string-1')\n"
+            "md = result.model.metadata\n"
+            "print(json.dumps({'degrees': [md['z_degree'], md['p_degree']],\n"
+            "                  'checks': [(l, bool(ok), d)\n"
+            "                             for l, ok, d in result.checks]}))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -145,7 +149,9 @@ def test_damped_string1_max_residual_one_blas_thread():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    for label, ok, detail in json.loads(proc.stdout):
+    out = json.loads(proc.stdout)
+    assert tuple(out["degrees"]) == (4, 10)
+    for label, ok, detail in out["checks"]:
         if "max residual" in label:
             _criterion(f"damped-string-1, one BLAS thread: {label}", ok,
                        detail)

@@ -17,18 +17,17 @@ def _grid_eval(model, s, p):
     return np.array([[eval_model(model, z, w) for w in p] for z in s])
 
 
-def _record_blocks(monkeypatch):
-    """Copies of the row blocks that _solve_coefficients fills, in order."""
-    blocks = []
-    fill = paaa._residual_rows
-
-    def recorded(*args):
-        rows = fill(*args)
-        blocks.append(rows.copy())
-        return rows
-
-    monkeypatch.setattr(paaa, "_residual_rows", recorded)
-    return blocks
+def _residual_rows(G, s, p, zi, pj):
+    """The linearized-residual matrix M that _solve_coefficients reduces,
+    formed in full: one row per grid point (s_a, p_b), b fastest, for each
+    grid function G[:, :, f] in turn, holding (D(s_a, p_b) - D(xi_i, pi_j))
+    Cz[a, i] Cp[b, j] at coefficient (i, j)."""
+    G = G.reshape(G.shape[:2] + (-1,))
+    Cz = paaa._cauchy(s, s[zi])[0]
+    Cp = paaa._cauchy(p, p[pj])[0]
+    diff = G[:, :, None, None, :] - G[np.ix_(zi, pj)][None, None]
+    rows = diff * Cz[:, None, :, None, None] * Cp[None, :, None, :, None]
+    return np.moveaxis(rows, 4, 0).reshape(-1, len(zi) * len(pj))
 
 
 class TestPaaaFit:
@@ -311,24 +310,16 @@ class TestRefitCoefficients:
 
 class TestSolveCoefficients:
     def test_qr_first_matches_full_svd_on_delay_refit_stack(self,
-                                                             delay_probed,
-                                                             monkeypatch):
+                                                             delay_probed):
         config, samples = delay_probed
         s, p = config.sample_points, config.parameter_points
         greedy = paaa_fit(samples.stack[:, :, 0], s, p, tol=1e-11, z_nodes=5)
         G = samples.stack / np.max(np.abs(samples.stack), axis=(0, 1))
         zi = node_indices(greedy.z_nodes, s)
         pj = node_indices(greedy.p_nodes, p)
-        blocks = _record_blocks(monkeypatch)
         alpha = paaa._solve_coefficients(G, s, p, zi, pj)
 
-        # the stack's rows, concatenated from the blocks, are those of its
-        # functions, one after the other
-        assert len(blocks) > 1
-        M = np.vstack(blocks)
-        np.testing.assert_array_equal(M, np.vstack([
-            paaa._residual_rows(G[:, :, f:f + 1], s, p, zi, pj)
-            for f in range(G.shape[2])]))
+        M = _residual_rows(G, s, p, zi, pj)
         assert M.shape[0] > M.shape[1]
         _, sv, Vh = np.linalg.svd(M, full_matrices=False)
         eps = np.finfo(float).eps
@@ -343,30 +334,56 @@ class TestSolveCoefficients:
         assert (np.linalg.norm(alpha - phase * v)
                 <= eps * sv[0] / (sv[-2] - sv[-1]))
 
-    @pytest.mark.parametrize("block_rows", [7, 50])
-    def test_block_boundaries_leave_coefficients(self, block_rows,
-                                                 monkeypatch):
+    @staticmethod
+    def _exactly_rational():
         # two functions with the common denominator Q of degree (2, 2),
         # exactly rational on 3 x 3 nodes, so that the null vector is well
-        # separated; 12 x 9 points give 216 rows, a multiple of neither
-        # block size, and node lines of q = 9 rows that blocks of 7 cut
+        # separated
         s = 1j * np.linspace(-1.0, 1.0, 12)
         p = np.linspace(1.0, 2.0, 9)
         z, w = s[:, None], p[None, :]
         Q = (z - w - 3.0) * (z * w + 2.0)
         G = np.stack([1.0 / Q, (z + w) / Q], axis=2)
-        zi, pj = [0, 5, 11], [1, 4, 8]
-        monkeypatch.setattr(paaa, "_BLOCK_ROWS", G.size)
-        whole = paaa._solve_coefficients(G, s, p, zi, pj)
-        monkeypatch.setattr(paaa, "_BLOCK_ROWS", block_rows)
-        blocks = _record_blocks(monkeypatch)
-        alpha = paaa._solve_coefficients(G, s, p, zi, pj)
-        assert max(len(b) for b in blocks) == block_rows
-        np.testing.assert_array_equal(
-            np.vstack(blocks), paaa._residual_rows(G, s, p, zi, pj))
-        phase = np.vdot(whole, alpha)
+        return s, p, G, [0, 5, 11], [1, 4, 8]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exactly_rational_matches_full_svd(self, k):
+        # k = 1 passes one grid function as a 2-D array
+        s, p, G, zi, pj = self._exactly_rational()
+        D = G[:, :, 0] if k == 1 else G
+        alpha = paaa._solve_coefficients(D, s, p, zi, pj)
+        v = np.linalg.svd(_residual_rows(D, s, p, zi, pj))[2][-1].conj()
+        v = v.reshape(alpha.shape)
+        phase = np.vdot(v, alpha)
         phase /= abs(phase)
-        assert np.max(np.abs(alpha - phase * whole)) <= 1e-12
+        assert np.max(np.abs(alpha - phase * v)) <= 1e-12
+
+    def test_parameter_factors_give_the_rows(self):
+        # the ns rows of parameter p_b and function f are A E, A = [U, Cz]
+        # and E as in _solve_coefficients; z-node lines give indicator rows
+        # of Cz and p-node lines indicator rows of Cp, and node pairs zero
+        # rows, all of which the product must keep
+        s, p, G, zi, pj = self._exactly_rational()
+        M = _residual_rows(G, s, p, zi, pj)
+        Cz = paaa._cauchy(s, s[zi])[0]
+        Cp = paaa._cauchy(p, p[pj])[0]
+        nz, npj = len(zi), len(pj)
+        for f in range(G.shape[2]):
+            for b in range(len(p)):
+                g = G[:, b, f]
+                A = np.hstack([Cz * (g[:, None] - g[zi][None, :]), Cz])
+                E = np.zeros((2 * nz, nz, npj), dtype=complex)
+                for i in range(nz):
+                    E[i, i] = Cp[b]
+                    E[nz + i, i] = Cp[b] * (g[zi[i]] - G[zi[i], pj, f])
+                want = M[(f * len(s) + np.arange(len(s))) * len(p) + b]
+                got = A @ E.reshape(2 * nz, -1)
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-14 * np.max(np.abs(M)))
+                zero = np.all(want == 0, axis=1)
+                np.testing.assert_array_equal(got[zero], 0)
+        # the grid holds node lines and node pairs
+        assert np.count_nonzero(np.all(M == 0, axis=1)) == 2 * nz * npj
 
     def test_solve_memory_stays_in_blocks(self):
         # a stack of damped-string-1's size: 5 functions on 500 x 25 points,
@@ -394,7 +411,7 @@ class TestSolveCoefficients:
         p = 10.0 + np.arange(4.0)
         D = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         zi, pj = [0, 1, 2], [0, 1, 2]
-        M = paaa._residual_rows(D[:, :, None], s, p, zi, pj)
+        M = _residual_rows(D, s, p, zi, pj)
         assert M.shape == (16, 9)
         assert np.count_nonzero(np.any(M != 0, axis=1)) == 7
         alpha = paaa._solve_coefficients(D, s, p, zi, pj)

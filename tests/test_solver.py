@@ -106,6 +106,23 @@ class TestOffline:
                                              f"q = {q}, r = {r}"):
             offline(problem, domain, config, 64)
 
+    def test_zero_scalar_rejected(self):
+        # the last left direction cancels the others, so the mean left
+        # direction, and with it the scalar the fit chooses its nodes on, is
+        # exactly 0, and a fit on it would give a model constant in p
+        problem = LinearDemoProblem()
+        domain = Disk(0.0, 0.6)
+        config = default_sampling(domain, 8, 12, (0.75, 1.25), seed=2,
+                                  dim=problem.dim)
+        left = config.left_dirs.copy()
+        left[-1] = -left[:-1].sum(axis=0)
+        config = replace(config, left_dirs=left)
+        assert not np.any(config.left_dirs.mean(axis=0))
+        with pytest.raises(ValueError, match="probed scalar .* is 0 at every "
+                                             "sample: the probing directions "
+                                             "of one side sum to zero"):
+            offline(problem, domain, config, 256)
+
     def test_unknown_fit_option_rejected(self):
         problem = LinearDemoProblem()
         domain = Disk(0.0, 0.6)
