@@ -22,8 +22,8 @@ from .errors import (EvaluationError, ModelFormatError, RankConsistencyError,
                      RealizationError, SingularMatrixError,
                      UnsupportedProblemError)
 from .problems import get_problem
-from .solver import (FIT_TOL, RANK_TOL, load_model, offline, online,
-                     residuals, save_model, write_atomic)
+from .solver import (FIT_TOL, load_model, offline, online, residuals,
+                     save_model, write_atomic)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -82,10 +82,10 @@ def _build_parser():
     p_off.add_argument("--seed", type=int, default=0)
     p_off.add_argument("--tol", type=float, default=FIT_TOL,
                        help="rational fit tolerance")
-    p_off.add_argument("--rank-tol", type=float, default=RANK_TOL)
-    p_off.add_argument("--inflation", type=float, default=4.0 / 3.0,
-                       help="sampling boundary scale factor")
-    _add_domain_args(p_off, "--sampling-disk", "--sampling-ellipse",
+    boundary = p_off.add_argument_group(
+        "sampling boundary", "strictly outside the domain (default: the "
+        "domain with its semi-axes scaled by 4/3)")
+    _add_domain_args(boundary, "--sampling-disk", "--sampling-ellipse",
                      dest_prefix="sampling_")
     p_off.add_argument("--out", required=True, help="model file to write")
     p_off.set_defaults(func=cmd_offline)
@@ -93,7 +93,6 @@ def _build_parser():
     p_on = sub.add_parser("online", help="extract eigenvalues at one parameter")
     p_on.add_argument("--model", required=True)
     p_on.add_argument("--p", required=True, help="parameter value (complex ok)")
-    p_on.add_argument("--rank-tol", type=float, default=None)
     p_on.add_argument("--json", action="store_true",
                       help="emit machine-readable output")
     p_on.add_argument("--out", default=None, help="write output to a file")
@@ -161,11 +160,10 @@ def cmd_offline(args):
                                     required=False)
     p_range = _parse_range(args.p)
     config = default_sampling(domain, args.r, args.q, p_range, args.seed,
-                              problem.dim, inflation=args.inflation,
-                              sampling_domain=sampling_domain)
+                              problem.dim, sampling_domain=sampling_domain)
     t0 = time.perf_counter()
     model = offline(problem, domain, config, args.N,
-                    fit_opts={"tol": args.tol, "rank_tol": args.rank_tol})
+                    fit_opts={"tol": args.tol})
     elapsed = time.perf_counter() - t0
     save_model(model, args.out)
     meta = model.metadata
@@ -186,7 +184,7 @@ def cmd_offline(args):
 def cmd_online(args):
     model = load_model(args.model)
     p_hat = complex(args.p)
-    sol = online(model, p_hat, rank_tol=args.rank_tol)
+    sol = online(model, p_hat)
     res = _residuals_if_available(model, sol)
     if args.json:
         doc = {

@@ -26,6 +26,8 @@ _BOUNDARY_TOL = 1e-14
 # random combinations of the left (and as many of the right) samples that
 # join the scalar in the coefficient refit
 _LIFT_SKETCHES = 2
+# the default sampling boundary scales the domain's semi-axes by this
+SAMPLING_SCALE = 4.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -160,20 +162,19 @@ class SamplingConfig:
             left_dirs=self.left_dirs[rows], right_dirs=self.right_dirs[cols])
 
 
-def default_sampling(domain, r, q, p_range, seed, dim, inflation=4.0 / 3.0,
-                     sampling_domain=None):
-    """Standard sampling setup: 2r points uniformly spaced on an inflated copy
-    of the domain boundary, interlaced into theta/sigma; q uniformly spaced
-    parameter points; complex standard-normal probing directions."""
+def default_sampling(domain, r, q, p_range, seed, dim, sampling_domain=None):
+    """Standard sampling setup: 2r points uniformly spaced on the boundary
+    of sampling_domain (by default scale_domain(domain, SAMPLING_SCALE)),
+    interlaced into theta/sigma; q uniformly spaced parameter points;
+    complex standard-normal probing directions.  Raises ValueError for a
+    sample point that is not strictly outside the closed domain."""
     if r < 1 or q < 1:
         raise ValueError("need r >= 1 and q >= 1")
-    if not (np.isfinite(inflation) and inflation > 1.0):
-        raise ValueError(f"inflation factor {inflation} must be a finite "
-                         "number exceeding 1")
     p0, p1 = p_range
     if not (np.isfinite(p0) and np.isfinite(p1)):
         raise ValueError(f"parameter range bounds {p0}, {p1} must be finite")
-    boundary = sampling_domain if sampling_domain is not None else scale_domain(domain, inflation)
+    boundary = (sampling_domain if sampling_domain is not None
+                else scale_domain(domain, SAMPLING_SCALE))
     t = 2 * np.pi * np.arange(2 * r) / (2 * r)
     s = boundary.gamma(t)
     _check_outside(domain, s)

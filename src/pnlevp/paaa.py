@@ -76,9 +76,8 @@ def paaa_fit(grid_values, s_points, p_points, z_nodes, tol=FIT_TOL):
     remaining ones), or when the z-node count and the p-node budget are both
     reached; then the model of least error among those with z_nodes z-nodes
     is returned.  Its max_error tells which (above tol), and error_history
-    holds the error of every iteration.  All-zero data gives the zero model
-    with the first z_nodes sample points as z-nodes, the first parameter
-    point as its one p-node and equal unit-norm coefficients.
+    holds the error of every iteration.  All-zero data, which gives the
+    greedy no node to pick, raises ValueError.
     """
     D = np.asarray(grid_values, dtype=complex)
     s = np.asarray(s_points, dtype=complex)
@@ -95,11 +94,7 @@ def paaa_fit(grid_values, s_points, p_points, z_nodes, tol=FIT_TOL):
     max_p_nodes = max(2, len(p) // 2)
     scale = np.max(np.abs(D))
     if scale == 0.0:
-        return BarycentricModel2D(
-            z_nodes=s[:z_nodes], p_nodes=p[:1],
-            coeffs=np.full((z_nodes, 1), 1 / np.sqrt(z_nodes), dtype=complex),
-            node_values=np.zeros((z_nodes, 1), dtype=complex),
-        )
+        raise ValueError("grid_values are 0 at every sample: no node to fit")
 
     i0, j0 = np.unravel_index(np.argmax(np.abs(D)), D.shape)
     zi = [int(i0)]

@@ -106,7 +106,6 @@ def offline(problem, domain, config, N, fit_opts=None):
         raise ValueError(f"offline needs q >= 3 parameter samples and r >= 2 "
                          f"directions, got q = {config.q}, r = {config.r}")
     opts = dict(fit_opts or {})
-    rank_tol = _checked_rank_tol(opts.pop("rank_tol", RANK_TOL))
     tol = opts.pop("tol", FIT_TOL)
     if opts:
         raise ValueError(f"unknown fit options: {sorted(opts)}")
@@ -122,7 +121,7 @@ def offline(problem, domain, config, N, fit_opts=None):
                          "right direction) is 0 at every sample: the probing "
                          "directions of one side sum to zero or H annihilates "
                          "their mean; draw other directions")
-    m, gap, bases = consistency_rank_check(config, b, c, rank_tol)
+    m, gap, bases = consistency_rank_check(config, b, c, RANK_TOL)
 
     if m == config.r:
         warnings.warn(f"the Loewner rank fills all r = {m} probing "
@@ -136,14 +135,14 @@ def offline(problem, domain, config, N, fit_opts=None):
                       config.parameter_points, m + 1, tol=tol)
     scalar_model = refit_coefficients(
         greedy, samples.stack, config.sample_points, config.parameter_points)
-    rows, cols = select_directions(config, m, b, c, bases, rank_tol)
+    rows, cols = select_directions(config, m, b, c, bases, RANK_TOL)
     b, c = b[rows], c[cols]
     kept = config.subset(rows, cols)
     pj = node_indices(scalar_model.p_nodes, config.parameter_points)
     metadata = {
         "problem_name": getattr(problem, "name", "custom"),
         "N": N,
-        "rank_tol": rank_tol,
+        "rank_tol": RANK_TOL,
         "fit_tol": tol,
         "z_degree": len(scalar_model.z_nodes) - 1,
         "p_degree": len(scalar_model.p_nodes) - 1,
@@ -169,14 +168,13 @@ def offline(problem, domain, config, N, fit_opts=None):
     return model
 
 
-def _checked_rank_tol(rank_tol, error=ValueError):
-    """rank_tol, unless it is not a real number in (0, 1), which NaN and
-    inf are not: then error."""
+def _checked_rank_tol(rank_tol):
+    """Raise ModelFormatError unless rank_tol is a real number in (0, 1),
+    which NaN and inf are not."""
     if (isinstance(rank_tol, bool) or not isinstance(rank_tol, numbers.Real)
             or not 0 < rank_tol < 1):
-        raise error(
+        raise ModelFormatError(
             f"rank_tol must be a finite number in (0, 1), got {rank_tol!r}")
-    return rank_tol
 
 
 def _tangential_error(model, want):
@@ -193,17 +191,17 @@ def _tangential_error(model, want):
     return worst
 
 
-def online(model, p_hat, rank_tol=None):
-    """Extract eigenvalues and eigenvectors at an arbitrary parameter."""
+def online(model, p_hat):
+    """Extract eigenvalues and eigenvectors at an arbitrary parameter, at
+    the rank tolerance that offline checked the kept directions with,
+    model.metadata["rank_tol"] (RANK_TOL where a model has none)."""
     p_hat = _checked_parameter(p_hat)
-    if rank_tol is None:
-        rank_tol = model.metadata.get("rank_tol", RANK_TOL)
-    _checked_rank_tol(rank_tol)
     _warn_if_extrapolating(model, p_hat)
     vals, min_denominator = eval_collapsed(model.collapsed, p_hat)
     r = model.config.r
     eigenvalues, V, W, diagnostics = realize(
-        model.config, vals[:r], vals[r:], model.m, rank_tol)
+        model.config, vals[:r], vals[r:], model.m,
+        model.metadata.get("rank_tol", RANK_TOL))
     diagnostics["min_denominator"] = min_denominator
     return EigenSolution(
         p_hat=p_hat, eigenvalues=eigenvalues, V=V, W=W,
@@ -417,9 +415,9 @@ def load_model(path):
                 f"model order m = {m!r} is not an integer in [0, {config.r}]")
         if not isinstance(metadata, dict):
             raise ModelFormatError("model metadata must be a JSON object")
-        _checked_rank_tol(metadata.get("rank_tol", RANK_TOL), ModelFormatError)
-        # the top-level problem_name and the scalar_fit keys converged and
-        # max_error of older files are ignored: metadata holds each fact once
+        _checked_rank_tol(metadata.get("rank_tol", RANK_TOL))
+        # metadata holds each fact once: a top-level problem_name and the
+        # scalar_fit keys converged and max_error are not read
         fit = doc.get("scalar_fit", {})
         if not isinstance(fit, dict):
             raise ModelFormatError("scalar_fit must be a JSON object")

@@ -17,7 +17,7 @@ import pytest
 from pnlevp.benchmarks import (build_offline, get_benchmark, run_benchmark,
                                sweep)
 from pnlevp.contour import Disk, build_trapezoid_rule, default_sampling, \
-    probe_samples
+    probe_samples, scale_domain
 from pnlevp.loewner import build_loewner, realize
 from pnlevp.paaa import eval_model, paaa_fit
 from pnlevp.problems import SyntheticRationalProblem
@@ -252,7 +252,7 @@ def test_property_quadrature_monotone_under_doubling():
     prob = SyntheticRationalProblem.inside_domain(domain, 2, (0.0, 1.0),
                                                   seed=40)
     config = default_sampling(domain, 3, 2, (0.0, 1.0), seed=2, dim=prob.dim,
-                              inflation=1.5)
+                              sampling_domain=scale_domain(domain, 1.5))
     H = np.array([[prob.exact_H(si, pj) for pj in config.parameter_points]
                   for si in config.sample_points])
     want = _contracted(config, H)

@@ -127,8 +127,7 @@ class TestOffline:
         assert "must be finite" in proc.stderr
 
     @pytest.mark.parametrize("flag, value", [
-        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-12"),
-        ("--rank-tol", "nan"), ("--rank-tol", "0"), ("--rank-tol", "1")])
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-12")])
     def test_bad_tolerance_exits_2_writing_nothing(self, tmp_path, capsys,
                                                    flag, value):
         assert main(["offline", "--problem", "linear-demo",
@@ -138,15 +137,36 @@ class TestOffline:
         assert "must be a finite number" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "1"])
-    def test_bad_inflation_exits_2_writing_nothing(self, tmp_path, capsys,
-                                                   value):
-        assert main(["offline", "--problem", "linear-demo",
-                     "--disk", "0,0,0.6", "--p", "0.75:1.25", "--q", "4",
-                     "--r", "4", "--N", "16", f"--inflation={value}",
+    def test_sampling_disk_places_the_sample_points(self, tmp_path):
+        # a radius other than 0.1, the default boundary of this domain
+        path = tmp_path / "m.json"
+        assert main(["offline", "--problem", "delay", "--disk", "0,0,0.075",
+                     "--sampling-disk", "0,0,0.15", "--p", "30:35",
+                     "--q", "40", "--r", "20", "--N", "128", "--seed", "7",
+                     "--out", str(path)]) == 0
+        np.testing.assert_allclose(
+            np.abs(load_model(path).config.sample_points), 0.15, atol=1e-15)
+
+    @pytest.mark.parametrize("boundary", [
+        ["--sampling-disk", "0,0,0.05"],
+        ["--sampling-ellipse", "0,0,0.1,0.05"]], ids=["disk", "ellipse"])
+    def test_crossing_sampling_boundary_exits_2_writing_nothing(
+            self, tmp_path, capsys, boundary):
+        assert main(["offline", "--problem", "delay", "--disk", "0,0,0.075",
+                     *boundary, "--p", "30:35", "--q", "4", "--r", "4",
+                     "--N", "16", "--out", str(tmp_path / "m.json")]) == 2
+        assert ("is not strictly outside the domain"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sampling_disk_and_ellipse_exit_2(self, tmp_path, capsys):
+        assert main(["offline", "--problem", "delay", "--disk", "0,0,0.075",
+                     "--sampling-disk", "0,0,0.1",
+                     "--sampling-ellipse", "0,0,0.1,0.2", "--p", "30:35",
+                     "--q", "4", "--r", "4", "--N", "16",
                      "--out", str(tmp_path / "m.json")]) == 2
-        assert (f"inflation factor {float(value)} must be a finite number "
-                "exceeding 1" in capsys.readouterr().err)
+        assert ("either a disk or an ellipse, not both"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("p_range, bound", [
@@ -438,16 +458,6 @@ class TestOnline:
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and message in err and out == ""
         assert "matmul" not in err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "2"])
-    def test_bad_rank_tol_exits_2_writing_nothing(self, delay_model, tmp_path,
-                                                  capsys, value):
-        assert main(["online", "--model", str(delay_model), "--p", "32",
-                     f"--rank-tol={value}",
-                     "--out", str(tmp_path / "out.txt")]) == 2
-        assert ("rank_tol must be a finite number in (0, 1)"
-                in capsys.readouterr().err)
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_non_finite_parameter_exits_2(self, delay_model, p):

@@ -388,6 +388,14 @@ class TestDefaultSampling:
         for s in config.sample_points:
             assert abs(ell._margin(s)) <= 1e-12
 
+    def test_default_boundary_is_the_scaled_domain(self):
+        domain = Ellipse(0.2 - 0.1j, 0.5, 0.3)
+        default, scaled = (
+            default_sampling(domain, 6, 3, (0.0, 1.0), seed=0, dim=2,
+                             sampling_domain=boundary).sample_points
+            for boundary in (None, scale_domain(domain, 4 / 3)))
+        np.testing.assert_array_equal(default, scaled)
+
     def test_first_point_inside_is_named(self):
         # the third of 8 points on this ellipse, near 0.5i, is the first one
         # inside the unit disk
@@ -417,6 +425,3 @@ class TestDefaultSampling:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             default_sampling(Disk(0.0, 1.0), 0, 3, (0.0, 1.0), seed=0, dim=2)
-        with pytest.raises(ValueError):
-            default_sampling(Disk(0.0, 1.0), 2, 3, (0.0, 1.0), seed=0, dim=2,
-                             inflation=1.0)

@@ -12,7 +12,7 @@ from scipy.linalg import lapack
 
 from pnlevp import loewner
 from pnlevp.contour import (Disk, SamplingConfig, build_trapezoid_rule,
-                            default_sampling, probe_samples)
+                            default_sampling, probe_samples, scale_domain)
 from pnlevp.errors import RankConsistencyError, RealizationError
 from pnlevp.loewner import (_OVERSAMPLING, _sketch, build_loewner,
                             consistency_rank_check, eigenvalue_order, realize)
@@ -514,7 +514,8 @@ class TestConsistencyRankCheck:
         problem = SyntheticRationalProblem([(0.2, 0.0), (-0.5, 2.0)], dim=4,
                                            seed=3)
         config = default_sampling(domain, 4, 2, (0.0, 1.0), seed=1,
-                                  dim=problem.dim, inflation=2.0)
+                                  dim=problem.dim,
+                                  sampling_domain=scale_domain(domain, 2.0))
         rule = build_trapezoid_rule(domain, 128)
         samples = probe_samples(problem, rule, config, domain)
         with pytest.raises(RankConsistencyError) as info:

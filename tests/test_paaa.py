@@ -133,17 +133,11 @@ class TestPaaaFit:
         with pytest.raises(ValueError):
             paaa_fit(np.ones((2, 3)), np.array([1.0, 2.0, 3.0]), p, 1)
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_zero_data_keeps_the_z_node_count(self, k):
+    def test_zero_data_refused(self):
         s = np.linspace(0.0, 1.0, 6)
         p = np.linspace(2.0, 3.0, 6)
-        model = paaa_fit(np.zeros((6, 6)), s, p, k)
-        np.testing.assert_array_equal(model.z_nodes, s[:k])
-        np.testing.assert_array_equal(model.p_nodes, p[:1])
-        np.testing.assert_array_equal(model.node_values, 0.0)
-        np.testing.assert_allclose(model.coeffs, 1 / np.sqrt(k), rtol=1e-15)
-        assert abs(np.linalg.norm(model.coeffs) - 1.0) <= 1e-14
-        assert eval_model(model, 0.37 + 0.1j, 2.61) == 0.0
+        with pytest.raises(ValueError, match="0 at every sample"):
+            paaa_fit(np.zeros((6, 6)), s, p, 3)
 
     @pytest.mark.parametrize("data", ["smooth", "noise"])
     @pytest.mark.parametrize("k", [1, 3, 6, 12])

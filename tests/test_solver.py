@@ -128,8 +128,10 @@ class TestOffline:
         domain = Disk(0.0, 0.6)
         config = default_sampling(domain, 4, 4, (0.75, 1.25), seed=0,
                                   dim=problem.dim)
-        with pytest.raises(ValueError):
-            offline(problem, domain, config, 64, fit_opts={"bogus": 1})
+        # the rank tolerance is loewner.RANK_TOL, not a fit option
+        for opts in ({"bogus": 1}, {"rank_tol": 1e-8}):
+            with pytest.raises(ValueError, match="unknown fit options"):
+                offline(problem, domain, config, 64, fit_opts=opts)
 
     def test_nonconverged_fit_warns(self):
         problem = LinearDemoProblem()
@@ -309,6 +311,25 @@ class TestOnline:
         _, model = linear1
         with pytest.raises(ValueError, match=r"parameter p = .* is not finite"):
             online(model, p_hat)
+
+    def test_realizes_at_the_saved_rank_tol(self, delay, tmp_path,
+                                            monkeypatch):
+        # a model answers at the tolerance its directions were checked with
+        _, model = delay
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["metadata"]["rank_tol"] = 1e-8
+        path.write_text(json.dumps(doc))
+        realize, seen = solver.realize, []
+
+        def spy(config, B, C, order, rank_tol):
+            seen.append(rank_tol)
+            return realize(config, B, C, order, rank_tol)
+
+        monkeypatch.setattr(solver, "realize", spy)
+        online(load_model(path), 32.5)
+        assert seen == [1e-8]
 
     @pytest.mark.parametrize("name", ["linear1", "delay", "synthetic3"])
     def test_rank_counts_every_eigenvalue(self, name, request):
@@ -801,7 +822,8 @@ class TestPersistence:
         assert doc["metadata"]["converged"] is True
 
     def test_old_scalar_fit_verdict_ignored(self, delay, tmp_path):
-        # older files also carry scalar_fit.converged, the refit stack's flag
+        # a scalar_fit.converged, which save_model does not write, is not
+        # read: metadata holds the one verdict
         _, model = delay
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -817,8 +839,8 @@ class TestPersistence:
                                       online(model, 32.5).eigenvalues)
 
     def test_one_record_per_fact(self, delay, tmp_path):
-        # the problem name and the fit error live only in metadata; older
-        # files that also hold them at the top level and in scalar_fit load
+        # the problem name and the fit error live only in metadata; a file
+        # that also holds them at the top level and in scalar_fit loads
         _, model = delay
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -1147,7 +1169,7 @@ class TestDirectionSelection:
             dirs[side] = d
         config = replace(
             default_sampling(Disk(0.0, 1.0), r, q, (0.0, 1.0), seed=0,
-                             dim=n, inflation=2.0),
+                             dim=n, sampling_domain=Disk(0.0, 2.0)),
             left_dirs=dirs["left"], right_dirs=dirs["right"])
         U, W = np.zeros((2, 2, n), dtype=complex)
         U[:, :3], W[:, :3] = rng.standard_normal((2, 2, 3))
