@@ -103,7 +103,7 @@ def get_benchmark(name):
     try:
         return BENCHMARKS[name]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown benchmark {name!r}; available: {', '.join(list_benchmarks())}"
         ) from None
 

@@ -37,10 +37,10 @@ the eigenvalue count m and must be the same at every p_j, and keeps the
 singular triplets it found.  select_directions then picks, by pivoted QR on
 those triplets, the r' <= r directions per side that online keeps, and
 accepts them only if their pencil gives the eigenvalues of the full one at
-every p_j.  realize and the rank check count the rank by one rule (_rank):
-the singular values above rank_tol (RANK_TOL by default) times the
-largest, of a sketch that the rank check widens until Weyl's bound
-certifies the count, or to the full width of L, which is exact.
+every p_j.  realize and the rank check count the rank by one rule (_rank)
+at one threshold: the singular values above RANK_TOL times the largest, of
+a sketch that the rank check widens until Weyl's bound certifies the
+count, or to the full width of L, which is exact.
 """
 
 import functools
@@ -66,7 +66,7 @@ _RANK_SKETCH = 16
 
 _log = logging.getLogger(__name__)
 
-# default relative threshold of the rank count (_rank)
+# relative threshold of every rank count (_rank), offline and online
 RANK_TOL = 1e-10
 
 
@@ -165,10 +165,10 @@ def _pencil_eig(X, s, Vh, sigma, B, Rd):
     return _eig(A, np.diag(s).astype(complex))
 
 
-def _rank(s, rank_tol):
-    """Count of the descending singular values s above rank_tol times the
+def _rank(s):
+    """Count of the descending singular values s above RANK_TOL times the
     largest (0 when the largest is 0)."""
-    return int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
+    return int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
 
 
 def _gap(s, m):
@@ -177,7 +177,7 @@ def _gap(s, m):
     return s[m - 1] / s[m] if 0 < m < len(s) and s[m] > 0 else np.inf
 
 
-def realize(config, B, C, order, rank_tol=RANK_TOL):
+def realize(config, B, C, order):
     """Eigenvalues, their right and left eigenvectors as the columns of V
     and W, and diagnostics of the pencil of the tangential samples: the rows
     b_i = H^T(theta_i) l_i of B and c_j = H(sigma_j) r_j of C, (r, n) each,
@@ -186,7 +186,7 @@ def realize(config, B, C, order, rank_tol=RANK_TOL):
     The pencil is truncated at rank m <= order, even if noise in the data
     raises the numerical rank above it; order = r truncates only by rank.
     Only L is formed, and it is sketched once, min(order + 8, r) wide:
-    m counts the sketched singular values above rank_tol times the largest,
+    m counts the sketched singular values above RANK_TOL times the largest,
     and the pencil is projected onto the leading m singular vectors (see
     _pencil_eig).  Of the m eigenvalues the finite ones are kept, in
     eigenvalue_order.
@@ -195,8 +195,8 @@ def realize(config, B, C, order, rank_tol=RANK_TOL):
     "rank", m; and for m > 0 "rank_gap", s_m / s_{m+1} of the sketched
     values (inf when the sketch holds no value past m), and
     "discarded_infinite", the count of non-finite eigenvalues dropped.
-    Non-finite tangential values, a numerically singular s_m and a failed
-    LAPACK routine raise RealizationError.
+    Non-finite tangential values and a failed LAPACK routine raise
+    RealizationError.
     """
     if not (np.isfinite(B).all() and np.isfinite(C).all()):
         raise RealizationError("tangential data hold a non-finite value")
@@ -205,17 +205,12 @@ def realize(config, B, C, order, rank_tol=RANK_TOL):
                  config.left_points[:, None] - sigma[None, :])
     X, s, Vh = _dominant_left(
         L, _sketch(L.shape[1], min(*L.shape, order + _OVERSAMPLING)))
-    m = min(_rank(s, rank_tol), order)
+    m = min(_rank(s), order)
     diagnostics = {"order": order, "singular_values": s, "rank": m}
     if m == 0:
         V, W = np.zeros((2, B.shape[1], 0), dtype=complex)
         return np.array([], dtype=complex), V, W, diagnostics
     diagnostics["rank_gap"] = float(_gap(s, m))
-    if not s[m - 1] > 1e-14 * s[0]:
-        raise RealizationError(
-            "projected Loewner matrix is numerically singular; use more or "
-            "different sample points"
-        )
     X, sm, Vh = X[:, :m], s[:m], Vh[:m]
     lam, S = _pencil_eig(X, sm, Vh, sigma, B, Rd)
     try:
@@ -233,7 +228,7 @@ def realize(config, B, C, order, rank_tol=RANK_TOL):
             Wstar[keep].conj().T, diagnostics)
 
 
-def consistency_rank_check(config, b, c, rank_tol=RANK_TOL):
+def consistency_rank_check(config, b, c):
     """Common rank m of the Loewner matrices L(p_j) of the tangential samples
     b, c (r, q, n) at the parameter samples, the smallest sigma_m /
     sigma_{m+1} over them, and per parameter the singular triplet
@@ -241,7 +236,7 @@ def consistency_rank_check(config, b, c, rank_tol=RANK_TOL):
 
     The rank equals the eigenvalue count m inside the domain; the parametric
     decomposition requires it to be the same for every sampled parameter.
-    Each rank counts the singular values above rank_tol times the largest
+    Each rank counts the singular values above RANK_TOL times the largest
     (_rank), from a Gaussian sketch of the leading ones (_sketched_rank):
     narrow where Weyl's bound certifies the count, and otherwise as wide as
     L, which is exact.  The gap is the certified bound, or the exact value
@@ -252,8 +247,8 @@ def consistency_rank_check(config, b, c, rank_tol=RANK_TOL):
     """
     D = config.left_points[:, None] - config.right_points[None, :]
     ranks, gaps, bases, full = zip(*(_sketched_rank(
-        _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j], D),
-        rank_tol) for j in range(b.shape[1])))
+        _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j], D))
+        for j in range(b.shape[1])))
     ranks = list(ranks)
     filled = (f"; the rank fills all r = {len(b)} directions, so the "
               "domain may hold more than r eigenvalues: raise r, or N if "
@@ -272,7 +267,7 @@ def consistency_rank_check(config, b, c, rank_tol=RANK_TOL):
     return ranks[0], float(min(gaps)), bases
 
 
-def _sketched_rank(L, rank_tol):
+def _sketched_rank(L):
     """The rank m of L (_rank) from a sketch of the leading singular values,
     a lower bound on sigma_m / sigma_{m+1} (inf when m = 0), the sketch's
     leading singular triplet (X, s, Vh) truncated to m, and whether the
@@ -282,8 +277,8 @@ def _sketched_rank(L, rank_tol):
     _sketch, which realize sketches with too), s the singular values of
     X^H L, and e = ||L - X X^H L||_F (plus a rounding allowance) bounds the
     rest.  By Weyl's inequality each sigma_i of L lies in [s_i, s_i + e]
-    for i < k, and below e beyond the sketch; so the threshold rank_tol *
-    sigma_0 lies in [rank_tol s_0, rank_tol (s_0 + e)].  The count is
+    for i < k, and below e beyond the sketch; so the threshold RANK_TOL *
+    sigma_0 lies in [RANK_TOL s_0, RANK_TOL (s_0 + e)].  The count is
     certified when every s_i clears that interval by e (above its top, or
     below its bottom) and e lies below its bottom; the gap is then
     s_{m-1} / (s_m + e).  A count that fills the sketch doubles k.  An
@@ -295,7 +290,7 @@ def _sketched_rank(L, rank_tol):
         X, s, Vh = _dominant_left(L, _sketch(L.shape[1], k))
         e = (np.linalg.norm(L - X @ (X.conj().T @ L))
              + k * np.finfo(float).eps * np.linalg.norm(L))
-        lo, hi = rank_tol * s[0], rank_tol * (s[0] + e)
+        lo, hi = RANK_TOL * s[0], RANK_TOL * (s[0] + e)
         above = s > hi
         m = int(np.count_nonzero(above))
         if m == k:
@@ -306,11 +301,11 @@ def _sketched_rank(L, rank_tol):
                     (X[:, :m].copy(), s[:m], Vh[:m].copy()), False)
         break
     X, s, Vh = _dominant_left(L, _sketch(L.shape[1], min(L.shape)))
-    m = _rank(s, rank_tol)
+    m = _rank(s)
     return m, _gap(s, m), (X[:, :m].copy(), s[:m], Vh[:m].copy()), True
 
 
-def select_directions(config, m, b, c, bases, rank_tol):
+def select_directions(config, m, b, c, bases):
     """Ascending indices of the left and right directions online keeps:
     the first r' pivots of column-pivoted QRs of the stacked singular
     vectors [X_1 ... X_q]^T and [V_1 ... V_q]^H of the L(p_j), a CUR
@@ -333,7 +328,7 @@ def select_directions(config, m, b, c, bases, rank_tol):
         cols += itertools.islice(orders[1], k - len(cols))
         I, J = np.sort(rows), np.sort(cols)
         kept = config.subset(I, J)
-        if all(_subset_matches(kept, b[I, j], c[J, j], m, want, rank_tol)
+        if all(_subset_matches(kept, b[I, j], c[J, j], m, want)
                for j, want in enumerate(reference)):
             return I, J
         k *= 2
@@ -356,15 +351,15 @@ def _pivot_order(A):
             A -= np.outer(q, np.einsum("i,ij->j", q.conj(), A))
 
 
-def _subset_matches(config, B, C, m, want, rank_tol):
+def _subset_matches(config, B, C, m, want):
     """Whether realize(config, B, C, m) gives len(want) == m eigenvalues
-    that match want both ways within rank_tol * max|want|."""
+    that match want both ways within RANK_TOL * max|want|."""
     try:
-        got = realize(config, B, C, m, rank_tol)[0]
+        got = realize(config, B, C, m)[0]
     except RealizationError:
         return False
     if len(got) != len(want):
         return False
     d = np.abs(got[:, None] - want[None, :])
     return max(d.min(axis=0).max(), d.min(axis=1).max()) <= (
-        rank_tol * np.max(np.abs(want)))
+        RANK_TOL * np.max(np.abs(want)))

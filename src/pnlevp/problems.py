@@ -304,15 +304,14 @@ class SyntheticRationalProblem(PNlevpProblem):
 
 
 def get_problem(name):
-    """Benchmark selection by name string."""
+    """The built-in problem of this name, one of those that take no
+    constructor arguments; UnsupportedProblemError for any other name."""
     if name == "linear-demo":
         return LinearDemoProblem()
     if name == "delay":
         return DelayProblem()
     if name == "damped-string":
         return DampedStringProblem()
-    if name == "synthetic":
-        return SyntheticRationalProblem([(0.1, 0.2), (-0.2, -0.1)], dim=6, seed=0)
     raise UnsupportedProblemError(f"unknown benchmark problem: {name!r}")
 
 

@@ -28,7 +28,6 @@ rank truncation: O(r'^2 m + r' m_p n), independent of the quadrature size.
 import base64
 import json
 import math
-import numbers
 import os
 import secrets
 import warnings
@@ -121,7 +120,7 @@ def offline(problem, domain, config, N, fit_opts=None):
                          "right direction) is 0 at every sample: the probing "
                          "directions of one side sum to zero or H annihilates "
                          "their mean; draw other directions")
-    m, gap, bases = consistency_rank_check(config, b, c, RANK_TOL)
+    m, gap, bases = consistency_rank_check(config, b, c)
 
     if m == config.r:
         warnings.warn(f"the Loewner rank fills all r = {m} probing "
@@ -135,7 +134,7 @@ def offline(problem, domain, config, N, fit_opts=None):
                       config.parameter_points, m + 1, tol=tol)
     scalar_model = refit_coefficients(
         greedy, samples.stack, config.sample_points, config.parameter_points)
-    rows, cols = select_directions(config, m, b, c, bases, RANK_TOL)
+    rows, cols = select_directions(config, m, b, c, bases)
     b, c = b[rows], c[cols]
     kept = config.subset(rows, cols)
     pj = node_indices(scalar_model.p_nodes, config.parameter_points)
@@ -168,15 +167,6 @@ def offline(problem, domain, config, N, fit_opts=None):
     return model
 
 
-def _checked_rank_tol(rank_tol):
-    """Raise ModelFormatError unless rank_tol is a real number in (0, 1),
-    which NaN and inf are not."""
-    if (isinstance(rank_tol, bool) or not isinstance(rank_tol, numbers.Real)
-            or not 0 < rank_tol < 1):
-        raise ModelFormatError(
-            f"rank_tol must be a finite number in (0, 1), got {rank_tol!r}")
-
-
 def _tangential_error(model, want):
     """Max over directions k and parameter samples p_j, both sides, of
     ||F_k(p_j) - b_k(p_j)|| / ||b_k(p_j)||, where F_k is what online reads
@@ -192,16 +182,14 @@ def _tangential_error(model, want):
 
 
 def online(model, p_hat):
-    """Extract eigenvalues and eigenvectors at an arbitrary parameter, at
-    the rank tolerance that offline checked the kept directions with,
-    model.metadata["rank_tol"] (RANK_TOL where a model has none)."""
+    """Extract eigenvalues and eigenvectors at an arbitrary parameter,
+    truncated at the rank that loewner.RANK_TOL counts, at most model.m."""
     p_hat = _checked_parameter(p_hat)
     _warn_if_extrapolating(model, p_hat)
     vals, min_denominator = eval_collapsed(model.collapsed, p_hat)
     r = model.config.r
     eigenvalues, V, W, diagnostics = realize(
-        model.config, vals[:r], vals[r:], model.m,
-        model.metadata.get("rank_tol", RANK_TOL))
+        model.config, vals[:r], vals[r:], model.m)
     diagnostics["min_denominator"] = min_denominator
     return EigenSolution(
         p_hat=p_hat, eigenvalues=eigenvalues, V=V, W=W,
@@ -415,7 +403,6 @@ def load_model(path):
                 f"model order m = {m!r} is not an integer in [0, {config.r}]")
         if not isinstance(metadata, dict):
             raise ModelFormatError("model metadata must be a JSON object")
-        _checked_rank_tol(metadata.get("rank_tol", RANK_TOL))
         # metadata holds each fact once: a top-level problem_name and the
         # scalar_fit keys converged and max_error are not read
         fit = doc.get("scalar_fit", {})

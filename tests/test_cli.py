@@ -7,14 +7,18 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pnlevp import benchmarks as bench_mod
 from pnlevp.cli import main
+from pnlevp.contour import Disk, default_sampling
 from pnlevp.errors import ModelFormatError
-from pnlevp.solver import FORMAT_VERSION, load_model
+from pnlevp.problems import SyntheticRationalProblem
+from pnlevp.solver import (FORMAT_VERSION, load_model, offline, online,
+                           save_model)
 
 CLI = [sys.executable, "-c",
        "import sys; from pnlevp.cli import main; sys.exit(main())"]
@@ -268,6 +272,20 @@ class TestOnline:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["min_denominator"] > 0.0
 
+    def test_synthetic_model_prints_no_residuals(self, tmp_path, capsys):
+        # the file names its problem "synthetic", but no instance of that
+        # name is the one the model was built from
+        domain = Disk(0.0, 1.0)
+        problem = SyntheticRationalProblem.inside_domain(domain, 3, (0.0, 1.0),
+                                                         seed=1, dim=6)
+        config = default_sampling(domain, 20, 10, (0.0, 1.0), seed=0, dim=6)
+        path = tmp_path / "synthetic.model"
+        save_model(offline(problem, domain, config, 128), path)
+        assert main(["online", "--model", str(path), "--p", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "residual" not in lines[0]
+        assert len(lines) == 4 and all(len(l.split()) == 3 for l in lines[1:])
+
     def test_missing_model_exits_1(self, tmp_path):
         proc = run_cli("online", "--model", str(tmp_path / "absent.json"),
                        "--p", "30")
@@ -366,17 +384,11 @@ class TestOnline:
         ("m", 4.5, "model order m = 4.5 is not an integer"),
         ("m", True, "model order m = True is not an integer"),
         ("metadata", [], "model metadata must be a JSON object"),
-        ("rank_tol", "x", "rank_tol must be a finite number in (0, 1)"),
-        ("rank_tol", float("nan"), "rank_tol must be a finite number"),
-        ("rank_tol", 1.0, "rank_tol must be a finite number in (0, 1)"),
     ])
     def test_malformed_model_field_exits_1(self, delay_model, tmp_path,
                                            capsys, field, value, message):
         doc = json.loads(delay_model.read_text())
-        if field == "rank_tol":
-            doc["metadata"][field] = value
-        else:
-            doc[field] = value
+        doc[field] = value
         path = tmp_path / "field.model"
         path.write_text(json.dumps(doc))
         assert main(["online", "--model", str(path), "--p", "32"]) == 1
@@ -513,6 +525,32 @@ class TestSweep:
         assert f"parameter range bound {bound} is not finite" in err
         assert "nan+" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_json_writes_null_for_missing_values(self, delay_model,
+                                                 monkeypatch, capsys):
+        # a row without eigenvalues pads them with NaN and keeps a NaN
+        # residual; JSON holds neither, so they are written as null
+        def answer(model, p_hat):
+            sol = online(model, p_hat)
+            if p_hat == 32.5:
+                sol = replace(sol, eigenvalues=sol.eigenvalues[:0],
+                              V=sol.V[:, :0])
+            return sol
+
+        monkeypatch.setattr(bench_mod, "online", answer)
+        assert main(["sweep", "--model", str(delay_model), "--p", "30:35",
+                     "--n-test", "3", "--json"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["eigenvalues"][1] == [None] * 4
+        assert doc["max_residuals"][1] is None
+        for row in (0, 2):
+            assert None not in doc["eigenvalues"][row]
+            assert doc["max_residuals"][row] <= 1e-6
 
 
 class TestBench:

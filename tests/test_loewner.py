@@ -234,7 +234,7 @@ class TestRealize:
         config, B, C = data
         lam, _, _, diagnostics = realize(
             config, B + 1e-6 * _random_dirs(rng, r, n),
-            C + 1e-6 * _random_dirs(rng, r, n), 1, rank_tol=1e-12)
+            C + 1e-6 * _random_dirs(rng, r, n), 1)
         assert diagnostics["rank"] == 1
         assert abs(lam[0] - 0.1) <= 1e-4
 
@@ -582,7 +582,7 @@ def _rank_check_of(monkeypatch, L):
     config = SimpleNamespace(left_points=np.zeros(r), right_points=np.ones(r),
                              left_dirs=None, right_dirs=None)
     one = np.zeros((r, 1, 1))
-    return consistency_rank_check(config, one, one, 1e-10)
+    return consistency_rank_check(config, one, one)
 
 
 def _svd_count(L, rank_tol=1e-10):
@@ -601,9 +601,9 @@ class TestSketchedRank:
         seen = []
         sketched = loewner._sketched_rank
 
-        def recorded(L, rank_tol):
+        def recorded(L):
             seen.append(L.copy())
-            return sketched(L, rank_tol)
+            return sketched(L)
 
         monkeypatch.setattr(loewner, "_sketched_rank", recorded)
         consistency_rank_check(config, samples.left, samples.right)
@@ -617,7 +617,7 @@ class TestSketchedRank:
                                      full_width_calls):
         config, samples = request.getfixturevalue(probed)
         for L in probed_loewner(config, samples):
-            rank, gap, _, full = loewner._sketched_rank(L, 1e-10)
+            rank, gap, _, full = loewner._sketched_rank(L)
             assert rank == _svd_count(L) and not full
             s = np.linalg.svd(L, compute_uv=False)
             assert 1.0 < gap <= s[rank - 1] / s[rank]
@@ -646,7 +646,7 @@ class TestSketchedRank:
         monkeypatch.setattr(loewner, "_dominant_left", recorded)
         L = _planted(singular_values)
         assert _svd_count(L) == rank
-        assert loewner._sketched_rank(L, 1e-10)[0] == rank
+        assert loewner._sketched_rank(L)[0] == rank
         assert full_width_calls == []
         assert widths[-1] > rank
 
@@ -667,7 +667,7 @@ class TestSketchedRank:
     def test_sketch_as_wide_as_matrix_falls_back(self, full_width_calls,
                                                  monkeypatch):
         L = _planted(np.logspace(0, -5, 20))
-        assert loewner._sketched_rank(L, 1e-10)[::3] == (20, True)
+        assert loewner._sketched_rank(L)[::3] == (20, True)
         m, rank_gap, _ = _rank_check_of(monkeypatch, L)
         assert m == 20
         assert full_width_calls == [L.shape] * 2

@@ -11,6 +11,11 @@ from pnlevp.problems import (DampedStringProblem, DelayProblem,
                              SyntheticRationalProblem, get_problem)
 
 
+def _synthetic():
+    """The two-pole synthetic problem that the residual tests share."""
+    return SyntheticRationalProblem([(0.1, 0.2), (-0.2, -0.1)], dim=6, seed=0)
+
+
 class TestLinearDemo:
     def test_determinant_identity(self):
         prob = LinearDemoProblem()
@@ -235,7 +240,7 @@ class TestInterface:
     @pytest.mark.parametrize("name", ["linear-demo", "delay", "damped-string",
                                       "synthetic"])
     def test_eval_nodes_takes_one_parameter_per_point(self, name):
-        prob = get_problem(name)
+        prob = _synthetic() if name == "synthetic" else get_problem(name)
         rng = np.random.default_rng(4)
         # off the real axis, so off the damped string's cuts
         z = -3.0 + rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -275,9 +280,12 @@ class TestInterface:
         assert get_problem("linear-demo").name == "linear-demo"
         assert get_problem("delay").dim == 10
         assert get_problem("damped-string").dim == 4
-        assert get_problem("synthetic").name == "synthetic"
-        with pytest.raises(UnsupportedProblemError):
-            get_problem("no-such-problem")
+        # a synthetic problem takes constructor arguments, so no name
+        # stands for one
+        for name in ("synthetic", "no-such-problem"):
+            with pytest.raises(UnsupportedProblemError):
+                get_problem(name)
+        assert _synthetic().name == "synthetic"
 
     def test_oracle_unsupported_on_custom_problem(self):
         class Custom(PNlevpProblem):

@@ -312,24 +312,24 @@ class TestOnline:
         with pytest.raises(ValueError, match=r"parameter p = .* is not finite"):
             online(model, p_hat)
 
-    def test_realizes_at_the_saved_rank_tol(self, delay, tmp_path,
-                                            monkeypatch):
-        # a model answers at the tolerance its directions were checked with
+    def test_saved_rank_tol_is_not_read(self, delay, tmp_path):
+        # metadata["rank_tol"] records the build's loewner.RANK_TOL; online
+        # truncates at RANK_TOL whatever the file says
         _, model = delay
         path = tmp_path / "model.json"
         save_model(model, path)
+        want = online(load_model(path), 32.5)
         doc = json.loads(path.read_text())
-        doc["metadata"]["rank_tol"] = 1e-8
-        path.write_text(json.dumps(doc))
-        realize, seen = solver.realize, []
-
-        def spy(config, B, C, order, rank_tol):
-            seen.append(rank_tol)
-            return realize(config, B, C, order, rank_tol)
-
-        monkeypatch.setattr(solver, "realize", spy)
-        online(load_model(path), 32.5)
-        assert seen == [1e-8]
+        for value in ("x", float("nan"), 1e-8, None):
+            if value is None:
+                del doc["metadata"]["rank_tol"]
+            else:
+                doc["metadata"]["rank_tol"] = value
+            path.write_text(json.dumps(doc))
+            got = online(load_model(path), 32.5)
+            np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+            np.testing.assert_array_equal(got.V, want.V)
+            np.testing.assert_array_equal(got.W, want.W)
 
     @pytest.mark.parametrize("name", ["linear1", "delay", "synthetic3"])
     def test_rank_counts_every_eigenvalue(self, name, request):
@@ -457,7 +457,9 @@ class TestOnline:
 def _eigensolution(name):
     """(problem, solution) at an oracle eigenpair per eigenvalue, null
     vectors from the SVD of T, plus one pair that is no eigenpair."""
-    problem = get_problem(name)
+    problem = (SyntheticRationalProblem([(0.1, 0.2), (-0.2, -0.1)], dim=6,
+                                        seed=0)
+               if name == "synthetic" else get_problem(name))
     p, domain = {"linear-demo": (0.75, None),
                  "delay": (32.0, Disk(0.0, 0.075)),
                  "damped-string": (3.5, Ellipse(-3.0, 2.5, 10.0)),
@@ -1115,13 +1117,12 @@ class TestDirectionSelection:
 
     def test_check_that_cannot_pass_keeps_every_direction(self, monkeypatch):
         tried = []
-        check = loewner._subset_matches
 
-        def exact(config, B, C, m, want, rank_tol):
+        def never(config, B, C, m, want):
             tried.append(config.r)
-            return check(config, B, C, m, want, 0.0)
+            return False
 
-        monkeypatch.setattr(loewner, "_subset_matches", exact)
+        monkeypatch.setattr(loewner, "_subset_matches", never)
         model, config, _ = _build_with_samples(
             benchmarks.get_benchmark("damped-string-1"), monkeypatch)
         assert model.metadata["r_online"] == model.config.r == 250
@@ -1181,7 +1182,7 @@ class TestDirectionSelection:
         b = np.einsum("ka,kjab->kjb", config.left_dirs, H[0::2])
         c = np.einsum("kjab,kb->kja", H[1::2], config.right_dirs)
         m, _, bases = loewner.consistency_rank_check(config, b, c)
-        rows, cols = loewner.select_directions(config, m, b, c, bases, 1e-10)
+        rows, cols = loewner.select_directions(config, m, b, c, bases)
         assert m == 2 and len(rows) == len(cols) == 2 * m + 8
         assert set(informative["left"]) <= set(rows.tolist())
         assert set(informative["right"]) <= set(cols.tolist())
