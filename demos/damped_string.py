@@ -11,7 +11,7 @@ each:
   case 2 (p in [4, 5]):  the spectral abscissa (rightmost real part) is
                          minimized near p = 4.71 -- the optimal damping.
 
-Takes a few minutes: the offline phase factors 4x4 matrices at 1000-2000
+Takes about a second: the offline phase factors 4x4 matrices at 1000-2000
 quadrature nodes for 25 parameters.
 """
 

@@ -11,6 +11,7 @@ import io
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .problems import get_problem
 from .solver import (offline, online, residuals, stacked_residuals,
                      write_atomic)
 
-_DEFAULT_SEED = 0
 # bytes of the T stack of one residual chunk of a sweep: large enough that
 # the per-call cost of eval_nodes is spread over dozens of answers, small
 # enough that a long sweep holds no stack of its own size
@@ -28,6 +28,9 @@ _RESIDUAL_STACK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class Benchmark:
+    """One pinned experiment: its set-up, the gate on the max residual of
+    its sweep, and check(bench, problem, model, sweep_data), which returns
+    its other checks as (label, ok, detail) triples."""
     name: str
     problem_name: str
     domain: object
@@ -35,54 +38,12 @@ class Benchmark:
     r: int
     q: int
     N: int
+    residual_gate: float
+    check: Callable
     sampling_domain: object = None
-    seed: int = _DEFAULT_SEED
+    seed: int = 0
     fit_opts: dict = field(default_factory=dict)
-    n_test: int = 200
-
-
-BENCHMARKS = {
-    "linear-1": Benchmark(
-        name="linear-1",
-        problem_name="linear-demo",
-        domain=Disk(0.0, 0.6),
-        p_range=(0.75, 1.25),
-        r=20, q=40, N=512,
-    ),
-    "linear-2": Benchmark(
-        name="linear-2",
-        problem_name="linear-demo",
-        domain=Disk(0.5j, 0.25),
-        p_range=(1.25, 1.5),
-        r=20, q=40, N=512,
-    ),
-    "delay": Benchmark(
-        name="delay",
-        problem_name="delay",
-        domain=Disk(0.0, 0.075),
-        p_range=(30.0, 35.0),
-        r=20, q=40, N=128,
-        fit_opts={"tol": 1e-11},
-    ),
-    "damped-string-1": Benchmark(
-        name="damped-string-1",
-        problem_name="damped-string",
-        domain=Ellipse(-3.0, 2.5, 10.0),
-        p_range=(3.0, 4.0),
-        r=250, q=25, N=1000,
-        sampling_domain=Ellipse(-3.0, 3.0, 11.0),
-        fit_opts={"tol": 1e-11},
-    ),
-    "damped-string-2": Benchmark(
-        name="damped-string-2",
-        problem_name="damped-string",
-        domain=Ellipse(-2.0, 1.75, 15.0),
-        p_range=(4.0, 5.0),
-        r=250, q=25, N=2000,
-        sampling_domain=Ellipse(-2.0, 2.0, 16.0),
-        fit_opts={"tol": 1e-11},
-    ),
-}
+    n_test: ClassVar[int] = 200
 
 
 @dataclass(frozen=True)
@@ -95,17 +56,12 @@ class BenchmarkResult:
     elapsed: float
 
 
-def list_benchmarks():
-    return sorted(BENCHMARKS)
-
-
 def get_benchmark(name):
     try:
         return BENCHMARKS[name]
     except KeyError:
-        raise ValueError(
-            f"unknown benchmark {name!r}; available: {', '.join(list_benchmarks())}"
-        ) from None
+        raise ValueError(f"unknown benchmark {name!r}; available: "
+                         f"{', '.join(sorted(BENCHMARKS))}") from None
 
 
 def build_offline(bench):
@@ -181,7 +137,8 @@ def run_benchmark(name, out_dir=None):
     problem, model = build_offline(bench)
     p_test = np.linspace(*bench.p_range, bench.n_test)
     sweep_data = sweep(problem, model, p_test)
-    checks = _CHECKS[name](bench, problem, model, sweep_data)
+    checks = ([_check_residuals(bench, sweep_data["max_residuals"])]
+              + bench.check(bench, problem, model, sweep_data))
     elapsed = time.perf_counter() - t0
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -201,43 +158,42 @@ def run_benchmark(name, out_dir=None):
 # per-benchmark check functions
 
 
+def _check_residuals(bench, max_residuals):
+    label = (f"max residual over {bench.n_test} test parameters "
+             f"<= {bench.residual_gate:g}")
+    missing = int(np.count_nonzero(np.isnan(max_residuals)))
+    if missing:
+        return (label, False,
+                f"no eigenpair at {missing} of {bench.n_test} test parameters")
+    res = max_residuals.max()
+    return label, res <= bench.residual_gate, f"max residual {res:.3e}"
+
+
 def _check_linear_1(bench, problem, model, sweep_data):
-    checks = []
-    res = np.nanmax(sweep_data["max_residuals"])
-    checks.append(("max residual over 200 test parameters <= 1e-10",
-                   res <= 1e-10, f"max residual {res:.3e}"))
     # analytic eigenvalues +-sqrt(1-p), checked away from the defective p=1
     p = sweep_data["p"].real
     lam = sweep_data["eigenvalues"]
-    mask = np.abs(p - 1.0) >= 0.01
-    err = 0.0
-    for k in np.nonzero(mask)[0]:
-        root = np.sqrt(1.0 - p[k] + 0j)
-        truth = np.array([root, -root])
-        err = max(err, float(_match_error(lam[k], truth)))
-    checks.append(("eigenvalues match +-sqrt(1-p) to 1e-8 away from p=1",
-                   err <= 1e-8, f"max eigenvalue error {err:.3e}"))
+    err = max(_match_error(lam[k],
+                           problem.true_eigenvalues(p[k], bench.domain))
+              for k in np.flatnonzero(np.abs(p - 1.0) >= 0.01))
+    checks = [("eigenvalues match +-sqrt(1-p) to 1e-8 away from p=1",
+               err <= 1e-8, f"max eigenvalue error {err:.3e}")]
     sol = online(model, 1.0)
+    label = "residual at the defective parameter p=1 <= 1e-8"
+    if len(sol.eigenvalues) == 0:
+        return checks + [(label, False, "no eigenpair at p=1")]
     res1 = max(residuals(problem, sol))
-    checks.append(("residual at the defective parameter p=1 <= 1e-8",
-                   res1 <= 1e-8, f"residual {res1:.3e}"))
-    return checks
+    return checks + [(label, res1 <= 1e-8, f"residual {res1:.3e}")]
 
 
 def _check_linear_2(bench, problem, model, sweep_data):
-    checks = []
-    res = np.nanmax(sweep_data["max_residuals"])
-    checks.append(("max residual over the parameter range <= 1e-7",
-                   res <= 1e-7, f"max residual {res:.3e}"))
     p = sweep_data["p"].real
     lam = sweep_data["eigenvalues"]
-    err = 0.0
-    for k in range(len(p)):
-        truth = np.array([np.sqrt(1.0 - p[k] + 0j)])
-        err = max(err, float(_match_error(lam[k], truth)))
-    checks.append(("eigenvalue matches +sqrt(1-p) branch to 1e-6",
-                   err <= 1e-6, f"max eigenvalue error {err:.3e}"))
-    return checks
+    err = max(_match_error(lam[k],
+                           problem.true_eigenvalues(p[k], bench.domain))
+              for k in range(len(p)))
+    return [("eigenvalue matches +sqrt(1-p) branch to 1e-6",
+             err <= 1e-6, f"max eigenvalue error {err:.3e}")]
 
 
 def _check_delay(bench, problem, model, sweep_data):
@@ -274,45 +230,79 @@ def _check_delay(bench, problem, model, sweep_data):
 
 
 def _check_damped_string_1(bench, problem, model, sweep_data):
-    checks = []
-    res = np.nanmax(sweep_data["max_residuals"])
-    checks.append(("max residual over 200 test parameters <= 3e-10",
-                   res <= 3e-10, f"max residual {res:.3e}"))
     # coalescence: minimum pairwise eigenvalue gap dips inside [3.6, 3.8]
     p = sweep_data["p"].real
-    lam = sweep_data["eigenvalues"]
-    gaps = np.array([_min_pairwise_gap(row) for row in lam])
-    p_min = float(p[np.nanargmin(gaps)])
-    ok = 3.6 <= p_min <= 3.8
-    checks.append(("minimum pairwise eigenvalue gap occurs in [3.6, 3.8]",
-                   ok, f"gap minimized at p = {p_min:.4f} "
-                       f"(gap {np.nanmin(gaps):.3e})"))
-    return checks
+    gaps = np.array([_min_pairwise_gap(row)
+                     for row in sweep_data["eigenvalues"]])
+    label = "minimum pairwise eigenvalue gap occurs in [3.6, 3.8]"
+    if np.isnan(gaps).all():
+        return [(label, False, "no test parameter has two eigenvalues")]
+    k = np.nanargmin(gaps)
+    p_min = float(p[k])
+    return [(label, 3.6 <= p_min <= 3.8,
+             f"gap minimized at p = {p_min:.4f} (gap {gaps[k]:.3e})")]
 
 
 def _check_damped_string_2(bench, problem, model, sweep_data):
-    checks = []
-    res = np.nanmax(sweep_data["max_residuals"])
-    checks.append(("max residual over 200 test parameters <= 3e-8",
-                   res <= 3e-8, f"max residual {res:.3e}"))
     p = sweep_data["p"].real
-    lam = sweep_data["eigenvalues"]
-    abscissa = np.nanmax(lam.real, axis=1)
-    p_min = float(p[np.nanargmin(abscissa)])
-    ok = 4.6 <= p_min <= 4.8
-    checks.append(("spectral abscissa minimized within [4.6, 4.8]",
-                   ok, f"minimizer p = {p_min:.4f} "
-                       f"(abscissa {np.nanmin(abscissa):.6f})"))
-    return checks
+    # fmax skips the NaN padding; a row without eigenvalues stays NaN
+    abscissa = np.fmax.reduce(sweep_data["eigenvalues"].real, axis=1)
+    label = "spectral abscissa minimized within [4.6, 4.8]"
+    if np.isnan(abscissa).all():
+        return [(label, False, "no test parameter has eigenvalues")]
+    k = np.nanargmin(abscissa)
+    p_min = float(p[k])
+    return [(label, 4.6 <= p_min <= 4.8,
+             f"minimizer p = {p_min:.4f} (abscissa {abscissa[k]:.6f})")]
 
 
-_CHECKS = {
-    "linear-1": _check_linear_1,
-    "linear-2": _check_linear_2,
-    "delay": _check_delay,
-    "damped-string-1": _check_damped_string_1,
-    "damped-string-2": _check_damped_string_2,
-}
+BENCHMARKS = {b.name: b for b in (
+    Benchmark(
+        name="linear-1",
+        problem_name="linear-demo",
+        domain=Disk(0.0, 0.6),
+        p_range=(0.75, 1.25),
+        r=20, q=40, N=512,
+        residual_gate=1e-10, check=_check_linear_1,
+    ),
+    Benchmark(
+        name="linear-2",
+        problem_name="linear-demo",
+        domain=Disk(0.5j, 0.25),
+        p_range=(1.25, 1.5),
+        r=20, q=40, N=512,
+        residual_gate=1e-7, check=_check_linear_2,
+    ),
+    Benchmark(
+        name="delay",
+        problem_name="delay",
+        domain=Disk(0.0, 0.075),
+        p_range=(30.0, 35.0),
+        r=20, q=40, N=128,
+        residual_gate=1e-10, check=_check_delay,
+        fit_opts={"tol": 1e-11},
+    ),
+    Benchmark(
+        name="damped-string-1",
+        problem_name="damped-string",
+        domain=Ellipse(-3.0, 2.5, 10.0),
+        p_range=(3.0, 4.0),
+        r=250, q=25, N=1000,
+        residual_gate=3e-10, check=_check_damped_string_1,
+        sampling_domain=Ellipse(-3.0, 3.0, 11.0),
+        fit_opts={"tol": 1e-11},
+    ),
+    Benchmark(
+        name="damped-string-2",
+        problem_name="damped-string",
+        domain=Ellipse(-2.0, 1.75, 15.0),
+        p_range=(4.0, 5.0),
+        r=250, q=25, N=2000,
+        residual_gate=3e-8, check=_check_damped_string_2,
+        sampling_domain=Ellipse(-2.0, 2.0, 16.0),
+        fit_opts={"tol": 1e-11},
+    ),
+)}
 
 
 def _match_error(computed, truth):

@@ -236,7 +236,7 @@ def cmd_sweep(args):
 def cmd_bench(args):
     if args.name is None:
         print("available benchmarks:", file=sys.stderr)
-        for name in bench_mod.list_benchmarks():
+        for name in sorted(bench_mod.BENCHMARKS):
             print(f"  {name}", file=sys.stderr)
         return EXIT_OK
     result = bench_mod.run_benchmark(args.name, out_dir=args.out_dir)

@@ -306,12 +306,9 @@ class SyntheticRationalProblem(PNlevpProblem):
 def get_problem(name):
     """The built-in problem of this name, one of those that take no
     constructor arguments; UnsupportedProblemError for any other name."""
-    if name == "linear-demo":
-        return LinearDemoProblem()
-    if name == "delay":
-        return DelayProblem()
-    if name == "damped-string":
-        return DampedStringProblem()
+    for cls in (LinearDemoProblem, DelayProblem, DampedStringProblem):
+        if cls.name == name:
+            return cls()
     raise UnsupportedProblemError(f"unknown benchmark problem: {name!r}")
 
 

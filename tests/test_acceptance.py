@@ -125,9 +125,10 @@ def test_damped_string1_max_residual_under_probing_seed(seed):
     problem, model = build_offline(bench)
     p_test = np.linspace(*bench.p_range, bench.n_test)
     res = np.nanmax(sweep(problem, model, p_test)["max_residuals"])
+    gate = bench.residual_gate
     _criterion(f"damped-string-1, probing seed {seed}: max residual over "
-               "200 test parameters <= 3e-10", res <= 3e-10,
-               f"max residual {res:.3e}, margin {3e-10 / res:.1f}x")
+               f"{bench.n_test} test parameters <= {gate:g}", res <= gate,
+               f"max residual {res:.3e}, margin {gate / res:.1f}x")
 
 
 def test_damped_string1_max_residual_one_blas_thread():

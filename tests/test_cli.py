@@ -17,8 +17,8 @@ from pnlevp.cli import main
 from pnlevp.contour import Disk, default_sampling
 from pnlevp.errors import ModelFormatError
 from pnlevp.problems import SyntheticRationalProblem
-from pnlevp.solver import (FORMAT_VERSION, load_model, offline, online,
-                           save_model)
+from pnlevp.solver import (FORMAT_VERSION, EigenSolution, load_model,
+                           offline, online, save_model)
 
 CLI = [sys.executable, "-c",
        "import sys; from pnlevp.cli import main; sys.exit(main())"]
@@ -271,6 +271,21 @@ class TestOnline:
                        "--json")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["min_denominator"] > 0.0
+
+    def test_json_of_an_empty_answer(self, delay_model, tmp_path, capsys):
+        # zero tangential data (replace re-derives the collapsed tensor)
+        # leave the Loewner matrix rank 0: no eigenvalues and no residuals
+        model = load_model(delay_model)
+        zero = np.zeros_like(model.left_vals)
+        path = tmp_path / "empty.model"
+        save_model(replace(model, left_vals=zero, right_vals=zero), path)
+        assert main(["online", "--model", str(path), "--p", "32",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["eigenvalues"] == [] and doc["in_domain"] == []
+        assert doc["rank_gap"] is None
+        assert doc["discarded_infinite"] == 0
+        assert "residuals" not in doc
 
     def test_synthetic_model_prints_no_residuals(self, tmp_path, capsys):
         # the file names its problem "synthetic", but no instance of that
@@ -573,6 +588,22 @@ class TestBench:
         assert main(["bench", "linear-2"]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["linear-2-sweep.dat"]
         assert mine.read_text() == "my notes\n"
+
+    @pytest.mark.parametrize("name", sorted(bench_mod.BENCHMARKS))
+    def test_no_eigenpairs_fail_with_exit_3(self, name, monkeypatch, capsys):
+        # an online step that answers nothing leaves every check something
+        # to report, FAIL first for the residual gate, and none raises
+        def empty(model, p_hat):
+            none = np.zeros((model.config.left_dirs.shape[1], 0), complex)
+            return EigenSolution(p_hat=complex(p_hat), eigenvalues=none[0],
+                                 V=none, W=none, in_domain=np.zeros(0, bool))
+
+        monkeypatch.setattr(bench_mod, "online", empty)
+        assert not bench_mod.run_benchmark(name).passed
+        assert main(["bench", name]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL  max residual over 200 test parameters")
+        assert "no eigenpair at 200 of 200 test parameters" in out
 
     def test_out_dir_gets_the_sweep_table(self, tmp_path, monkeypatch):
         runs = []

@@ -171,6 +171,19 @@ class TestRealize:
         s = diagnostics["singular_values"]
         assert np.count_nonzero(s > 1e-10 * s[0]) == 1
 
+    def test_zero_data_realizes_nothing(self):
+        rng = np.random.default_rng(5)
+        n, r = 3, 4
+        config = _pencil_config(
+            [1.5, 2.0, 2.5, 3.0], [-1.5, -2.0, -2.5, -3.0],
+            _random_dirs(rng, r, n), _random_dirs(rng, r, n))
+        zero = np.zeros((r, n), dtype=complex)
+        lam, V, W, diagnostics = realize(config, zero, zero, r)
+        assert lam.shape == (0,)
+        assert V.shape == W.shape == (n, 0)
+        assert diagnostics["rank"] == 0
+        assert "rank_gap" not in diagnostics
+
     def test_exact_recovery_and_tangential_interpolation(self):
         domain = Disk(0.0, 1.0)
         for m, seed in ((2, 10), (3, 11), (5, 12)):
