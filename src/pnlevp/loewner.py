@@ -12,9 +12,11 @@ Ls = -O J R share their row and column spaces (Mayo & Antoulas, LAA 2007):
 the dominant singular triplet L ~ X diag(s) V^H of rank m alone carries the
 pencil, and the generalized eigenvalue problem (X^H Ls V, X^H L V) yields
 the eigenvalues in the target domain; the eigenvector matrices follow from
-the block data.  The triplet comes from a Gaussian sketch of L's range
-(a randomized range finder, Halko, Martinsson & Tropp, SIAM Rev. 2011) of
-width m + 8 for the order m (as wide as L, which is exact, for m + 8 >= r).
+the block data.  One routine (_sketched_rank) counts the rank of every L
+and gives its triplet, online and offline: a Gaussian sketch of L's range
+(a randomized range finder, Halko, Martinsson & Tropp, SIAM Rev. 2011)
+where Weyl's bound certifies its count, and otherwise one exact SVD of L,
+always for an L narrower than twice the first sketch (32).
 
 realize, consistency_rank_check, select_directions and build_loewner read
 the sample points theta_i, sigma_j and the probing directions l_i, r_j from
@@ -26,10 +28,10 @@ b_i and R the rows r_j, Ls = L Sigma + B R^T, so the projected pencil is
 
     (diag(s) V^H Sigma V + X^H B R^T V, diag(s)).
 
-Every factorization of realize calls LAPACK directly (zgeqrf/zungqr,
-zgesdd, zggev through scipy.linalg.lapack): on the small blocks of an online
-answer, the checks, workspace queries and Python loops of the NumPy and
-SciPy wrappers cost several times the routines themselves.
+Every factorization of realize calls LAPACK directly (zgesdd, zggev and,
+for a sketch, zgeqrf/zungqr, through scipy.linalg.lapack): on the small
+blocks of an online answer, the checks, workspace queries and Python loops
+of the NumPy and SciPy wrappers cost several times the routines themselves.
 
 Offline, the same pencil at each parameter sample p_j gives two more
 steps.  consistency_rank_check counts the rank of every L(p_j), which is
@@ -37,10 +39,8 @@ the eigenvalue count m and must be the same at every p_j, and keeps the
 singular triplets it found.  select_directions then picks, by pivoted QR on
 those triplets, the r' <= r directions per side that online keeps, and
 accepts them only if their pencil gives the eigenvalues of the full one at
-every p_j.  realize and the rank check count the rank by one rule (_rank)
-at one threshold: the singular values above RANK_TOL times the largest, of
-a sketch that the rank check widens until Weyl's bound certifies the
-count, or to the full width of L, which is exact.
+every p_j.  realize and the rank check count the rank by the one routine
+at one threshold: the singular values above RANK_TOL times the largest.
 """
 
 import functools
@@ -52,8 +52,6 @@ from scipy.linalg import blas, lapack
 
 from .errors import RankConsistencyError, RealizationError
 
-# extra sketch columns beyond the requested order
-_OVERSAMPLING = 8
 # the sketch is drawn from this seed, the same for every call of one size,
 # so answers do not depend on call order or thread
 _SKETCH_SEED = 0
@@ -61,7 +59,8 @@ _SKETCH_SEED = 0
 # modulus are ordered by imaginary part (a conjugate pair of a real problem
 # then keeps its order whatever the rounding of its real parts)
 _ORDER_RTOL = 1e-8
-# initial sketch width of the rank check; doubled while the count fills it
+# initial sketch width of the rank count; doubled while the count fills it
+# and the sketch is at most half as wide as L
 _RANK_SKETCH = 16
 
 _log = logging.getLogger(__name__)
@@ -145,14 +144,20 @@ def eigenvalue_order(values):
     return idx[np.lexsort((values.imag[idx], group))]
 
 
+def _svd(A):
+    """Thin SVD U, s, Vh of A, by one zgesdd."""
+    U, s, Vh, info = lapack.zgesdd(A, full_matrices=False)
+    _checked(info, "zgesdd")
+    return U, s, Vh
+
+
 def _dominant_left(A, G):
     """Leading k left singular vectors, values and right singular vectors
     (as rows) of A, from the sketch A G of its range by a test matrix G of
-    k <= min(A.shape) columns (exact for a Gaussian G as wide as A's rank):
-    the thin SVD (zgesdd) of Q^H A for the Q factor of A G."""
+    k < min(A.shape) columns: the thin SVD of Q^H A for the Q factor of
+    A G."""
     Q = _qr(A @ G)
-    U, s, Vh, info = lapack.zgesdd(Q.conj().T @ A, full_matrices=False)
-    _checked(info, "zgesdd")
+    U, s, Vh = _svd(Q.conj().T @ A)
     return Q @ U, s, Vh
 
 
@@ -183,17 +188,16 @@ def realize(config, B, C, order):
     b_i = H^T(theta_i) l_i of B and c_j = H(sigma_j) r_j of C, (r, n) each,
     at the points and directions of config.
 
-    The pencil is truncated at rank m <= order, even if noise in the data
-    raises the numerical rank above it; order = r truncates only by rank.
-    Only L is formed, and it is sketched once, min(order + 8, r) wide:
-    m counts the sketched singular values above RANK_TOL times the largest,
-    and the pencil is projected onto the leading m singular vectors (see
-    _pencil_eig).  Of the m eigenvalues the finite ones are kept, in
-    eigenvalue_order.
+    Only L is formed, and its rank and leading singular triplet come from
+    the rank check's routine (_sketched_rank).  The pencil is truncated at
+    m = min(rank, order), even if noise in the data raises the numerical
+    rank above order; order = r truncates only by rank.  It is projected
+    onto the leading m singular vectors (see _pencil_eig).  Of the m
+    eigenvalues the finite ones are kept, in eigenvalue_order.
 
-    diagnostics holds "order"; "singular_values", the sketched ones of L;
-    "rank", m; and for m > 0 "rank_gap", s_m / s_{m+1} of the sketched
-    values (inf when the sketch holds no value past m), and
+    diagnostics holds "singular_values", those the routine computed (all
+    of L's, or a sketch's); "rank", m; and for m > 0 "rank_gap", the
+    routine's gap when m is the rank and s_m / s_{m+1} otherwise, and
     "discarded_infinite", the count of non-finite eigenvalues dropped.
     Non-finite tangential values and a failed LAPACK routine raise
     RealizationError.
@@ -203,14 +207,13 @@ def realize(config, B, C, order):
     sigma, Rd = config.right_points, config.right_dirs
     L = _loewner(B, Rd, config.left_dirs, C,
                  config.left_points[:, None] - sigma[None, :])
-    X, s, Vh = _dominant_left(
-        L, _sketch(L.shape[1], min(*L.shape, order + _OVERSAMPLING)))
-    m = min(_rank(s), order)
-    diagnostics = {"order": order, "singular_values": s, "rank": m}
+    rank, gap, (X, s, Vh), _ = _sketched_rank(L)
+    m = min(rank, order)
+    diagnostics = {"singular_values": s, "rank": m}
     if m == 0:
         V, W = np.zeros((2, B.shape[1], 0), dtype=complex)
         return np.array([], dtype=complex), V, W, diagnostics
-    diagnostics["rank_gap"] = float(_gap(s, m))
+    diagnostics["rank_gap"] = float(gap if m == rank else _gap(s, m))
     X, sm, Vh = X[:, :m], s[:m], Vh[:m]
     lam, S = _pencil_eig(X, sm, Vh, sigma, B, Rd)
     try:
@@ -236,28 +239,28 @@ def consistency_rank_check(config, b, c):
 
     The rank equals the eigenvalue count m inside the domain; the parametric
     decomposition requires it to be the same for every sampled parameter.
-    Each rank counts the singular values above RANK_TOL times the largest
-    (_rank), from a Gaussian sketch of the leading ones (_sketched_rank):
-    narrow where Weyl's bound certifies the count, and otherwise as wide as
-    L, which is exact.  The gap is the certified bound, or the exact value
-    of a full-width sketch.  One DEBUG record on the "pnlevp.loewner"
-    logger holds the ranks, the smallest gap and the count of full-width
-    sketches, and says so when every rank is r: the domain may then hold
-    more than r eigenvalues, or quadrature noise fills the rank.
+    Each rank and gap comes from _sketched_rank, the routine realize counts
+    with: a certified sketch, or an exact SVD.  One DEBUG record on the
+    "pnlevp.loewner" logger holds the ranks, the smallest gap and the count
+    of exact SVDs, and says so when every rank is r: the domain may then
+    hold more than r eigenvalues, or quadrature noise fills the rank.
     """
     D = config.left_points[:, None] - config.right_points[None, :]
-    ranks, gaps, bases, full = zip(*(_sketched_rank(
-        _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j], D))
-        for j in range(b.shape[1])))
-    ranks = list(ranks)
+    ranks, gaps, bases, exact = [], [], [], 0
+    for j in range(b.shape[1]):
+        m, gap, (X, s, Vh), svd = _sketched_rank(
+            _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j], D))
+        ranks.append(m)
+        gaps.append(gap)
+        bases.append((X[:, :m].copy(), s[:m], Vh[:m].copy()))
+        exact += svd
     filled = (f"; the rank fills all r = {len(b)} directions, so the "
               "domain may hold more than r eigenvalues: raise r, or N if "
               "the quadrature is too coarse"
               if set(ranks) == {len(b)} else "")
     _log.debug(
         "rank check: ranks %s, min sigma_m/sigma_m+1 %.3e, "
-        "full-width sketches %d of %d%s", ranks, min(gaps), sum(full),
-        len(gaps), filled)
+        "exact SVDs %d of %d%s", ranks, min(gaps), exact, len(gaps), filled)
     if len(set(ranks)) != 1:
         raise RankConsistencyError(
             "eigenvalue count inside the domain varies across parameter "
@@ -268,25 +271,24 @@ def consistency_rank_check(config, b, c):
 
 
 def _sketched_rank(L):
-    """The rank m of L (_rank) from a sketch of the leading singular values,
-    a lower bound on sigma_m / sigma_{m+1} (inf when m = 0), the sketch's
-    leading singular triplet (X, s, Vh) truncated to m, and whether the
-    sketch had to be as wide as L.
+    """The rank m of L (_rank), a lower bound on sigma_m / sigma_{m+1} (inf
+    when m = 0), a leading singular triplet (X, s, Vh) of L with at least m
+    values, and whether it is L's exact SVD.
 
-    X spans a Gaussian sketch of width k of L's range (the test matrix of
-    _sketch, which realize sketches with too), s the singular values of
-    X^H L, and e = ||L - X X^H L||_F (plus a rounding allowance) bounds the
-    rest.  By Weyl's inequality each sigma_i of L lies in [s_i, s_i + e]
-    for i < k, and below e beyond the sketch; so the threshold RANK_TOL *
-    sigma_0 lies in [RANK_TOL s_0, RANK_TOL (s_0 + e)].  The count is
-    certified when every s_i clears that interval by e (above its top, or
-    below its bottom) and e lies below its bottom; the gap is then
-    s_{m-1} / (s_m + e).  A count that fills the sketch doubles k.  An
-    uncertified count, or a k as wide as L, gives way to a sketch as wide
-    as L, whose count and gap are exact.
+    While the sketch is at most half as wide as L, X spans a Gaussian sketch
+    of width k of L's range (the test matrix of _sketch), s holds the
+    singular values of X^H L, and e = ||L - X X^H L||_F (plus a rounding
+    allowance) bounds the rest.  By Weyl's inequality each sigma_i of L lies
+    in [s_i, s_i + e] for i < k, and below e beyond the sketch; so the
+    threshold RANK_TOL * sigma_0 lies in [RANK_TOL s_0, RANK_TOL (s_0 + e)].
+    The count is certified when every s_i clears that interval by e (above
+    its top, or below its bottom) and e lies below its bottom; the gap is
+    then s_{m-1} / (s_m + e).  A count that fills the sketch doubles k.  An
+    uncertified count, or an L narrower than twice the sketch, takes the
+    exact SVD of L (zgesdd), whose count and gap are exact.
     """
     k = _RANK_SKETCH
-    while k < min(L.shape):
+    while 2 * k <= min(L.shape):
         X, s, Vh = _dominant_left(L, _sketch(L.shape[1], k))
         e = (np.linalg.norm(L - X @ (X.conj().T @ L))
              + k * np.finfo(float).eps * np.linalg.norm(L))
@@ -297,12 +299,12 @@ def _sketched_rank(L):
             k *= 2
             continue
         if np.all(above | (s + e <= lo)) and e <= lo:
-            return (m, (s[m - 1] / (s[m] + e) if m else np.inf),
-                    (X[:, :m].copy(), s[:m], Vh[:m].copy()), False)
+            return (m, (s[m - 1] / (s[m] + e) if m else np.inf), (X, s, Vh),
+                    False)
         break
-    X, s, Vh = _dominant_left(L, _sketch(L.shape[1], min(L.shape)))
+    X, s, Vh = _svd(L)
     m = _rank(s)
-    return m, _gap(s, m), (X[:, :m].copy(), s[:m], Vh[:m].copy()), True
+    return m, _gap(s, m), (X, s, Vh), True
 
 
 def select_directions(config, m, b, c, bases):

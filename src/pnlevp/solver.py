@@ -21,8 +21,8 @@ Online needs b_k and c_k only at these fixed theta_k and sigma_k.  The
 fitted weights are summed out there once, when a model is built or loaded,
 into one p-only barycentric tensor over the 2r' kept directions that
 interpolates the stored samples, so an answer at any complex parameter p
-costs one contraction over the p-nodes, the Loewner assembly and a sketched
-rank truncation: O(r'^2 m + r' m_p n), independent of the quadrature size.
+costs one contraction over the p-nodes, the Loewner assembly and its rank
+truncation: O(r'^2 m + r' m_p n), independent of the quadrature size.
 """
 
 import base64

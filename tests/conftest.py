@@ -18,7 +18,9 @@ def _probed(problem, domain, r, q, p_range, N):
 
 @pytest.fixture(scope="session")
 def linear1_probed():
-    return _probed(LinearDemoProblem(), Disk(0.0, 0.6), 20, 40, (0.75, 1.25),
+    """linear-1 probed with r = 40 directions: its L(p_j) are wide enough
+    to be sketched."""
+    return _probed(LinearDemoProblem(), Disk(0.0, 0.6), 40, 40, (0.75, 1.25),
                    512)
 
 
@@ -41,17 +43,18 @@ def probed_loewner():
 
 @pytest.fixture
 def full_width_calls(monkeypatch):
-    """Shapes of the matrices sketched as wide as they are (the rank
-    check's exact step, where the narrow sketch cannot certify its
-    count)."""
+    """Shapes of the matrices that take an exact SVD (the rank routine's
+    exact step, for a narrow L or where the sketch cannot certify its
+    count): the _svd calls but a sketch's, whose Q^H L has at most half as
+    many rows as columns."""
     calls = []
-    sketch = loewner._dominant_left
+    svd = loewner._svd
 
-    def counted(A, G):
-        if G.shape[1] == min(A.shape):
+    def counted(A):
+        if 2 * A.shape[0] > A.shape[1]:
             calls.append(A.shape)
-        return sketch(A, G)
+        return svd(A)
 
-    monkeypatch.setattr(loewner, "_dominant_left", counted)
+    monkeypatch.setattr(loewner, "_svd", counted)
     return calls
 

@@ -605,6 +605,23 @@ class TestBench:
         assert out.startswith("FAIL  max residual over 200 test parameters")
         assert "no eigenpair at 200 of 200 test parameters" in out
 
+    def test_lost_eigenvalue_fails_linear_1(self, monkeypatch, capsys):
+        # an online step that keeps only the first eigenvalue of each answer
+        # fails the eigenvalue check, which compares counts with the oracle
+        answer = bench_mod.online
+
+        def first_only(model, p_hat):
+            sol = answer(model, p_hat)
+            return replace(sol, eigenvalues=sol.eigenvalues[:1],
+                           V=sol.V[:, :1], W=sol.W[:, :1],
+                           in_domain=sol.in_domain[:1])
+
+        monkeypatch.setattr(bench_mod, "online", first_only)
+        assert not bench_mod.run_benchmark("linear-1").passed
+        assert main(["bench", "linear-1"]) == 3
+        assert ("FAIL  eigenvalues match +-sqrt(1-p) to 1e-8 away from p=1"
+                in capsys.readouterr().out)
+
     def test_out_dir_gets_the_sweep_table(self, tmp_path, monkeypatch):
         runs = []
         run_benchmark = bench_mod.run_benchmark

@@ -14,10 +14,9 @@ from pnlevp import loewner
 from pnlevp.contour import (Disk, SamplingConfig, build_trapezoid_rule,
                             default_sampling, probe_samples, scale_domain)
 from pnlevp.errors import RankConsistencyError, RealizationError
-from pnlevp.loewner import (_OVERSAMPLING, _sketch, build_loewner,
+from pnlevp.loewner import (_sketch, build_loewner,
                             consistency_rank_check, eigenvalue_order, realize)
 from pnlevp.problems import SyntheticRationalProblem
-from pnlevp.solver import offline, online
 
 
 def _pencil_config(theta, sigma, left_dirs, right_dirs):
@@ -252,26 +251,16 @@ class TestRealize:
         assert abs(lam[0] - 0.1) <= 1e-4
 
     def test_sketched_truncation_matches_exact(self):
-        # r = 14 > order + 8, so the order-3 call works on a sketch of width
-        # 11; exact data of a 3-pole problem lose nothing to it
-        domain = Disk(0.0, 1.0)
-        prob = SyntheticRationalProblem.inside_domain(domain, 3, (0.0, 1.0),
-                                                      seed=13)
-        p, r = 0.6, 14
-        rng = np.random.default_rng(113)
-        theta = 1.5 * np.exp(2j * np.pi * np.arange(r) / (2 * r))
-        sigma = 1.5 * np.exp(2j * np.pi * (np.arange(r) + 0.5) / (2 * r))
-        ld = _random_dirs(rng, r, prob.dim)
-        rd = _random_dirs(rng, r, prob.dim)
-        b = np.array([prob.exact_H(t, p).T @ l for t, l in zip(theta, ld)])
-        c = np.array([prob.exact_H(s, p) @ v for s, v in zip(sigma, rd)])
-        data = (_pencil_config(theta, sigma, ld, rd), b, c)
+        # r = 40 >= 2 * 16, so L is sketched 16 wide; r = 14 < 32 takes the
+        # exact SVD.  Exact data of a 3-pole problem lose nothing to the
+        # sketch
+        data = _three_pole_data(40)
         sketched = realize(*data, 3)
-        exact = realize(*data, r)
+        exact = realize(*_three_pole_data(), 3)
         assert sketched[3]["rank"] == exact[3]["rank"] == 3
-        assert len(sketched[3]["singular_values"]) == 11
-        assert len(exact[3]["singular_values"]) == r
-        truth = np.sort_complex(prob.eigenvalues_at(p))
+        assert len(sketched[3]["singular_values"]) == 16
+        assert len(exact[3]["singular_values"]) == 14
+        truth = np.sort_complex(_three_pole_problem().eigenvalues_at(0.6))
         np.testing.assert_allclose(np.sort_complex(sketched[0]), truth,
                                    atol=1e-9)
         np.testing.assert_allclose(sketched[0], exact[0], atol=1e-12)
@@ -280,12 +269,15 @@ class TestRealize:
             np.testing.assert_array_equal(got, want)
 
 
+def _three_pole_problem():
+    return SyntheticRationalProblem.inside_domain(Disk(0.0, 1.0), 3,
+                                                  (0.0, 1.0), seed=13)
+
+
 def _three_pole_data(r=14):
-    """Exact tangential data (config, B, C) of a 3-pole synthetic problem at
-    p = 0.6, as in test_sketched_truncation_matches_exact."""
-    domain = Disk(0.0, 1.0)
-    prob = SyntheticRationalProblem.inside_domain(domain, 3, (0.0, 1.0),
-                                                  seed=13)
+    """Exact tangential data (config, B, C) of _three_pole_problem at
+    p = 0.6, from r directions per side."""
+    prob = _three_pole_problem()
     p = 0.6
     rng = np.random.default_rng(113)
     theta = 1.5 * np.exp(2j * np.pi * np.arange(r) / (2 * r))
@@ -297,14 +289,15 @@ def _three_pole_data(r=14):
     return _pencil_config(theta, sigma, ld, rd), b, c
 
 
-def _explicit_realize(data, m, order):
-    """Eigenvalues and sketched singular values of the pencil formed
-    explicitly: L and Ls from build_loewner, the leading singular pairs
-    X, s, Y of L from the same Gaussian draws through NumPy's QR and SVD,
-    and the eigenvalues of (X^H Ls Y, X^H L Y)."""
+def _explicit_realize(data, m, k):
+    """Eigenvalues and singular values of the pencil formed explicitly: L
+    and Ls from build_loewner, the leading singular pairs X, s, Y of L
+    through NumPy's QR and SVD (of a sketch k wide from the same Gaussian
+    draws, or of L itself for k as wide as L), and the eigenvalues of
+    (X^H Ls Y, X^H L Y)."""
     L, Ls = build_loewner(*data)
-    Q, _ = np.linalg.qr(L @ _sketch(L.shape[1],
-                                    min(*L.shape, order + _OVERSAMPLING)))
+    Q = (np.linalg.qr(L @ _sketch(L.shape[1], k))[0] if k < min(L.shape)
+         else np.eye(len(L)))
     U, s, Vh = np.linalg.svd(Q.conj().T @ L, full_matrices=False)
     Xh, Y = (Q @ U[:, :m]).conj().T, Vh[:m].conj().T
     lam = scipy.linalg.eigvals(Xh @ Ls @ Y, Xh @ L @ Y)
@@ -330,17 +323,22 @@ class TestStructuredRealize:
 
     # with noise the trailing sketched values and the projected eigenvalues
     # depend on the sketch draws and on which singular vectors are kept;
-    # lengths is the shape of the sketched spectrum
-    @pytest.mark.parametrize("order, lengths, noise", [(3, [11], 0.0),
+    # lengths is the shape of the computed spectrum: the 14 of the exact
+    # SVD of a 14-wide L, 16 of a sketch of a 40-wide one, and all 40 where
+    # noise fills the sketch
+    @pytest.mark.parametrize("order, lengths, noise", [(3, [14], 0.0),
                                                        (14, [14], 0.0),
-                                                       (3, [11], 1e-6)])
+                                                       (3, [14], 1e-6),
+                                                       (3, [16], 0.0),
+                                                       (40, [16], 0.0),
+                                                       (3, [40], 1e-6)])
     def test_matches_explicit_pencil(self, order, lengths, noise):
-        config, B, C = _three_pole_data()
+        config, B, C = _three_pole_data(14 if lengths == [14] else 40)
         rng = np.random.default_rng(8)
         data = (config, B + noise * _random_dirs(rng, *B.shape),
                 C + noise * _random_dirs(rng, *C.shape))
         got, _, _, diagnostics = realize(*data, order)
-        lam, svals = _explicit_realize(data, diagnostics["rank"], order)
+        lam, svals = _explicit_realize(data, diagnostics["rank"], *lengths)
         assert diagnostics["rank"] == 3
         assert list(diagnostics["singular_values"].shape) == lengths
         np.testing.assert_allclose(got, lam, rtol=1e-12, atol=0.0)
@@ -382,18 +380,27 @@ class TestStructuredRealize:
                 rtol=0.0, atol=1e-13 * np.max(np.abs(truth)))
 
     def test_rank_gap(self):
-        data = _three_pole_data()
-        config, B, C = data
-        # the mirrored data have L^T for L, with the same singular values;
-        # each reads its gap off its own sketched spectrum
-        mirror = (_pencil_config(config.right_points, config.left_points,
-                                 config.right_dirs, config.left_dirs), C, B)
-        for d in (data, mirror):
-            diagnostics = realize(*d, 3)[3]
-            s = diagnostics["singular_values"]
-            gap = diagnostics["rank_gap"]
-            assert gap == s[2] / s[3]
-            assert gap > 1e8
+        # the gap is the rank routine's: s_3 / s_4 of the exact SVD of a
+        # 14-wide L, a certified lower bound from the sketch of a 40-wide
+        # one.  The mirrored data have L^T for L, with the same singular
+        # values; each reads its gap off its own spectrum
+        for r in (14, 40):
+            data = _three_pole_data(r)
+            config, B, C = data
+            mirror = (_pencil_config(config.right_points, config.left_points,
+                                     config.right_dirs, config.left_dirs),
+                      C, B)
+            for d in (data, mirror):
+                diagnostics = realize(*d, 3)[3]
+                s = diagnostics["singular_values"]
+                gap = diagnostics["rank_gap"]
+                assert gap == loewner._sketched_rank(build_loewner(*d)[0])[1]
+                assert gap == s[2] / s[3] if r == 14 else gap < s[2] / s[3]
+                assert gap > 1e8
+        # an order below the rank reads s_m / s_{m+1} of the computed values
+        diagnostics = realize(*_three_pole_data(), 2)[3]
+        s = diagnostics["singular_values"]
+        assert diagnostics["rank_gap"] == s[1] / s[2]
         # a 1x1 pencil holds no value past m = 1
         assert realize(*_scalar_reciprocal(), 1)[3]["rank_gap"] == np.inf
 
@@ -414,17 +421,6 @@ class TestStructuredRealize:
             tracemalloc.stop()
         assert diagnostics["rank"] == 4
         assert peak <= 4 * r * r * 16
-
-
-@pytest.fixture(scope="module")
-def synthetic_model():
-    """Small offline model of a synthetic problem with 3 poles."""
-    domain = Disk(0.0, 1.0)
-    problem = SyntheticRationalProblem.inside_domain(domain, 3, (0.0, 1.0),
-                                                     seed=21)
-    config = default_sampling(domain, 8, 12, (0.0, 1.0), seed=4,
-                              dim=problem.dim)
-    return offline(problem, domain, config, 256)
 
 
 def _two_pole_data():
@@ -453,9 +449,10 @@ class TestLapackErrors:
 
     @pytest.mark.parametrize("routine",
                              ["zgeqrf", "zungqr", "zgesdd", "zggev"])
-    def test_failed_routine_raises(self, synthetic_model, monkeypatch,
-                                   routine):
-        assert len(online(synthetic_model, 0.5).eigenvalues) == 3
+    def test_failed_routine_raises(self, monkeypatch, routine):
+        # 40 >= 2 * 16 directions: L is sketched, which calls all four
+        data = _three_pole_data(40)
+        assert len(realize(*data, 3)[0]) == 3
         call = getattr(lapack, routine)
 
         def failing(*args, **kwargs):
@@ -463,7 +460,7 @@ class TestLapackErrors:
 
         monkeypatch.setattr(lapack, routine, failing)
         with pytest.raises(RealizationError, match=routine):
-            online(synthetic_model, 0.5)
+            realize(*data, 3)
 
     def test_zero_beta_is_discarded(self, monkeypatch):
         data = _two_pole_data()
@@ -543,7 +540,7 @@ class TestConsistencyRankCheck:
         assert len(records) == 1
         message = records[0].getMessage()
         assert f"ranks {[2] * config.q}" in message
-        assert f"full-width sketches 0 of {config.q}" in message
+        assert f"exact SVDs 0 of {config.q}" in message
 
     @pytest.mark.parametrize("full_width", [False, True])
     def test_info_holds_gap_and_bases(self, linear1_probed, full_width,
@@ -551,7 +548,7 @@ class TestConsistencyRankCheck:
                                       monkeypatch):
         config, samples = linear1_probed
         if full_width:
-            # no narrow sketch: every L(p_j) is sketched as wide as it is
+            # no sketch fits: every L(p_j) takes the exact SVD
             monkeypatch.setattr(loewner, "_RANK_SKETCH", config.r)
         m, rank_gap, bases = _rank_check(config, samples)
         assert m == 2 and len(bases) == config.q
@@ -567,8 +564,8 @@ class TestConsistencyRankCheck:
                                        atol=1e-10 * full[0])
         if full_width:
             # sigma_m is at rounding level here, so the exact gap is the one
-            # of realize's own full-width sketch (realize with order r),
-            # not a second SVD's
+            # of realize's own exact SVD (realize with order r), not a
+            # second SVD's
             want = [realize(config, samples.left[:, j], samples.right[:, j],
                             config.r)[3]["rank_gap"]
                     for j in range(config.q)]
@@ -628,24 +625,30 @@ class TestSketchedRank:
     @pytest.mark.parametrize("probed", ["linear1_probed", "delay_probed"])
     def test_probed_loewner_matrices(self, probed, request, probed_loewner,
                                      full_width_calls):
+        # linear-1's r = 40 is sketched and certified; delay's r = 20 < 32
+        # takes the exact SVD, whose gap is exact
         config, samples = request.getfixturevalue(probed)
+        exact = config.r < 2 * loewner._RANK_SKETCH
         for L in probed_loewner(config, samples):
             rank, gap, _, full = loewner._sketched_rank(L)
-            assert rank == _svd_count(L) and not full
+            assert rank == _svd_count(L) and full == exact
             s = np.linalg.svd(L, compute_uv=False)
-            assert 1.0 < gap <= s[rank - 1] / s[rank]
-        assert full_width_calls == []
+            if exact:
+                assert gap == pytest.approx(s[rank - 1] / s[rank], rel=1e-12)
+            else:
+                assert 1.0 < gap <= s[rank - 1] / s[rank]
+        assert full_width_calls == ([L.shape] * config.q if exact else [])
 
     @pytest.mark.parametrize("singular_values, rank", [
         # clean gap
-        (np.r_[np.logspace(0, -3, 5), np.zeros(55)], 5),
+        (np.r_[np.logspace(0, -3, 5), np.zeros(95)], 5),
         # a singular value 1% above, then 1% below the threshold 1e-10
-        (np.r_[np.logspace(0, -3, 5), 1.01e-10, np.zeros(54)], 6),
-        (np.r_[np.logspace(0, -3, 5), 0.99e-10, np.zeros(54)], 5),
-        # rank above the initial sketch width
-        (np.r_[np.logspace(0, -4, 24), np.zeros(36)], 24),
+        (np.r_[np.logspace(0, -3, 5), 1.01e-10, np.zeros(94)], 6),
+        (np.r_[np.logspace(0, -3, 5), 0.99e-10, np.zeros(94)], 5),
+        # rank above the initial sketch width: a sketch 32 wide, L 100
+        (np.r_[np.logspace(0, -4, 24), np.zeros(76)], 24),
         # the zero matrix
-        (np.zeros(60), 0),
+        (np.zeros(100), 0),
     ])
     def test_planted_spectra(self, singular_values, rank, full_width_calls,
                              monkeypatch):
@@ -665,8 +668,8 @@ class TestSketchedRank:
 
     def test_slow_tail_falls_back(self, full_width_calls, monkeypatch):
         # the tail lies below the threshold, but beyond any sketch its
-        # energy exceeds it, so the sketch cannot certify the count, and a
-        # sketch as wide as L counts it exactly
+        # energy exceeds it, so the sketch cannot certify the count, and the
+        # exact SVD of L counts it
         L = _planted(np.r_[1.0, 0.1, 0.1, 0.1, 5e-11 * 0.99 ** np.arange(56)])
         m, rank_gap, bases = _rank_check_of(monkeypatch, L)
         assert m == 4
@@ -679,6 +682,8 @@ class TestSketchedRank:
 
     def test_sketch_as_wide_as_matrix_falls_back(self, full_width_calls,
                                                  monkeypatch):
+        # 20 < 2 * 16: no sketch is half as wide as L, so L takes the exact
+        # SVD at once
         L = _planted(np.logspace(0, -5, 20))
         assert loewner._sketched_rank(L)[::3] == (20, True)
         m, rank_gap, _ = _rank_check_of(monkeypatch, L)

@@ -365,11 +365,13 @@ class TestOnline:
         assert len(got.eigenvalues) == 4
         np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
 
-    def test_one_call_of_each_lapack_routine(self, delay, tmp_path,
+    @pytest.mark.parametrize("fixture", ["delay", "damped_string1"])
+    def test_one_call_of_each_lapack_routine(self, fixture, request, tmp_path,
                                              monkeypatch):
-        # one sketched SVD of L (zgeqrf, zungqr, zgesdd), one pencil (zggev)
-        path = tmp_path / "delay.model"
-        save_model(delay[1], path)
+        # r' = 20 and 16 < 32: one exact SVD of L (zgesdd), one pencil
+        # (zggev)
+        path = tmp_path / "saved.model"
+        save_model(request.getfixturevalue(fixture)[1], path)
         model = load_model(path)
         calls = []
 
@@ -384,8 +386,9 @@ class TestOnline:
             routine = getattr(lapack, name)
             if type(routine) is fortran:
                 monkeypatch.setattr(lapack, name, counted(name, routine))
-        assert len(online(model, 32.5).eigenvalues) == 4
-        assert sorted(calls) == ["zgeqrf", "zgesdd", "zggev", "zungqr"]
+        p_hat = np.mean(model.config.parameter_points)
+        assert len(online(model, p_hat).eigenvalues) == model.m == 4
+        assert calls == ["zgesdd", "zggev"]
 
     def test_linear_demo_eigenvalues(self, linear1):
         problem, model = linear1
@@ -1200,8 +1203,35 @@ class TestDirectionSelection:
             L, _ = loewner.build_loewner(config, b[:, j], c[:, j])
             s = np.linalg.svd(L, compute_uv=False)
             gaps.append(s[model.m - 1] / s[model.m])
-        # a certified lower bound on the smallest gap, and a tight one
-        assert 0.5 * min(gaps) <= model.metadata["rank_gap"] <= min(gaps)
+        # r = 20 < 32: every L(p_j) takes the exact SVD, so the gap is exact
+        assert model.metadata["rank_gap"] == pytest.approx(min(gaps),
+                                                           rel=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["delay", "damped_string1"])
+    def test_realize_counts_with_the_rank_check(self, fixture, request):
+        # realize over all r probed directions reports, bit for bit, the
+        # rank and gap of the rank check's routine at every p_j, and their
+        # smallest gap is the model's
+        problem, model = request.getfixturevalue(fixture)
+        bench = benchmarks.get_benchmark(
+            "delay" if fixture == "delay" else "damped-string-1")
+        config = default_sampling(bench.domain, bench.r, bench.q,
+                                  bench.p_range, bench.seed, problem.dim,
+                                  sampling_domain=bench.sampling_domain)
+        samples = probe_samples(
+            problem, build_trapezoid_rule(bench.domain, bench.N), config,
+            bench.domain)
+        b, c = samples.left, samples.right
+        gaps = []
+        for j in range(config.q):
+            diagnostics = loewner.realize(config, b[:, j], c[:, j],
+                                          config.r)[3]
+            L, _ = loewner.build_loewner(config, b[:, j], c[:, j])
+            rank, gap, _, _ = loewner._sketched_rank(L)
+            assert diagnostics["rank"] == rank == model.m
+            assert diagnostics["rank_gap"] == gap
+            gaps.append(gap)
+        assert min(gaps) == model.metadata["rank_gap"]
 
 
 class TestOnlineDiagnostics:
