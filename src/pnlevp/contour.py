@@ -7,7 +7,12 @@ part H of T^{-1} at points outside the closed domain:
 
 so samples of H come from N dense n-by-n inverses of T per parameter, one
 batched inverse over the boundary nodes (the block-resolvent sum of Beyn's
-contour method, Beyn, LAA 2012).  Offline reads H only through contractions
+contour method, Beyn, LAA 2012).  A problem that declares its conjugation
+signs s, T(conj(z), p) = conj(T(z, p)) diag(s) for real p, needs only
+N // 2 + 1 of them when every parameter sample is real and the nodes come in
+conjugate pairs, z_{N-t} = conj(z_t) (an ellipse centred on the real axis):
+the other inverses are the mirror images T^{-1}(z_{N-t}) =
+diag(s) conj(T^{-1}(z_t)).  Offline reads H only through contractions
 with the probing directions, so the probe forms H at one parameter at a
 time, contracts it into all of them and drops it: the tangential data
 b_k(p) = l_k^T H(theta_k, p) and c_k(p) = H(sigma_k, p) r_k, each direction
@@ -28,6 +33,9 @@ _BOUNDARY_TOL = 1e-14
 _LIFT_SKETCHES = 2
 # the default sampling boundary scales the domain's semi-axes by this
 SAMPLING_SCALE = 4.0 / 3.0
+# nodes z_{N-t} and conj(z_t) this close, relative to the largest node,
+# form a conjugate pair
+_PAIR_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -219,18 +227,22 @@ def probe_samples(problem, rule, config, domain):
     """Approximate H at every sample point and parameter by boundary
     quadrature, and contract it into a ProbedSampleSet.
 
-    For each parameter, T is evaluated at all N nodes as one stack
+    For each parameter, T is evaluated at the quadrature nodes as one stack
     (problem.eval_nodes) and inverted with one batched dense inverse; H at
-    the 2r sample points, (2r, n, n), is the weighted sum of those inverses.
-    It is contracted into that parameter's share of every field and dropped
-    before the next parameter, so memory grows with r q n, not r q n^2.
-    Raises ValueError for a sample point that is not strictly outside the
-    domain or for non-finite samples, and SingularMatrixError naming the
-    first node where T is singular.
+    the 2r sample points, (2r, n, n), is the weighted sum of the inverses
+    at all N nodes.  Where the problem's conjugation signs apply
+    (_mirror_signs), only nodes 0..N // 2 are inverted and the others
+    mirrored.  H is contracted into that parameter's share of every field
+    and dropped before the next parameter, so memory grows with r q n, not
+    r q n^2.  Raises ValueError for a sample point that is not strictly
+    outside the domain or for non-finite samples, and SingularMatrixError
+    naming the first node where T is singular.
     """
     s = config.sample_points
-    n = problem.dim
+    n, N = problem.dim, len(rule)
     _check_outside(domain, s)
+    signs = _mirror_signs(problem, rule, config)
+    nodes = rule.nodes if signs is None else rule.nodes[:N // 2 + 1]
     C = np.subtract.outer(s, rule.nodes)  # (2r, N), divided in place
     np.divide(rule.weights, C, out=C)
     lbar = config.left_dirs.mean(axis=0)
@@ -239,8 +251,10 @@ def probe_samples(problem, rule, config, domain):
     b, c = np.empty((2, config.r, config.q, n), dtype=complex)
     stack = np.empty((len(s), config.q, 1 + len(M)), dtype=complex)
     for j, pj in enumerate(config.parameter_points):
-        Tinv = _invert_nodes(problem, rule.nodes, pj)
-        H = (C @ Tinv.reshape(len(rule), n * n)).reshape(-1, n, n)
+        Tinv = _invert_nodes(problem, nodes, pj)
+        if signs is not None:
+            Tinv = _mirrored(Tinv, N, signs)
+        H = (C @ Tinv.reshape(N, n * n)).reshape(-1, n, n)
         if not np.all(np.isfinite(H)):
             raise ValueError("probed samples contain non-finite entries")
         b[:, j] = np.einsum("ka,kab->kb", config.left_dirs, H[0::2])
@@ -248,6 +262,36 @@ def probe_samples(problem, rule, config, domain):
         stack[:, j, 0] = lbar @ H @ rbar
         stack[:, j, 1:] = np.tensordot(H, M, axes=([1, 2], [1, 2]))
     return ProbedSampleSet(left=b, right=c, stack=stack)
+
+
+def _mirror_signs(problem, rule, config):
+    """The problem's conjugation signs s as a column (n, 1), or None unless
+    the problem declares them, every parameter sample is real and the
+    nodes pair up, z_{N-t} = conj(z_t) to _PAIR_TOL.  ValueError for signs
+    other than +1 and -1."""
+    signs = getattr(problem, "conjugation", None)
+    z = rule.nodes
+    if (signs is None or np.any(config.parameter_points.imag != 0)
+            or np.max(np.abs(z[-np.arange(len(z))] - z.conj()))
+            > _PAIR_TOL * np.max(np.abs(z))):
+        return None
+    signs = np.broadcast_to(np.asarray(signs, dtype=float), (problem.dim,))
+    if not np.all(np.abs(signs) == 1.0):
+        raise ValueError(f"conjugation signs {problem.conjugation!r} must "
+                         "be +1 or -1")
+    return signs[:, None]
+
+
+def _mirrored(X, N, signs):
+    """The inverses at all N nodes, (N, n, n), from those X at nodes
+    0..N // 2: T^{-1}(z_{N-t}) = diag(s) conj(T^{-1}(z_t))."""
+    K = len(X)
+    full = np.empty((N,) + X.shape[1:], dtype=complex)
+    full[:K] = X
+    # nodes K..N-1 mirror nodes N-K..1, in reverse order
+    np.conjugate(X[1:N - K + 1], out=full[K:][::-1])
+    full[K:] *= signs
+    return full
 
 
 def _sketch_weights(config):

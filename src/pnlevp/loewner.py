@@ -69,21 +69,31 @@ _log = logging.getLogger(__name__)
 RANK_TOL = 1e-10
 
 
-def _loewner(left_vals, right_dirs, left_dirs, right_vals, D):
-    """The Loewner matrix L_ij = (b_i^T r_j - l_i^T c_j) / D_ij of rows b_i,
-    r_j, l_i, c_j, for D_ij = theta_i - sigma_j."""
-    return (left_vals @ right_dirs.T - left_dirs @ right_vals.T) / D
+def _loewner(left_vals, right_dirs, left_dirs, right_vals, reciprocal):
+    """The Loewner matrix L_ij = (b_i^T r_j - l_i^T c_j) / (theta_i - sigma_j)
+    of rows b_i, r_j, l_i, c_j, as the one product [b, l] [r, -c]^T times
+    `reciprocal`, the Cauchy matrix 1 / (theta_i - sigma_j) of _reciprocal,
+    taken in place.  L is complex, also for real data."""
+    L = (np.concatenate([left_vals, left_dirs], axis=1, dtype=complex)
+         @ np.concatenate([right_dirs, -right_vals], axis=1).T)
+    L *= reciprocal
+    return L
+
+
+def _reciprocal(config):
+    """The Cauchy matrix 1 / (theta_i - sigma_j) of config's points."""
+    return 1.0 / (config.left_points[:, None] - config.right_points[None, :])
 
 
 def build_loewner(config, B, C):
     """Loewner and shifted Loewner matrices of the rows b_i of B and c_j of
     C, (r, n) each, at the points and directions of config."""
     theta, sigma = config.left_points, config.right_points
-    D = theta[:, None] - sigma[None, :]
-    L = _loewner(B, config.right_dirs, config.left_dirs, C, D)
+    reciprocal = _reciprocal(config)
+    L = _loewner(B, config.right_dirs, config.left_dirs, C, reciprocal)
     P = B @ config.right_dirs.T   # P_ij = b_i^T r_j
     Q = config.left_dirs @ C.T    # Q_ij = l_i^T c_j
-    Ls = (theta[:, None] * P - sigma[None, :] * Q) / D
+    Ls = (theta[:, None] * P - sigma[None, :] * Q) * reciprocal
     return L, Ls
 
 
@@ -155,10 +165,13 @@ def _dominant_left(A, G):
     """Leading k left singular vectors, values and right singular vectors
     (as rows) of A, from the sketch A G of its range by a test matrix G of
     k < min(A.shape) columns: the thin SVD of Q^H A for the Q factor of
-    A G."""
+    A G; and ||A - Q Q^H A||_F, the part of A that the sketch misses."""
     Q = _qr(A @ G)
-    U, s, Vh = _svd(Q.conj().T @ A)
-    return Q @ U, s, Vh
+    QhA = Q.conj().T @ A
+    U, s, Vh = _svd(QhA)
+    rest = Q @ QhA
+    rest -= A
+    return Q @ U, s, Vh, np.linalg.norm(rest)
 
 
 def _pencil_eig(X, s, Vh, sigma, B, Rd):
@@ -205,8 +218,7 @@ def realize(config, B, C, order):
     if not (np.isfinite(B).all() and np.isfinite(C).all()):
         raise RealizationError("tangential data hold a non-finite value")
     sigma, Rd = config.right_points, config.right_dirs
-    L = _loewner(B, Rd, config.left_dirs, C,
-                 config.left_points[:, None] - sigma[None, :])
+    L = _loewner(B, Rd, config.left_dirs, C, _reciprocal(config))
     rank, gap, (X, s, Vh), _ = _sketched_rank(L)
     m = min(rank, order)
     diagnostics = {"singular_values": s, "rank": m}
@@ -245,11 +257,11 @@ def consistency_rank_check(config, b, c):
     of exact SVDs, and says so when every rank is r: the domain may then
     hold more than r eigenvalues, or quadrature noise fills the rank.
     """
-    D = config.left_points[:, None] - config.right_points[None, :]
+    reciprocal = _reciprocal(config)
     ranks, gaps, bases, exact = [], [], [], 0
     for j in range(b.shape[1]):
-        m, gap, (X, s, Vh), svd = _sketched_rank(
-            _loewner(b[:, j], config.right_dirs, config.left_dirs, c[:, j], D))
+        m, gap, (X, s, Vh), svd = _sketched_rank(_loewner(
+            b[:, j], config.right_dirs, config.left_dirs, c[:, j], reciprocal))
         ranks.append(m)
         gaps.append(gap)
         bases.append((X[:, :m].copy(), s[:m], Vh[:m].copy()))
@@ -278,20 +290,20 @@ def _sketched_rank(L):
     While the sketch is at most half as wide as L, X spans a Gaussian sketch
     of width k of L's range (the test matrix of _sketch), s holds the
     singular values of X^H L, and e = ||L - X X^H L||_F (plus a rounding
-    allowance) bounds the rest.  By Weyl's inequality each sigma_i of L lies
-    in [s_i, s_i + e] for i < k, and below e beyond the sketch; so the
-    threshold RANK_TOL * sigma_0 lies in [RANK_TOL s_0, RANK_TOL (s_0 + e)].
-    The count is certified when every s_i clears that interval by e (above
-    its top, or below its bottom) and e lies below its bottom; the gap is
-    then s_{m-1} / (s_m + e).  A count that fills the sketch doubles k.  An
+    allowance; X X^H is the projector Q Q^H of _dominant_left) bounds the
+    rest.  By Weyl's inequality each sigma_i of L lies in [s_i, s_i + e] for
+    i < k, and below e beyond the sketch; so the threshold RANK_TOL *
+    sigma_0 lies in [RANK_TOL s_0, RANK_TOL (s_0 + e)].  The count is
+    certified when every s_i clears that interval by e (above its top, or
+    below its bottom) and e lies below its bottom; the gap is then
+    s_{m-1} / (s_m + e).  A count that fills the sketch doubles k.  An
     uncertified count, or an L narrower than twice the sketch, takes the
     exact SVD of L (zgesdd), whose count and gap are exact.
     """
     k = _RANK_SKETCH
     while 2 * k <= min(L.shape):
-        X, s, Vh = _dominant_left(L, _sketch(L.shape[1], k))
-        e = (np.linalg.norm(L - X @ (X.conj().T @ L))
-             + k * np.finfo(float).eps * np.linalg.norm(L))
+        X, s, Vh, rest = _dominant_left(L, _sketch(L.shape[1], k))
+        e = rest + k * np.finfo(float).eps * np.linalg.norm(L)
         lo, hi = RANK_TOL * s[0], RANK_TOL * (s[0] + e)
         above = s > hi
         m = int(np.count_nonzero(above))

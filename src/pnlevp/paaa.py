@@ -66,18 +66,19 @@ def paaa_fit(grid_values, s_points, p_points, z_nodes, tol=FIT_TOL):
 
     grid_values[i, j] holds D(s_i, p_j).  Each iteration adds the worst-error
     grid coordinates as new nodes (at most one per axis) and re-solves the
-    linearized least-squares problem for the coefficients.  z_nodes must lie
-    in [1, len(s_points) - 1] (ValueError otherwise: a z-node at every
-    sample point leaves the coefficients undetermined).  It needs at least
-    3 parameter points (ValueError otherwise): the p-node budget is
-    max(2, len(p_points) // 2), so a point off the p-nodes ties the values
-    between them.  Terminates when the max relative grid error drops to tol
-    with z_nodes z-nodes (a fit that meets tol with fewer adds the worst
-    remaining ones), or when the z-node count and the p-node budget are both
-    reached; then the model of least error among those with z_nodes z-nodes
-    is returned.  Its max_error tells which (above tol), and error_history
-    holds the error of every iteration.  All-zero data, which gives the
-    greedy no node to pick, raises ValueError.
+    linearized least-squares problem for the coefficients; an iteration
+    that adds only a p-node reuses the triangular factors of the z-nodes.
+    z_nodes must lie in [1, len(s_points) - 1] (ValueError otherwise: a
+    z-node at every sample point leaves the coefficients undetermined).  It
+    needs at least 3 parameter points (ValueError otherwise): the p-node
+    budget is max(2, len(p_points) // 2), so a point off the p-nodes ties
+    the values between them.  Terminates when the max relative grid error
+    drops to tol with z_nodes z-nodes (a fit that meets tol with fewer adds
+    the worst remaining ones), or when the z-node count and the p-node
+    budget are both reached; then the model of least error among those with
+    z_nodes z-nodes is returned.  Its max_error tells which (above tol),
+    and error_history holds the error of every iteration.  All-zero data,
+    which gives the greedy no node to pick, raises ValueError.
     """
     D = np.asarray(grid_values, dtype=complex)
     s = np.asarray(s_points, dtype=complex)
@@ -101,8 +102,12 @@ def paaa_fit(grid_values, s_points, p_points, z_nodes, tol=FIT_TOL):
     pj = [int(j0)]
     best = None
     history = []
+    # zi only grows, so its length names the z-node set that `factors` fit
+    factors, factored = None, 0
     while True:
-        alpha = _solve_coefficients(D, s, p, zi, pj)
+        if factored != len(zi):
+            factors, factored = _z_factors(D, s, zi), len(zi)
+        alpha = _solve_coefficients(D, s, p, zi, pj, factors)
         model = BarycentricModel2D(
             z_nodes=s[zi], p_nodes=p[pj], coeffs=alpha,
             node_values=D[np.ix_(zi, pj)],
@@ -187,7 +192,7 @@ def node_indices(nodes, points):
     return idx
 
 
-def _solve_coefficients(D, s, p, zi, pj):
+def _solve_coefficients(D, s, p, zi, pj, factors=None):
     """Unit-norm coefficients minimizing the linearized residual over the
     whole grid.
 
@@ -204,25 +209,16 @@ def _solve_coefficients(D, s, p, zi, pj):
     A E: A = [U, Cz] (ns, 2 mz) with U[a, i] = Cz[a, i] (D(s_a, p_b) -
     D(xi_i, p_b)), a divided difference, and E[:, (i, j)] = Cp[b, j] (e_i;
     (D(xi_i, p_b) - D(xi_i, pi_j)) e_i) (2 mz, mz mp).  So the triangular
-    factor of M is that of the stacked R(A) E, np k 2 mz rows; each
-    function takes one batched QR of its np matrices A.  With a z-node at
-    every sample point, M holds nothing that ties one z-node's coefficients
-    to another's: ValueError.
+    factor of M is that of the stacked R(A) E, np k 2 mz rows.  The factors
+    R(A) depend on the z-nodes only: `factors`, _z_factors(D, s, zi), may
+    be passed in by a caller that keeps them while only p-nodes change.
     """
     nz, npj = len(zi), len(pj)
-    if nz == len(s):
-        raise ValueError(f"all {nz} sample points are z-nodes, which leaves "
-                         "the coefficients undetermined; use fewer z-nodes")
-    G = D.reshape(D.shape[:2] + (-1,))
-    Cz, Cp = _cauchy(s, s[zi])[0], _cauchy(p, p[pj])[0]
-    A = np.empty((len(p), len(s), 2 * nz), dtype=complex)
-    A[:, :, nz:] = Cz
+    if factors is None:
+        factors = _z_factors(D, s, zi)
+    Cp = _cauchy(p, p[pj])[0]
     blocks = []
-    for f in range(G.shape[2]):
-        g = G[:, :, f].T  # (np, ns)
-        at_z = g[:, zi]  # D(xi_i, p_b), (np, mz)
-        np.multiply(g[:, :, None] - at_z[:, None, :], Cz, out=A[:, :, :nz])
-        R = np.linalg.qr(A, mode="r")
+    for R, at_z in factors:
         # D(xi_i, p_b) - D(xi_i, pi_j), (np, mz, mp)
         delta = at_z[:, :, None] - at_z[pj].T[None]
         RE = R[:, :, :nz, None] + R[:, :, nz:, None] * delta[:, None]
@@ -231,6 +227,30 @@ def _solve_coefficients(D, s, p, zi, pj):
     _, _, Vh = np.linalg.svd(np.linalg.qr(np.vstack(blocks), mode="r"))
     alpha = Vh[-1].conj().reshape(nz, npj)
     return alpha / np.linalg.norm(alpha)
+
+
+def _z_factors(D, s, zi):
+    """Per grid function of D (ns, np) or (ns, np, k), the triangular
+    factors R (np, 2 mz, 2 mz) of its np matrices A = [U, Cz] of
+    _solve_coefficients, by one batched QR, and its values D(xi_i, p_b) at
+    the z-nodes (np, mz).  With a z-node at every sample point, M holds
+    nothing that ties one z-node's coefficients to another's: ValueError.
+    """
+    nz = len(zi)
+    if nz == len(s):
+        raise ValueError(f"all {nz} sample points are z-nodes, which leaves "
+                         "the coefficients undetermined; use fewer z-nodes")
+    G = D.reshape(D.shape[:2] + (-1,))
+    Cz = _cauchy(s, s[zi])[0]
+    A = np.empty((D.shape[1], len(s), 2 * nz), dtype=complex)
+    A[:, :, nz:] = Cz
+    factors = []
+    for f in range(G.shape[2]):
+        g = G[:, :, f].T  # (np, ns)
+        at_z = g[:, zi]  # D(xi_i, p_b), (np, mz)
+        np.multiply(g[:, :, None] - at_z[:, None, :], Cz, out=A[:, :, :nz])
+        factors.append((np.linalg.qr(A, mode="r"), at_z))
+    return factors
 
 
 def _eval_grid(model, s, p):

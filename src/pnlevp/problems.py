@@ -8,8 +8,10 @@ every point (the probe) or as a 1-D array of one parameter per point (the
 residuals of a sweep, many answers in one stack).  The built-in problems
 assemble T for an array of points with array arithmetic; their ``eval`` is
 the one-point case.
-The benchmark problems also carry independent eigenvalue oracles used for
-validation.
+A problem may declare the conjugation symmetry of T for real p (the
+``conjugation`` signs), which lets the probe invert half the quadrature
+nodes.  The benchmark problems also carry independent eigenvalue oracles
+used for validation.
 """
 
 import numpy as np
@@ -32,10 +34,16 @@ class PNlevpProblem:
     Solves default to dense LU with partial pivoting of the evaluated
     matrix; problems are immutable after construction, so eval/solve are
     safe to call concurrently.
+
+    ``conjugation`` is None, or the signs s_a = +-1 (n of them, or one for
+    all columns) with T(conj(z), p) = conj(T(z, p)) diag(s) for every real
+    p.  Then T^{-1}(conj(z), p) = diag(s) conj(T^{-1}(z, p)), and the
+    contour probe inverts T at only one node of each conjugate pair.
     """
 
     dim = None
     name = "custom"
+    conjugation = None
 
     def eval(self, z, p):
         """T(z, p), n-by-n."""
@@ -89,6 +97,7 @@ class LinearDemoProblem(PNlevpProblem):
 
     dim = 3
     name = "linear-demo"
+    conjugation = 1  # T is real for real z and p
 
     def eval_nodes(self, z, p):
         z = np.asarray(z, dtype=complex)
@@ -118,6 +127,7 @@ class DelayProblem(PNlevpProblem):
     dim = 10
     name = "delay"
     damping = 0.01
+    conjugation = 1  # T is real for real z and p
 
     def __init__(self):
         self.E = np.logspace(-4, 10, self.dim)
@@ -154,11 +164,14 @@ class DampedStringProblem(PNlevpProblem):
     branch cut on (-inf, -2p] U [0, inf) and keeps zh continuous on the
     segment (-2p, 0) where the eigenvalues of interest live.  The other
     branch, -zh, would negate one column of T: det T changes sign, and its
-    zeros, the eigenvalues, stay where they are.
+    zeros, the eigenvalues, stay where they are.  For real p,
+    zh(conj(z)) = -conj(zh(z)) off the cut, and only column 1 is odd in zh:
+    T(conj(z), p) = conj(T(z, p)) diag(1, -1, 1, 1).
     """
 
     dim = 4
     name = "damped-string"
+    conjugation = (1, -1, 1, 1)
 
     def branch(self, z, p):
         z = np.asarray(z, dtype=complex)

@@ -41,8 +41,9 @@ from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
 from .errors import EvaluationError, ModelFormatError
 from .loewner import (RANK_TOL, consistency_rank_check, eigenvalue_order,
                       realize, select_directions)
-from .paaa import (FIT_TOL, BarycentricModel2D, _cauchy, collapse_lifts,
-                   eval_collapsed, node_indices, paaa_fit, refit_coefficients)
+from .paaa import (_DENOM_FLOOR, FIT_TOL, BarycentricModel2D, _cauchy,
+                   collapse_lifts, eval_collapsed, node_indices, paaa_fit,
+                   refit_coefficients)
 # pnlbench/spans.py wraps these two under these names
 from .paaa import eval_model, lift_vector  # noqa: F401
 
@@ -170,15 +171,23 @@ def offline(problem, domain, config, N, fit_opts=None):
 def _tangential_error(model, want):
     """Max over directions k and parameter samples p_j, both sides, of
     ||F_k(p_j) - b_k(p_j)|| / ||b_k(p_j)||, where F_k is what online reads
-    (eval_collapsed) and want the (2r, q, n) tangential samples, left rows
-    then right columns."""
-    worst = 0.0
-    for j, p in enumerate(model.config.parameter_points):
-        err = (np.linalg.norm(eval_collapsed(model.collapsed, p)[0]
-                              - want[:, j], axis=1)
-               / np.linalg.norm(want[:, j], axis=1))
-        worst = max(worst, float(np.max(err)))
-    return worst
+    (the p-only forms of eval_collapsed, at all p_j with one Cauchy matrix)
+    and want the (2r, q, n) tangential samples, left rows then right
+    columns.  A denominator below the floor of eval_collapsed raises its
+    EvaluationError."""
+    collapsed = model.collapsed
+    p = model.config.parameter_points
+    cp = _cauchy(p, collapsed.p_nodes)[0]  # (q, mp)
+    den = collapsed.denom @ cp.T           # (2r, q)
+    smallest = np.abs(den).min(axis=0)
+    if np.min(smallest) < _DENOM_FLOOR:
+        raise EvaluationError(
+            f"barycentric denominator underflow at p={p[np.argmin(smallest)]}"
+            "; the evaluation point hits a spurious pole")
+    err = (np.linalg.norm(cp @ collapsed.numer / den[:, :, None] - want,
+                          axis=2)
+           / np.linalg.norm(want, axis=2))
+    return float(np.max(err))
 
 
 def online(model, p_hat):

@@ -12,7 +12,8 @@ from pnlevp.contour import (Disk, Ellipse, _sketch_weights,
                             probe_samples, scale_domain)
 from pnlevp.errors import SingularMatrixError
 from pnlevp.problems import (LinearDemoProblem, PNlevpProblem,
-                             SyntheticRationalProblem)
+                             SyntheticRationalProblem, get_problem)
+from test_solver import _eval_nodes_calls
 
 
 class ScalarShift(PNlevpProblem):
@@ -315,6 +316,78 @@ class TestProbeSamples:
                                np.eye(2)[:1], [0.5])
         with pytest.raises(SingularMatrixError, match=r"node z=\(.*1j\)"):
             probe_samples(NanAtNode(), rule, config, domain)
+
+
+def _bench_probe(name, problem=None, p_range=None):
+    """The pinned set-up of benchmark `name` (directions of seed 0), with
+    another problem or parameter range if given, as (problem, rule, config,
+    domain)."""
+    bench = benchmarks.BENCHMARKS[name]
+    problem = problem or get_problem(bench.problem_name)
+    config = default_sampling(bench.domain, bench.r, bench.q,
+                              p_range or bench.p_range, seed=0,
+                              dim=problem.dim,
+                              sampling_domain=bench.sampling_domain)
+    return problem, build_trapezoid_rule(bench.domain, bench.N), config, \
+        bench.domain
+
+
+class TestMirroredProbe:
+    """A problem that declares its conjugation signs, probed at real
+    parameters on a rule of conjugate node pairs, is inverted at nodes
+    0..N // 2 only and the other inverses are mirrored."""
+
+    @pytest.mark.parametrize("name, N", [
+        ("delay", None), ("damped-string-1", None), ("linear-1", None),
+        # odd N: nodes 1..63 pair with 126..64, and only z_0 is real
+        ("delay", 127)])
+    def test_matches_the_full_probe(self, name, N, monkeypatch):
+        problem, rule, config, domain = _bench_probe(name)
+        if N is not None:
+            rule = build_trapezoid_rule(domain, N)
+        sizes = _eval_nodes_calls(problem, monkeypatch)
+        mirrored = probe_samples(problem, rule, config, domain)
+        assert sizes == [len(rule) // 2 + 1] * config.q
+        monkeypatch.setattr(problem, "conjugation", None)
+        full = probe_samples(problem, rule, config, domain)
+        assert sizes[config.q:] == [len(rule)] * config.q
+        for got, want in zip(_fields(mirrored), _fields(full)):
+            assert (np.max(np.abs(got - want))
+                    <= 1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("name, problem, p_range", [
+        # centre 0.5j: the nodes are not conjugate pairs
+        ("linear-2", None, None),
+        # a complex parameter
+        ("delay", None, (30.0 + 0.5j, 35.0)),
+        # no conjugation signs
+        ("linear-1", SyntheticRationalProblem.inside_domain(
+            Disk(0.0, 0.6), 2, (0.75, 1.25), seed=1), None),
+    ])
+    def test_other_set_ups_invert_every_node(self, name, problem, p_range,
+                                             monkeypatch):
+        problem, rule, config, domain = _bench_probe(name, problem, p_range)
+        sizes = _eval_nodes_calls(problem, monkeypatch)
+        probe_samples(problem, rule, config, domain)
+        assert sizes == [len(rule)] * config.q
+
+    def test_signs_must_be_plus_or_minus_one(self, monkeypatch):
+        problem, rule, config, domain = _bench_probe("delay")
+        monkeypatch.setattr(problem, "conjugation", 2)
+        with pytest.raises(ValueError, match="must be \\+1 or -1"):
+            probe_samples(problem, rule, config, domain)
+
+    def test_peak_memory_on_damped_string_1(self):
+        # the (2r, N) Cauchy matrix (8 MB), b, c and the refit stack take
+        # 9.8 MB; the mirrored inverses must not add a second such matrix
+        problem, rule, config, domain = _bench_probe("damped-string-1")
+        tracemalloc.start()
+        try:
+            probe_samples(problem, rule, config, domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.25 * 2**20
 
 
 class TestDefaultSampling:

@@ -666,6 +666,15 @@ class TestSketchedRank:
         assert full_width_calls == []
         assert widths[-1] > rank
 
+    def test_sketch_residual_is_the_projection_residual(self):
+        # the norm the sketch returns, ||L - Q (Q^H L)|| from the product
+        # Q^H L it already formed, is ||L - X X^H L|| of its basis X = Q U
+        L = _planted(np.r_[np.logspace(0, -3, 10), 1e-6 * np.ones(90)])
+        X, _, _, rest = loewner._dominant_left(L, _sketch(100, 16))
+        want = np.linalg.norm(L - X @ (X.conj().T @ L))
+        assert rest == pytest.approx(want, rel=1e-8)
+        assert want > 1e-6
+
     def test_slow_tail_falls_back(self, full_width_calls, monkeypatch):
         # the tail lies below the threshold, but beyond any sketch its
         # energy exceeds it, so the sketch cannot certify the count, and the

@@ -191,6 +191,37 @@ class TestPaaaFit:
         with pytest.raises(ValueError, match=r"outside \[1, 0\]"):
             paaa_fit(D[:1], s[:1], p, 1)
 
+    @pytest.mark.parametrize("probed", ["delay_probed", "linear1_probed"])
+    def test_reused_factors_give_the_same_bytes(self, probed, request,
+                                                monkeypatch):
+        # the greedy keeps the triangular factors of its z-nodes while an
+        # iteration adds only a p-node; factoring at every iteration gives
+        # the same model, bit for bit
+        config, samples = request.getfixturevalue(probed)
+        args = (samples.stack[:, :, 0], config.sample_points,
+                config.parameter_points, 3)
+        factored = []
+        z_factors = paaa._z_factors
+
+        def counted(D, s, zi):
+            factored.append(len(zi))
+            return z_factors(D, s, zi)
+
+        monkeypatch.setattr(paaa, "_z_factors", counted)
+        kept = paaa_fit(*args)
+        assert len(factored) < len(kept.error_history)
+        assert factored == sorted(set(factored))
+        solve = paaa._solve_coefficients
+        monkeypatch.setattr(
+            paaa, "_solve_coefficients",
+            lambda D, s, p, zi, pj, factors=None: solve(D, s, p, zi, pj))
+        fresh = paaa_fit(*args)
+        for field in ("z_nodes", "p_nodes", "coeffs", "node_values"):
+            assert (getattr(kept, field).tobytes()
+                    == getattr(fresh, field).tobytes())
+        assert kept.error_history == fresh.error_history
+        assert kept.max_error == fresh.max_error
+
 
 class TestLiftVector:
     def test_scalar_lift_matches_parent(self):

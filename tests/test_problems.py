@@ -207,6 +207,30 @@ class TestSynthetic:
                 assert domain.contains(lam)
 
 
+class TestConjugation:
+    @pytest.mark.parametrize("name, signs", [
+        ("linear-demo", [1, 1, 1]), ("delay", [1] * 10),
+        ("damped-string", [1, -1, 1, 1])])
+    def test_identity_at_random_points(self, name, signs):
+        # T(conj(z), p) = conj(T(z, p)) diag(s) for real p, off the real
+        # axis (the damped string's cut lies on it)
+        prob = get_problem(name)
+        np.testing.assert_array_equal(
+            np.broadcast_to(prob.conjugation, (prob.dim,)), signs)
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-6, 1, 20) + 1j * rng.uniform(-10, 10, 20)
+        for p in rng.uniform(0.5, 4.0, 3):
+            T = prob.eval_nodes(z, p)
+            np.testing.assert_allclose(
+                prob.eval_nodes(z.conj(), p),
+                T.conj() * np.asarray(signs, dtype=float),
+                rtol=1e-14, atol=1e-14 * np.max(np.abs(T)))
+
+    def test_undeclared_for_synthetic_and_custom(self):
+        assert _synthetic().conjugation is None
+        assert PNlevpProblem.conjugation is None
+
+
 class TestInterface:
     def test_identity_solve(self):
         class Identity(PNlevpProblem):

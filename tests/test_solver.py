@@ -303,6 +303,28 @@ class TestCollapsedLifts:
             eval_collapsed(model.collapsed, 0.5)
         with pytest.raises(EvaluationError, match="denominator underflow"):
             online(model, 0.5)
+        # the verdict evaluates every parameter sample at once and refuses
+        # the same point
+        config = default_sampling(domain, 1, 3, (0.0, 1.0), seed=0, dim=1)
+        model = replace(model, config=config)
+        with pytest.raises(EvaluationError,
+                           match=r"denominator underflow at p=\(0\.5\+0j\)"):
+            solver._tangential_error(model, np.ones((2, 3, 1)))
+
+    @pytest.mark.parametrize("name", ["delay", "damped_string1"])
+    def test_verdict_is_online_at_every_sample(self, name, request):
+        # the tangential error evaluates all q samples with one Cauchy
+        # matrix: the same values as eval_collapsed, one sample at a time
+        _, model = request.getfixturevalue(name)
+        p = model.config.parameter_points
+        shape = (2 * model.config.r, len(p), model.config.left_dirs.shape[1])
+        want = np.random.default_rng(3).standard_normal(shape) + 1j
+        got = np.stack([eval_collapsed(model.collapsed, pj)[0] for pj in p],
+                       axis=1)
+        err = (np.linalg.norm(got - want, axis=2)
+               / np.linalg.norm(want, axis=2)).max()
+        assert solver._tangential_error(model, want) == pytest.approx(
+            err, rel=1e-13)
 
 
 class TestOnline:
