@@ -22,6 +22,7 @@ combinations of the tangential samples.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +158,15 @@ class SamplingConfig:
     def right_points(self):
         """sigma_i = s_{2i} (interlaced even positions, 1-based)."""
         return self.sample_points[1::2]
+
+    @cached_property
+    def cauchy(self):
+        """The read-only Cauchy matrix 1 / (theta_i - sigma_j) of the sample
+        points, formed on first use and held, not saved, so every Loewner
+        matrix of this config divides by the same one."""
+        C = 1.0 / (self.left_points[:, None] - self.right_points[None, :])
+        C.flags.writeable = False
+        return C
 
     def subset(self, rows, cols):
         """The config of the left directions `rows` and the right directions

@@ -10,28 +10,32 @@ c_j = H(sigma_j) r_j of the rational pole part H, the Loewner pencil
 realizes H.  The pole part is strictly proper, so L = -O R and
 Ls = -O J R share their row and column spaces (Mayo & Antoulas, LAA 2007):
 the dominant singular triplet L ~ X diag(s) V^H of rank m alone carries the
-pencil, and the generalized eigenvalue problem (X^H Ls V, X^H L V) yields
-the eigenvalues in the target domain; the eigenvector matrices follow from
-the block data.  One routine (_sketched_rank) counts the rank of every L
-and gives its triplet, online and offline: a Gaussian sketch of L's range
+pencil, and the projected pencil (X^H Ls V, X^H L V) yields the eigenvalues
+in the target domain; the eigenvector matrices follow from the block data.
+One routine (_sketched_rank) counts the rank of every L and gives its
+triplet, online and offline: a Gaussian sketch of L's range
 (a randomized range finder, Halko, Martinsson & Tropp, SIAM Rev. 2011)
 where Weyl's bound certifies its count, and otherwise one exact SVD of L,
 always for an L narrower than twice the first sketch (32).
 
 realize, consistency_rank_check, select_directions and build_loewner read
 the sample points theta_i, sigma_j and the probing directions l_i, r_j from
-one SamplingConfig, which holds them interlaced and checks that no theta_i
-equals a sigma_j; a subset of the directions is SamplingConfig.subset.
+one SamplingConfig, which holds them interlaced, checks that no theta_i
+equals a sigma_j and holds the Cauchy matrix 1 / (theta_i - sigma_j) that
+every L divides by (SamplingConfig.cauchy); a subset of the directions is
+SamplingConfig.subset.
 
 The shifted matrix is never formed.  With Sigma = diag(sigma), B the rows
 b_i and R the rows r_j, Ls = L Sigma + B R^T, so the projected pencil is
 
     (diag(s) V^H Sigma V + X^H B R^T V, diag(s)).
 
-Every factorization of realize calls LAPACK directly (zgesdd, zggev and,
-for a sketch, zgeqrf/zungqr, through scipy.linalg.lapack): on the small
-blocks of an online answer, the checks, workspace queries and Python loops
-of the NumPy and SciPy wrappers cost several times the routines themselves.
+Its B = diag(s) is nonsingular, since every kept s_i is above RANK_TOL
+times the largest, so the eigenvalues are those of the one standard matrix
+V^H Sigma V + diag(s)^-1 X^H B R^T V, and no QZ is needed.  Every
+factorization goes through numpy.linalg (svd, eig and, for a sketch, qr),
+so a process loads one LAPACK; a LinAlgError raises RealizationError naming
+the factorization.
 
 Offline, the same pencil at each parameter sample p_j gives two more
 steps.  consistency_rank_check counts the rank of every L(p_j), which is
@@ -48,7 +52,6 @@ import itertools
 import logging
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import RankConsistencyError, RealizationError
 
@@ -69,31 +72,25 @@ _log = logging.getLogger(__name__)
 RANK_TOL = 1e-10
 
 
-def _loewner(left_vals, right_dirs, left_dirs, right_vals, reciprocal):
+def _loewner(left_vals, right_dirs, left_dirs, right_vals, cauchy):
     """The Loewner matrix L_ij = (b_i^T r_j - l_i^T c_j) / (theta_i - sigma_j)
     of rows b_i, r_j, l_i, c_j, as the one product [b, l] [r, -c]^T times
-    `reciprocal`, the Cauchy matrix 1 / (theta_i - sigma_j) of _reciprocal,
-    taken in place.  L is complex, also for real data."""
+    `cauchy`, the Cauchy matrix 1 / (theta_i - sigma_j) (SamplingConfig.
+    cauchy), taken in place.  L is complex, also for real data."""
     L = (np.concatenate([left_vals, left_dirs], axis=1, dtype=complex)
          @ np.concatenate([right_dirs, -right_vals], axis=1).T)
-    L *= reciprocal
+    L *= cauchy
     return L
-
-
-def _reciprocal(config):
-    """The Cauchy matrix 1 / (theta_i - sigma_j) of config's points."""
-    return 1.0 / (config.left_points[:, None] - config.right_points[None, :])
 
 
 def build_loewner(config, B, C):
     """Loewner and shifted Loewner matrices of the rows b_i of B and c_j of
     C, (r, n) each, at the points and directions of config."""
     theta, sigma = config.left_points, config.right_points
-    reciprocal = _reciprocal(config)
-    L = _loewner(B, config.right_dirs, config.left_dirs, C, reciprocal)
+    L = _loewner(B, config.right_dirs, config.left_dirs, C, config.cauchy)
     P = B @ config.right_dirs.T   # P_ij = b_i^T r_j
     Q = config.left_dirs @ C.T    # Q_ij = l_i^T c_j
-    Ls = (theta[:, None] * P - sigma[None, :] * Q) * reciprocal
+    Ls = (theta[:, None] * P - sigma[None, :] * Q) * config.cauchy
     return L, Ls
 
 
@@ -107,32 +104,15 @@ def _sketch(n, k):
     return G
 
 
-def _checked(info, routine):
-    if info != 0:
+def _linalg(name, *args, **kwargs):
+    """numpy.linalg.<name>(*args, **kwargs), looked up at the call; its
+    LinAlgError raises RealizationError naming the factorization."""
+    try:
+        return getattr(np.linalg, name)(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
         raise RealizationError(
-            f"LAPACK {routine} failed (info {info}); use more or different "
-            "sample points")
-
-
-def _qr(A):
-    """Thin Q factor of A (m >= n), by zgeqrf and zungqr."""
-    qr, tau, _, info = lapack.zgeqrf(A)
-    _checked(info, "zgeqrf")
-    Q, _, info = lapack.zungqr(qr, tau, overwrite_a=True)
-    _checked(info, "zungqr")
-    return Q
-
-
-def _eig(A, B):
-    """Eigenvalues alpha / beta of the pencil A - lambda B (non-finite where
-    beta = 0 or the quotient overflows) and its right eigenvectors scaled
-    to unit 2-norm by BLAS dznrm2 (as scipy.linalg.eig scales them), by one
-    zggev."""
-    alpha, beta, _, S, _, info = lapack.zggev(A, B, compute_vl=False)
-    _checked(info, "zggev")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = alpha / beta
-    return lam, S / [blas.dznrm2(v) for v in S.T]
+            f"numpy.linalg.{name} failed ({exc}); use more or different "
+            "sample points") from exc
 
 
 def eigenvalue_order(values):
@@ -155,10 +135,9 @@ def eigenvalue_order(values):
 
 
 def _svd(A):
-    """Thin SVD U, s, Vh of A, by one zgesdd."""
-    U, s, Vh, info = lapack.zgesdd(A, full_matrices=False)
-    _checked(info, "zgesdd")
-    return U, s, Vh
+    """Thin SVD U, s, Vh of A (numpy.linalg.svd, LAPACK's divide and
+    conquer)."""
+    return _linalg("svd", A, full_matrices=False)
 
 
 def _dominant_left(A, G):
@@ -166,7 +145,7 @@ def _dominant_left(A, G):
     (as rows) of A, from the sketch A G of its range by a test matrix G of
     k < min(A.shape) columns: the thin SVD of Q^H A for the Q factor of
     A G; and ||A - Q Q^H A||_F, the part of A that the sketch misses."""
-    Q = _qr(A @ G)
+    Q = _linalg("qr", A @ G)[0]
     QhA = Q.conj().T @ A
     U, s, Vh = _svd(QhA)
     rest = Q @ QhA
@@ -175,12 +154,16 @@ def _dominant_left(A, G):
 
 
 def _pencil_eig(X, s, Vh, sigma, B, Rd):
-    """Eigenvalues and right eigenvectors (see _eig) of the pencil of
+    """Eigenvalues and right eigenvectors, of unit 2-norm, of the pencil of
     L = X diag(s) Vh projected onto X and V = Vh^H, with Ls = L Sigma + B R^T:
-    (X^H Ls V, X^H L V) = (diag(s) Vh Sigma V + X^H B R^T V, diag(s))."""
+    (X^H Ls V, X^H L V) = (diag(s) Vh Sigma V + X^H B R^T V, diag(s)).  The
+    s are positive, so this is one standard eig (numpy.linalg.eig) of
+    diag(s)^-1 X^H Ls V = Vh Sigma V + diag(s)^-1 X^H B R^T V."""
     V = Vh.conj().T
-    A = s[:, None] * ((Vh * sigma) @ V) + (X.conj().T @ B) @ (Rd.T @ V)
-    return _eig(A, np.diag(s).astype(complex))
+    A = (X.conj().T @ B) @ (Rd.T @ V)
+    A /= s[:, None]
+    A += (Vh * sigma) @ V
+    return _linalg("eig", A)
 
 
 def _rank(s):
@@ -211,14 +194,15 @@ def realize(config, B, C, order):
     diagnostics holds "singular_values", those the routine computed (all
     of L's, or a sketch's); "rank", m; and for m > 0 "rank_gap", the
     routine's gap when m is the rank and s_m / s_{m+1} otherwise, and
-    "discarded_infinite", the count of non-finite eigenvalues dropped.
-    Non-finite tangential values and a failed LAPACK routine raise
-    RealizationError.
+    "discarded_infinite", the count of eigenvalues dropped because they
+    overflowed (diag(s) is nonsingular, so no eigenvalue is infinite
+    otherwise).  Non-finite tangential values and a failed factorization
+    raise RealizationError.
     """
     if not (np.isfinite(B).all() and np.isfinite(C).all()):
         raise RealizationError("tangential data hold a non-finite value")
     sigma, Rd = config.right_points, config.right_dirs
-    L = _loewner(B, Rd, config.left_dirs, C, _reciprocal(config))
+    L = _loewner(B, Rd, config.left_dirs, C, config.cauchy)
     rank, gap, (X, s, Vh), _ = _sketched_rank(L)
     m = min(rank, order)
     diagnostics = {"singular_values": s, "rank": m}
@@ -257,11 +241,11 @@ def consistency_rank_check(config, b, c):
     of exact SVDs, and says so when every rank is r: the domain may then
     hold more than r eigenvalues, or quadrature noise fills the rank.
     """
-    reciprocal = _reciprocal(config)
     ranks, gaps, bases, exact = [], [], [], 0
     for j in range(b.shape[1]):
         m, gap, (X, s, Vh), svd = _sketched_rank(_loewner(
-            b[:, j], config.right_dirs, config.left_dirs, c[:, j], reciprocal))
+            b[:, j], config.right_dirs, config.left_dirs, c[:, j],
+            config.cauchy))
         ranks.append(m)
         gaps.append(gap)
         bases.append((X[:, :m].copy(), s[:m], Vh[:m].copy()))
@@ -276,10 +260,29 @@ def consistency_rank_check(config, b, c):
     if len(set(ranks)) != 1:
         raise RankConsistencyError(
             "eigenvalue count inside the domain varies across parameter "
-            f"samples; per-parameter Loewner ranks: {ranks}",
+            "samples; the Loewner ranks by parameter: "
+            f"{_rank_runs(ranks, config.parameter_points)}. "
+            "An eigenvalue crossing the contour changes the rank, and so "
+            "does a sampling boundary too close to the contour for N "
+            "quadrature nodes; raising N tells the two apart, since only a "
+            "crossing keeps its change of rank",
             ranks=ranks,
         )
     return ranks[0], float(min(gaps)), bases
+
+
+def _rank_runs(ranks, points):
+    """The runs of equal consecutive ranks by their parameter points, e.g.
+    "rank 2 on [20, 23.85], rank 3 at 24.23, rank 4 on [24.62, 35]"."""
+    def fmt(p):
+        return f"{p.real:.4g}" if p.imag == 0 else f"{p:.4g}"
+
+    runs = []
+    for rank, run in itertools.groupby(zip(ranks, points), lambda rp: rp[0]):
+        p = [p for _, p in run]
+        runs.append(f"rank {rank} " + (f"at {fmt(p[0])}" if len(p) == 1 else
+                                       f"on [{fmt(p[0])}, {fmt(p[-1])}]"))
+    return ", ".join(runs)
 
 
 def _sketched_rank(L):
@@ -298,7 +301,7 @@ def _sketched_rank(L):
     below its bottom) and e lies below its bottom; the gap is then
     s_{m-1} / (s_m + e).  A count that fills the sketch doubles k.  An
     uncertified count, or an L narrower than twice the sketch, takes the
-    exact SVD of L (zgesdd), whose count and gap are exact.
+    exact SVD of L (_svd), whose count and gap are exact.
     """
     k = _RANK_SKETCH
     while 2 * k <= min(L.shape):

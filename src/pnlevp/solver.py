@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .contour import (Disk, Ellipse, SamplingConfig, build_trapezoid_rule,
                       probe_samples)
@@ -257,11 +256,12 @@ def scalar_probe_eigenvalues(model, p_hat):
 
     Fixing the parameter collapses the bivariate barycentric form to a 1-D
     barycentric function with effective weights beta_i = sum_j a_ij/(p-pi_j);
-    its poles are the finite generalized eigenvalues of the arrowhead pencil.
-    Poles whose residue is negligible against the scale of the node values
-    are cancelled by a numerator zero (Froissart doublets) and are dropped;
-    the arrowhead pencil returns such poles, e.g. when an eigenvalue is
-    semi-simple and the scalar has fewer distinct poles than z-nodes - 1.
+    its poles are the zeros of d(z) = sum_i beta_i / (z - xi_i) over the
+    z-nodes xi_i, from one standard eig (_barycentric_zeros).  Poles whose
+    residue is negligible against the scale of the node values are
+    cancelled by a numerator zero (Froissart doublets) and are dropped; d
+    has such zeros, e.g. when an eigenvalue is semi-simple and the scalar
+    has fewer distinct poles than z-nodes - 1.
     Eigenvalue multiplicity is not visible along this path.  A non-finite
     p_hat raises ValueError, as in online.
     """
@@ -272,15 +272,7 @@ def scalar_probe_eigenvalues(model, p_hat):
     gamma = (scalar.coeffs * scalar.node_values) @ cp
     if np.max(np.abs(beta)) == 0.0:
         raise EvaluationError("all effective barycentric weights vanish")
-    k = len(scalar.z_nodes)
-    A = np.zeros((k + 1, k + 1), dtype=complex)
-    A[0, 1:] = beta
-    A[1:, 0] = 1.0
-    A[1:, 1:] = np.diag(scalar.z_nodes)
-    B = np.eye(k + 1, dtype=complex)
-    B[0, 0] = 0.0
-    vals = scipy.linalg.eigvals(A, B)
-    vals = vals[np.isfinite(vals)]
+    vals = _barycentric_zeros(beta, scalar.z_nodes)
     # |residue| = |n(z)/d'(z)| for n(z) = sum gamma_i/(z - xi_i) and
     # d(z) = sum beta_i/(z - xi_i)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -289,6 +281,34 @@ def scalar_probe_eigenvalues(model, p_hat):
     negligible = np.abs(res) <= _RESIDUE_TOL * np.max(np.abs(scalar.node_values))
     vals = vals[~negligible]
     return vals[eigenvalue_order(vals)]
+
+
+def _barycentric_zeros(w, xi):
+    """Zeros of d(z) = sum_i w_i / (z - xi_i) over distinct nodes xi_i and
+    weights w_i, not all 0, as the eigenvalues of one standard matrix.
+
+    For the node j of the largest |w_j|,
+
+        (z - xi_j) d(z) = sum(w) + sum_{i != j} w_i (xi_i - xi_j) / (z - xi_i),
+
+    and for sum(w) != 0 the zeros of the right side are the eigenvalues of
+    diag(xi) - 1 w'^T / sum(w) over the other nodes, w'_i = w_i (xi_i - xi_j):
+    this is P diag(xi - mu) + mu with the projector P = I - 1 w^T / sum(w)
+    and the shift mu = xi_j, whose eigenvalue mu is deflated exactly.
+    Where the weights sum to 0 (to rounding) one zero of d lies at infinity,
+    and the others are the zeros of sum_{i != j} w'_i / (z - xi_i).
+    """
+    eps = np.finfo(float).eps
+    while len(xi) > 1:
+        j = np.argmax(np.abs(w))
+        rest = np.arange(len(xi)) != j
+        total, scale = w.sum(), np.abs(w).sum()
+        w, xi = w[rest] * (xi[rest] - xi[j]), xi[rest]
+        if abs(total) > len(w) * eps * scale:
+            A = np.outer(np.full(len(w), -1 / total), w)
+            A[np.diag_indices_from(A)] += xi
+            return np.linalg.eigvals(A)
+    return np.empty(0, dtype=complex)
 
 
 def _warn_if_extrapolating(model, p_hat):

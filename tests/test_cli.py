@@ -91,6 +91,19 @@ class TestOffline:
         assert "ranks" in proc.stderr
         assert not (tmp_path / "m.json").exists()
 
+    def test_rank_change_names_its_runs(self, tmp_path):
+        # over 20:35 delay's eigenvalues cross the disk: rank 2, then 4
+        proc = run_cli(
+            "offline", "--problem", "delay", "--disk", "0,0,0.075",
+            "--p", "20:35", "--q", "40", "--r", "20", "--N", "128",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert proc.returncode == 2
+        assert "rank 2 on [20, 23.85]" in proc.stderr
+        assert "rank 4 on [24.62, 35]" in proc.stderr
+        assert "crossing" in proc.stderr and "raising N" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_two_parameter_samples_exit_2(self, tmp_path):
         proc = run_cli(
             "offline", "--problem", "linear-demo", "--disk", "0,0,0.6",

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import lapack
+from numpy.linalg import _umath_linalg
 
 from pnlevp import loewner
 from pnlevp.contour import (Disk, SamplingConfig, build_trapezoid_rule,
@@ -423,6 +423,10 @@ class TestStructuredRealize:
         assert peak <= 4 * r * r * 16
 
 
+# the gufuncs behind numpy.linalg.qr's two LAPACK calls
+_QR_HALVES = {"zgeqrf": "qr_r_raw", "zungqr": "qr_reduced"}
+
+
 def _two_pole_data():
     rng = np.random.default_rng(5)
     n, r = 3, 6
@@ -447,33 +451,45 @@ class TestLapackErrors:
         with pytest.raises(RealizationError, match="non-finite"):
             realize(*data, 2)
 
-    @pytest.mark.parametrize("routine",
-                             ["zgeqrf", "zungqr", "zgesdd", "zggev"])
+    @pytest.mark.parametrize("routine", ["zgeqrf", "zungqr", "svd", "eig"])
     def test_failed_routine_raises(self, monkeypatch, routine):
-        # 40 >= 2 * 16 directions: L is sketched, which calls all four
+        # 40 >= 2 * 16 directions: L is sketched, which calls qr, svd and eig
         data = _three_pole_data(40)
         assert len(realize(*data, 3)[0]) == 3
-        call = getattr(lapack, routine)
+        if routine in _QR_HALVES:
+            # a failed LAPACK half of numpy.linalg.qr raises the
+            # floating-point invalid flag, which qr turns into LinAlgError
+            name, call = "qr", getattr(_umath_linalg, _QR_HALVES[routine])
 
-        def failing(*args, **kwargs):
-            return (*call(*args, **kwargs)[:-1], 1)
+            def failing(*args, **kwargs):
+                out = call(*args, **kwargs)
+                np.sqrt(-1.0)
+                return out
 
-        monkeypatch.setattr(lapack, routine, failing)
-        with pytest.raises(RealizationError, match=routine):
+            monkeypatch.setattr(_umath_linalg, _QR_HALVES[routine], failing)
+        else:
+            name = routine
+
+            def failing(*args, **kwargs):
+                raise np.linalg.LinAlgError("did not converge")
+
+            monkeypatch.setattr(np.linalg, routine, failing)
+        with pytest.raises(RealizationError,
+                           match=rf"numpy\.linalg\.{name} failed"):
             realize(*data, 3)
 
-    def test_zero_beta_is_discarded(self, monkeypatch):
+    def test_overflowing_eigenvalue_is_discarded(self, monkeypatch):
         data = _two_pole_data()
         want, _, _, diagnostics = realize(*data, 2)
         assert diagnostics["discarded_infinite"] == 0
-        zggev = lapack.zggev
+        eig = np.linalg.eig
 
-        def infinite_first(*args, **kwargs):
-            alpha, beta, *rest = zggev(*args, **kwargs)
-            beta[0] = 0.0
-            return (alpha, beta, *rest)
+        def overflowing_first(A):
+            lam, S = eig(A)
+            lam[0] = np.inf
+            return lam, S
 
-        monkeypatch.setattr(lapack, "zggev", infinite_first)
+        monkeypatch.setattr(np.linalg, "eig", overflowing_first)
         got, V, _, diagnostics = realize(*data, 2)
         assert diagnostics["discarded_infinite"] == 1
         assert len(got) == 1 and V.shape[1] == 1
@@ -589,8 +605,7 @@ def _rank_check_of(monkeypatch, L):
     """consistency_rank_check over the single Loewner matrix L."""
     monkeypatch.setattr(loewner, "_loewner", lambda *args: L)
     r = len(L)
-    config = SimpleNamespace(left_points=np.zeros(r), right_points=np.ones(r),
-                             left_dirs=None, right_dirs=None)
+    config = SimpleNamespace(cauchy=None, left_dirs=None, right_dirs=None)
     one = np.zeros((r, 1, 1))
     return consistency_rank_check(config, one, one)
 

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import lapack
 
 import pnlevp
 from pnlevp import benchmarks, contour, loewner, paaa, solver
@@ -372,7 +371,9 @@ class TestOnline:
 
     def test_answers_without_numpy_and_scipy_wrappers(self, delay, tmp_path,
                                                       monkeypatch):
-        # the factorizations of an answer call LAPACK directly
+        # a saved model answers with SciPy unimportable and without the
+        # NumPy wrappers it does not need: no QR, least squares or
+        # Hermitian solver
         path = tmp_path / "delay.model"
         save_model(delay[1], path)
         want = online(load_model(path), 32.5)
@@ -380,9 +381,14 @@ class TestOnline:
         def refuse(*args, **kwargs):
             raise AssertionError("online called a NumPy or SciPy wrapper")
 
-        monkeypatch.setattr(np.linalg, "qr", refuse)
-        monkeypatch.setattr(np.linalg, "svd", refuse)
-        monkeypatch.setattr(scipy.linalg, "eig", refuse)
+        for name in ("cholesky", "eigh", "eigvals", "eigvalsh", "lstsq",
+                     "qr"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("eig", "eigvals", "qr", "solve", "svd"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        for name in [m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")]:
+            monkeypatch.setitem(sys.modules, name, None)
         got = online(load_model(path), 32.5)
         assert len(got.eigenvalues) == 4
         np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
@@ -390,11 +396,13 @@ class TestOnline:
     @pytest.mark.parametrize("fixture", ["delay", "damped_string1"])
     def test_one_call_of_each_lapack_routine(self, fixture, request, tmp_path,
                                              monkeypatch):
-        # r' = 20 and 16 < 32: one exact SVD of L (zgesdd), one pencil
-        # (zggev)
+        # r' = 20 and 16 < 32: one exact SVD of L, no sketch QR, and one
+        # standard eig of the projected pencil
         path = tmp_path / "saved.model"
         save_model(request.getfixturevalue(fixture)[1], path)
         model = load_model(path)
+        p_hat = np.mean(model.config.parameter_points)
+        want = online(model, p_hat)
         calls = []
 
         def counted(name, routine):
@@ -403,14 +411,14 @@ class TestOnline:
                 return routine(*args, **kwargs)
             return call
 
-        fortran = type(lapack.zgeqrf)
-        for name in dir(lapack):
-            routine = getattr(lapack, name)
-            if type(routine) is fortran:
-                monkeypatch.setattr(lapack, name, counted(name, routine))
-        p_hat = np.mean(model.config.parameter_points)
-        assert len(online(model, p_hat).eigenvalues) == model.m == 4
-        assert calls == ["zgesdd", "zggev"]
+        for name in ("cholesky", "eig", "eigh", "eigvals", "eigvalsh",
+                     "lstsq", "qr", "svd"):
+            monkeypatch.setattr(np.linalg, name,
+                                counted(name, getattr(np.linalg, name)))
+        got = online(model, p_hat)
+        assert calls == ["svd", "eig"]
+        assert len(got.eigenvalues) == model.m == 4
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
 
     def test_linear_demo_eigenvalues(self, linear1):
         problem, model = linear1
@@ -780,6 +788,41 @@ class TestScalarProbe:
         poles = scalar_probe_eigenvalues(model, 0.1)
         assert len(poles) == 1
         assert abs(poles[0] - 0.1) <= 1e-8
+
+    @pytest.mark.parametrize("fixture", ["linear1", "delay", "damped_string1"])
+    def test_zeros_match_the_arrowhead_pencil(self, fixture, request):
+        # the finite eigenvalues of the arrowhead pencil
+        # ([0, beta^T; 1, diag(xi)], diag(0, I)) by QZ are the same zeros;
+        # an even count of points misses linear-1's double zero at p = 1
+        scalar = request.getfixturevalue(fixture)[1].scalar_model
+        xi, k = scalar.z_nodes, len(scalar.z_nodes)
+        for p_hat in np.linspace(scalar.p_nodes.real.min(),
+                                 scalar.p_nodes.real.max(), 8):
+            beta = scalar.coeffs @ paaa._cauchy(p_hat, scalar.p_nodes)[0][0]
+            A = np.zeros((k + 1, k + 1), dtype=complex)
+            A[0, 1:], A[1:, 0], A[1:, 1:] = beta, 1.0, np.diag(xi)
+            B = np.diag(np.r_[0.0, np.ones(k)]).astype(complex)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = scipy.linalg.eigvals(A, B)
+            want = want[np.isfinite(want)]
+            got = solver._barycentric_zeros(beta, xi)
+            assert len(got) == len(want) == k - 1
+            d = np.abs(got[:, None] - want[None, :])
+            assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= (
+                1e-10 * np.max(np.abs(want)))
+
+    def test_weights_summing_to_zero(self):
+        # beta = (1, -2, 1) / p_hat at the z-nodes 0, 1, 3 sums to 0:
+        # d(z) = (z + 3) / (z (z - 1) (z - 3) p_hat) has one zero at -3 and
+        # one at infinity, which must go without a division by 0
+        scalar = SimpleNamespace(
+            z_nodes=np.array([0.0, 1.0, 3.0], dtype=complex),
+            p_nodes=np.zeros(1, dtype=complex),
+            coeffs=np.array([[1.0], [-2.0], [1.0]], dtype=complex),
+            node_values=np.array([[1.0], [2.0], [3.0]], dtype=complex))
+        poles = scalar_probe_eigenvalues(SimpleNamespace(scalar_model=scalar),
+                                         0.5)
+        np.testing.assert_allclose(poles, [-3.0], rtol=1e-14)
 
     @pytest.mark.parametrize("p_hat", [np.nan, np.inf, complex(0.0, np.inf)])
     def test_non_finite_parameter_rejected(self, delay, p_hat):
