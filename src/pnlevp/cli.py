@@ -192,7 +192,7 @@ def cmd_online(args):
             "in_domain": [bool(f) for f in sol.in_domain],
         }
         if res is not None:
-            doc["residuals"] = res
+            doc["residuals"] = [_json_number(x) for x in res]
         doc["rank_gap"] = _json_number(sol.diagnostics.get("rank_gap"))
         doc["discarded_infinite"] = sol.diagnostics.get("discarded_infinite", 0)
         doc["min_denominator"] = sol.diagnostics["min_denominator"]

@@ -33,9 +33,9 @@ b_i and R the rows r_j, Ls = L Sigma + B R^T, so the projected pencil is
 Its B = diag(s) is nonsingular, since every kept s_i is above RANK_TOL
 times the largest, so the eigenvalues are those of the one standard matrix
 V^H Sigma V + diag(s)^-1 X^H B R^T V, and no QZ is needed.  Every
-factorization goes through numpy.linalg (svd, eig and, for a sketch, qr),
-so a process loads one LAPACK; a LinAlgError raises RealizationError naming
-the factorization.
+factorization goes through numpy.linalg (svd, eig, solve for the left
+eigenvectors and, for a sketch, qr), so a process loads one LAPACK; a
+LinAlgError raises RealizationError naming the factorization.
 
 Offline, the same pencil at each parameter sample p_j gives two more
 steps.  consistency_rank_check counts the rank of every L(p_j), which is
@@ -212,13 +212,8 @@ def realize(config, B, C, order):
     diagnostics["rank_gap"] = float(gap if m == rank else _gap(s, m))
     X, sm, Vh = X[:, :m], s[:m], Vh[:m]
     lam, S = _pencil_eig(X, sm, Vh, sigma, B, Rd)
-    try:
-        # rows w_j^* from (X^H L V) S W^* = -X^H B, with X^H L V = diag(s)
-        Wstar = -np.linalg.solve(sm[:, None] * S, X.conj().T @ B)
-    except np.linalg.LinAlgError as exc:
-        raise RealizationError(
-            "eigenvector recovery failed; use more or different sample points"
-        ) from exc
+    # rows w_j^* from (X^H L V) S W^* = -X^H B, with X^H L V = diag(s)
+    Wstar = -_linalg("solve", sm[:, None] * S, X.conj().T @ B)
     keep = np.flatnonzero(np.isfinite(lam))
     diagnostics["discarded_infinite"] = m - len(keep)
     keep = keep[eigenvalue_order(lam[keep])]

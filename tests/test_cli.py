@@ -1,12 +1,19 @@
-"""End-to-end tests of the command-line interface (run as subprocesses)."""
+"""End-to-end tests of the command-line interface.
+
+Each test calls cli.main(argv) in-process and reads its exit code and
+output; two start an interpreter, to see a warning reach the error stream
+and the exit code reach the shell."""
 
 import base64
+import contextlib
+import io
 import json
 import logging
 import os
 import stat
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,13 +26,6 @@ from pnlevp.errors import ModelFormatError
 from pnlevp.problems import SyntheticRationalProblem
 from pnlevp.solver import (FORMAT_VERSION, EigenSolution, load_model,
                            offline, online, save_model)
-
-CLI = [sys.executable, "-c",
-       "import sys; from pnlevp.cli import main; sys.exit(main())"]
-
-
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def decode_array(node):
@@ -46,17 +46,24 @@ def edit_array(doc, *keys, edit):
                 "c16": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
+def refuse(name):
+    """parse_constant for json.loads: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture(scope="module")
 def delay_model(tmp_path_factory):
     """Model file for the delay benchmark setup, built once via the CLI."""
     path = tmp_path_factory.mktemp("models") / "delay.model"
-    proc = run_cli(
-        "offline", "--problem", "delay", "--disk", "0,0,0.075",
-        "--p", "30:35", "--q", "40", "--r", "20", "--N", "128",
-        "--seed", "7", "--out", str(path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "m = 4" in proc.stderr
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        # seed 7 misses the default fit tol (tangential error 6.94e-12)
+        warnings.filterwarnings("ignore", "barycentric fit did not reach")
+        code = main(["offline", "--problem", "delay", "--disk", "0,0,0.075",
+                     "--p", "30:35", "--q", "40", "--r", "20", "--N", "128",
+                     "--seed", "7", "--out", str(path)])
+    assert code == 0, err.getvalue()
+    assert "m = 4" in err.getvalue()
     return path
 
 
@@ -71,77 +78,60 @@ class TestOffline:
         # building the fixture already asserts exit 0 and the m = 4 report
         assert delay_model.exists()
 
-    def test_invalid_radius_exits_2(self, tmp_path):
-        proc = run_cli(
-            "offline", "--problem", "delay", "--disk", "0,0,-1",
-            "--p", "30:35", "--q", "4", "--r", "4", "--N", "16",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 2
-        assert "error" in proc.stderr
+    def test_invalid_radius_exits_2(self, tmp_path, capsys):
+        assert main(["offline", "--problem", "delay", "--disk", "0,0,-1",
+                     "--p", "30:35", "--q", "4", "--r", "4", "--N", "16",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "error" in capsys.readouterr().err
 
-    def test_rank_mismatch_exits_2_listing_ranks(self, tmp_path):
+    def test_rank_mismatch_exits_2_listing_ranks(self, tmp_path, capsys):
         # sqrt(1-p) crosses the |z| = 0.6 boundary inside [0.44, 0.76]
-        proc = run_cli(
-            "offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
-            "--p", "0.44:0.76", "--q", "4", "--r", "8", "--N", "512",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 2
-        assert "ranks" in proc.stderr
+        assert main(["offline", "--problem", "linear-demo",
+                     "--disk", "0,0,0.6", "--p", "0.44:0.76", "--q", "4",
+                     "--r", "8", "--N", "512",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "ranks" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    def test_rank_change_names_its_runs(self, tmp_path):
+    def test_rank_change_names_its_runs(self, tmp_path, capsys):
         # over 20:35 delay's eigenvalues cross the disk: rank 2, then 4
-        proc = run_cli(
-            "offline", "--problem", "delay", "--disk", "0,0,0.075",
-            "--p", "20:35", "--q", "40", "--r", "20", "--N", "128",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 2
-        assert "rank 2 on [20, 23.85]" in proc.stderr
-        assert "rank 4 on [24.62, 35]" in proc.stderr
-        assert "crossing" in proc.stderr and "raising N" in proc.stderr
+        assert main(["offline", "--problem", "delay", "--disk", "0,0,0.075",
+                     "--p", "20:35", "--q", "40", "--r", "20", "--N", "128",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert "rank 2 on [20, 23.85]" in err
+        assert "rank 4 on [24.62, 35]" in err
+        assert "crossing" in err and "raising N" in err
         assert not (tmp_path / "m.json").exists()
 
-    def test_two_parameter_samples_exit_2(self, tmp_path):
-        proc = run_cli(
-            "offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
-            "--p", "0.75:1.25", "--q", "2", "--r", "20", "--N", "512",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 2
-        assert "q >= 3" in proc.stderr
+    def test_two_parameter_samples_exit_2(self, tmp_path, capsys):
+        assert main(["offline", "--problem", "linear-demo",
+                     "--disk", "0,0,0.6", "--p", "0.75:1.25", "--q", "2",
+                     "--r", "20", "--N", "512",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "q >= 3" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_unknown_problem_exits_2(self, tmp_path):
-        proc = run_cli(
-            "offline", "--problem", "nope", "--disk", "0,0,1",
-            "--p", "0:1", "--q", "4", "--r", "4", "--N", "16",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 2
+        assert main(["offline", "--problem", "nope", "--disk", "0,0,1",
+                     "--p", "0:1", "--q", "4", "--r", "4", "--N", "16",
+                     "--out", str(tmp_path / "m.json")]) == 2
 
-    def test_eigenvalue_on_quadrature_node_exits_3(self, tmp_path):
+    def test_eigenvalue_on_quadrature_node_exits_3(self, tmp_path, capsys):
         # at p = 0.75 the eigenvalue 0.5 sits on the node z = 0.5 of the
         # 8-node rule on |z| = 0.5
-        proc = run_cli(
-            "offline", "--problem", "linear-demo", "--disk", "0,0,0.5",
-            "--p", "0.75:1.0", "--q", "4", "--r", "4", "--N", "8",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 3
-        assert "singular" in proc.stderr
+        assert main(["offline", "--problem", "linear-demo",
+                     "--disk", "0,0,0.5", "--p", "0.75:1.0", "--q", "4",
+                     "--r", "4", "--N", "8",
+                     "--out", str(tmp_path / "m.json")]) == 3
+        assert "singular" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    def test_non_finite_radius_exits_2(self, tmp_path):
-        proc = run_cli(
-            "offline", "--problem", "delay", "--disk", "0,0,nan",
-            "--p", "30:35", "--q", "4", "--r", "4", "--N", "16",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 2
-        assert "must be finite" in proc.stderr
+    def test_non_finite_radius_exits_2(self, tmp_path, capsys):
+        assert main(["offline", "--problem", "delay", "--disk", "0,0,nan",
+                     "--p", "30:35", "--q", "4", "--r", "4", "--N", "16",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-12")])
@@ -213,28 +203,29 @@ class TestOffline:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("ignore:barycentric fit did not reach")
     def test_identical_config_and_seed_byte_identical_models(self, tmp_path):
-        args = ("offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
+        args = ["offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
                 "--p", "0.75:1.25", "--q", "8", "--r", "6", "--N", "128",
-                "--seed", "3")
+                "--seed", "3"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run_cli(*args, "--out", str(a)).returncode == 0
-        assert run_cli(*args, "--out", str(b)).returncode == 0
+        assert main([*args, "--out", str(a)]) == 0
+        assert main([*args, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-
+    @pytest.mark.filterwarnings("ignore:barycentric fit did not reach")
     @pytest.mark.parametrize("verbose", [True, False])
-    def test_verbose_flag_prints_rank_check_record(self, tmp_path, verbose):
-        proc = run_cli(
-            *(["-v"] if verbose else []),
-            "offline", "--problem", "linear-demo", "--disk", "0,0,0.6",
-            "--p", "0.75:1.25", "--q", "4", "--r", "8", "--N", "128",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert ("rank check: ranks [2, 2, 2, 2]" in proc.stderr) == verbose
-        assert "rank gap = " in proc.stderr
-        assert "online directions: 8 of 8" in proc.stderr
+    def test_verbose_flag_prints_rank_check_record(self, tmp_path, capsys,
+                                                   verbose):
+        assert main([*(["-v"] if verbose else []),
+                     "offline", "--problem", "linear-demo",
+                     "--disk", "0,0,0.6", "--p", "0.75:1.25", "--q", "4",
+                     "--r", "8", "--N", "128",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        err = capsys.readouterr().err
+        assert ("rank check: ranks [2, 2, 2, 2]" in err) == verbose
+        assert "rank gap = " in err
+        assert "online directions: 8 of 8" in err
 
     @pytest.mark.filterwarnings("ignore:barycentric fit did not reach")
     def test_verbose_leaves_logger_as_it_was(self, tmp_path, capsys):
@@ -249,41 +240,54 @@ class TestOffline:
 
 
 class TestOnline:
-    def test_four_eigenvalue_lines(self, delay_model):
-        proc = run_cli("online", "--model", str(delay_model), "--p", "30")
-        assert proc.returncode == 0
-        rows = [l for l in proc.stdout.splitlines()[1:] if l.strip()]
+    def test_four_eigenvalue_lines(self, delay_model, capsys):
+        assert main(["online", "--model", str(delay_model), "--p", "30"]) == 0
+        out = capsys.readouterr().out
+        rows = [l for l in out.splitlines()[1:] if l.strip()]
         assert len(rows) == 4
 
     def test_extrapolation_warning_on_stderr(self, delay_model):
-        proc = run_cli("online", "--model", str(delay_model), "--p", "50")
+        # a new interpreter: in-process, pytest would capture the warning
+        proc = subprocess.run(
+            [sys.executable, "-m", "pnlevp.cli", "online",
+             "--model", str(delay_model), "--p", "50"],
+            capture_output=True, text=True)
         assert proc.returncode == 0
         rows = [l for l in proc.stdout.splitlines()[1:] if l.strip()]
         assert len(rows) == 4
         assert "outside the sampled range" in proc.stderr
 
-    def test_json_output_parses(self, delay_model):
-        proc = run_cli("online", "--model", str(delay_model), "--p", "32",
-                       "--json")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+    def test_json_output_parses(self, delay_model, capsys):
+        assert main(["online", "--model", str(delay_model), "--p", "32",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert len(doc["eigenvalues"]) == 4
         assert all(flag for flag in doc["in_domain"])
         assert max(doc["residuals"]) <= 1e-6
 
-    def test_json_reports_rank_diagnostics(self, delay_model):
-        proc = run_cli("online", "--model", str(delay_model), "--p", "32.5",
-                       "--json")
-        assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
+    def test_json_writes_null_for_non_finite_residuals(self, delay_model,
+                                                       capsys):
+        # far outside the sampled range the residuals overflow; JSON holds
+        # no Infinity, so they are written as null
+        with pytest.warns(UserWarning, match="outside the sampled range"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["online", "--model", str(delay_model), "--p", "1e5",
+                         "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert len(doc["residuals"]) == len(doc["eigenvalues"]) == 4
+        assert None in doc["residuals"]
+
+    def test_json_reports_rank_diagnostics(self, delay_model, capsys):
+        assert main(["online", "--model", str(delay_model), "--p", "32.5",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["rank_gap"] > 1e8
         assert doc["discarded_infinite"] == 0
 
-    def test_json_reports_min_denominator(self, delay_model):
-        proc = run_cli("online", "--model", str(delay_model), "--p", "32.5",
-                       "--json")
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["min_denominator"] > 0.0
+    def test_json_reports_min_denominator(self, delay_model, capsys):
+        assert main(["online", "--model", str(delay_model), "--p", "32.5",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["min_denominator"] > 0.0
 
     def test_json_of_an_empty_answer(self, delay_model, tmp_path, capsys):
         # zero tangential data (replace re-derives the collapsed tensor)
@@ -315,29 +319,27 @@ class TestOnline:
         assert len(lines) == 4 and all(len(l.split()) == 3 for l in lines[1:])
 
     def test_missing_model_exits_1(self, tmp_path):
-        proc = run_cli("online", "--model", str(tmp_path / "absent.json"),
-                       "--p", "30")
-        assert proc.returncode == 1
+        assert main(["online", "--model", str(tmp_path / "absent.json"),
+                     "--p", "30"]) == 1
 
-    def test_malformed_model_exits_1(self, tmp_path):
+    def test_malformed_model_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": FORMAT_VERSION,
                                     "m": 2}))
-        proc = run_cli("online", "--model", str(path), "--p", "1")
-        assert proc.returncode == 1
-        assert "malformed model file" in proc.stderr
+        assert main(["online", "--model", str(path), "--p", "1"]) == 1
+        assert "malformed model file" in capsys.readouterr().err
 
-    def test_version_1_model_exits_1(self, delay_model, tmp_path):
+    def test_version_1_model_exits_1(self, delay_model, tmp_path, capsys):
         # a version-1 file holds lifts, not the exact samples at the p-nodes
         doc = json.loads(delay_model.read_text())
         doc["format_version"] = 1
         path = tmp_path / "v1.model"
         path.write_text(json.dumps(doc))
-        proc = run_cli("online", "--model", str(path), "--p", "32")
-        assert proc.returncode == 1
-        assert "unsupported model format version 1" in proc.stderr
+        assert main(["online", "--model", str(path), "--p", "32"]) == 1
+        assert ("unsupported model format version 1"
+                in capsys.readouterr().err)
 
-    def test_version_2_model_exits_1(self, delay_model, tmp_path):
+    def test_version_2_model_exits_1(self, delay_model, tmp_path, capsys):
         # a version-2 file stores each array as [re, im] decimal pairs
         def decimal_pairs(node):
             if not isinstance(node, dict):
@@ -351,10 +353,10 @@ class TestOnline:
         doc["format_version"] = 2
         path = tmp_path / "v2.model"
         path.write_text(json.dumps(doc))
-        proc = run_cli("online", "--model", str(path), "--p", "32")
-        assert proc.returncode == 1
-        assert "unsupported model format version 2" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert main(["online", "--model", str(path), "--p", "32"]) == 1
+        err = capsys.readouterr().err
+        assert "unsupported model format version 2" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda a: a.update(c16="@" + a["c16"][1:]),
@@ -392,7 +394,7 @@ class TestOnline:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_model_value_exits_1(self, delay_model, tmp_path,
-                                            value):
+                                            capsys, value):
         def poison(a):
             a[0, 0, 0] = complex(float(value), a[0, 0, 0].imag)
             return a
@@ -401,9 +403,9 @@ class TestOnline:
         edit_array(doc, "left_vals", edit=poison)
         path = tmp_path / "non-finite.model"
         path.write_text(json.dumps(doc))
-        proc = run_cli("online", "--model", str(path), "--p", "32")
-        assert proc.returncode == 1
-        assert "model arrays must hold finite numbers" in proc.stderr
+        assert main(["online", "--model", str(path), "--p", "32"]) == 1
+        assert ("model arrays must hold finite numbers"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("field, value, message", [
         ("m", -1, "model order m = -1 is not an integer in [0, 20]"),
@@ -500,19 +502,17 @@ class TestOnline:
         assert "matmul" not in err
 
     @pytest.mark.parametrize("p", ["nan", "inf"])
-    def test_non_finite_parameter_exits_2(self, delay_model, p):
-        proc = run_cli("online", "--model", str(delay_model), "--p", p)
-        assert proc.returncode == 2
-        assert "is not finite" in proc.stderr
+    def test_non_finite_parameter_exits_2(self, delay_model, capsys, p):
+        assert main(["online", "--model", str(delay_model), "--p", p]) == 2
+        assert "is not finite" in capsys.readouterr().err
 
 
 class TestSweep:
-    def test_single_row_file(self, delay_model, tmp_path):
+    def test_single_row_file(self, delay_model, tmp_path, capsys):
         out = tmp_path / "sweep.dat"
-        proc = run_cli("sweep", "--model", str(delay_model), "--p", "30:35",
-                       "--n-test", "1", "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
-        assert f"output written to {out}" in proc.stderr
+        assert main(["sweep", "--model", str(delay_model), "--p", "30:35",
+                     "--n-test", "1", "--out", str(out)]) == 0
+        assert f"output written to {out}" in capsys.readouterr().err
         data = np.loadtxt(out, ndmin=2)
         assert data.shape == (1, 1 + 2 * 4 + 1)
 
@@ -521,26 +521,22 @@ class TestSweep:
         outs = []
         for name in ("a.dat", "b.dat", "c.dat"):
             out = tmp_path / name
-            proc = run_cli(
-                "sweep", "--model", str(delay_model), "--p", "30:35",
-                "--n-test", "20", "--out", str(out),
-            )
-            assert proc.returncode == 0, proc.stderr
+            assert main(["sweep", "--model", str(delay_model),
+                         "--p", "30:35", "--n-test", "20",
+                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_stdout_table(self, delay_model):
-        proc = run_cli("sweep", "--model", str(delay_model), "--p", "31:32",
-                       "--n-test", "3")
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
+    def test_stdout_table(self, delay_model, capsys):
+        assert main(["sweep", "--model", str(delay_model), "--p", "31:32",
+                     "--n-test", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("#")
         assert len(lines) == 4
 
     def test_invalid_range_exits_2(self, delay_model):
-        proc = run_cli("sweep", "--model", str(delay_model), "--p", "35:30",
-                       "--n-test", "3")
-        assert proc.returncode == 2
+        assert main(["sweep", "--model", str(delay_model), "--p", "35:30",
+                     "--n-test", "3"]) == 2
 
     @pytest.mark.parametrize("p_range, bound", [
         ("30:inf", "inf"), ("-inf:0", "-inf"), ("nan:35", "nan")])
@@ -569,10 +565,6 @@ class TestSweep:
         monkeypatch.setattr(bench_mod, "online", answer)
         assert main(["sweep", "--model", str(delay_model), "--p", "30:35",
                      "--n-test", "3", "--json"]) == 0
-
-        def refuse(name):
-            raise ValueError(f"{name} is not JSON")
-
         doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert doc["eigenvalues"][1] == [None] * 4
         assert doc["max_residuals"][1] is None
@@ -583,15 +575,17 @@ class TestSweep:
 
 class TestBench:
     def test_unknown_name_exits_2_listing(self):
-        proc = run_cli("bench", "no-such-benchmark")
+        # a new interpreter: the entry point passes the exit code on
+        proc = subprocess.run(
+            [sys.executable, "-m", "pnlevp.cli", "bench", "no-such-benchmark"],
+            capture_output=True, text=True)
         assert proc.returncode == 2
         assert "linear-1" in proc.stderr
         assert "damped-string-2" in proc.stderr
 
-    def test_list_when_omitted(self):
-        proc = run_cli("bench")
-        assert proc.returncode == 0
-        assert "delay" in proc.stderr
+    def test_list_when_omitted(self, capsys):
+        assert main(["bench"]) == 0
+        assert "delay" in capsys.readouterr().err
 
     def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch):
         # the sweep table is opt-in: a file of its name is left as it was
@@ -660,13 +654,12 @@ class TestOutputFiles:
         ("sweep", "--p", "30:35", "--n-test", "2"),
         ("sweep", "--p", "30:35", "--n-test", "2", "--json"),
     ])
-    def test_fifo_out_refused(self, delay_model, tmp_path, command):
+    def test_fifo_out_refused(self, delay_model, tmp_path, capsys, command):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-        proc = run_cli(command[0], "--model", str(delay_model),
-                       *command[1:], "--out", str(fifo))
-        assert proc.returncode == 1
-        assert "not a regular file" in proc.stderr
+        assert main([command[0], "--model", str(delay_model),
+                     *command[1:], "--out", str(fifo)]) == 1
+        assert "not a regular file" in capsys.readouterr().err
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
@@ -674,9 +667,8 @@ class TestOutputFiles:
         out = tmp_path / "sweep.dat"
         mine = tmp_path / "sweep.dat.tmp"
         mine.write_text("not the program's\n")
-        proc = run_cli("sweep", "--model", str(delay_model), "--p", "30:35",
-                       "--n-test", "2", "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
+        assert main(["sweep", "--model", str(delay_model), "--p", "30:35",
+                     "--n-test", "2", "--out", str(out)]) == 0
         assert mine.read_text() == "not the program's\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "sweep.dat", "sweep.dat.tmp"]

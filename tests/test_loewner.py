@@ -451,9 +451,11 @@ class TestLapackErrors:
         with pytest.raises(RealizationError, match="non-finite"):
             realize(*data, 2)
 
-    @pytest.mark.parametrize("routine", ["zgeqrf", "zungqr", "svd", "eig"])
+    @pytest.mark.parametrize("routine",
+                             ["zgeqrf", "zungqr", "svd", "eig", "solve"])
     def test_failed_routine_raises(self, monkeypatch, routine):
-        # 40 >= 2 * 16 directions: L is sketched, which calls qr, svd and eig
+        # 40 >= 2 * 16 directions: L is sketched, which calls qr, svd and
+        # eig; the left eigenvectors take one solve
         data = _three_pole_data(40)
         assert len(realize(*data, 3)[0]) == 3
         if routine in _QR_HALVES:
